@@ -45,7 +45,6 @@ from ambiflow.dynamics import (
 from ambiflow.observability import (
     EigenStructure,
     LinearTimeVaryingSystem,
-    ObservationBatch,
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
@@ -78,7 +77,6 @@ __all__ = [
     "GrowthCertificate",
     "HorizonResult",
     "LinearTimeVaryingSystem",
-    "ObservationBatch",
     "RadiusConfig",
     "SamplingSchedule",
     "ScenarioConfig",

@@ -167,12 +167,16 @@ def _envelope_power_integral(n: float, a: float, p: float) -> float:
 
     Integer p admits a closed form by binomial expansion.  The expansion
     cancels badly when a*n is small, and fractional p has no closed form;
-    both cases fall back to adaptive quadrature.
+    both cases fall back to adaptive quadrature.  The terms exceed the
+    result by about (2 / (a*n))^p, so with roundoff near 2e-15 the closed
+    form keeps about 1e-10 relative accuracy once a*n >= 2 * 2e-5^(1/p);
+    for p <= 2 the switch stays at a*n = 1e-2.
     """
     if n <= 1.0 or a == 0.0:
         return 0.0
     p_int = round(p)
-    use_closed_form = abs(p - p_int) < 1e-12 and a * n >= 1e-2
+    closed_form_floor = max(1e-2, 2.0 * 2e-5 ** (1.0 / p_int))
+    use_closed_form = abs(p - p_int) < 1e-12 and a * n >= closed_form_floor
     if use_closed_form:
         total = 0.0
         for k in range(p_int + 1):

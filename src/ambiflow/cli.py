@@ -148,13 +148,7 @@ class RunManifest:
     outputs: tuple[str, ...]
 
     def to_json(self) -> dict:
-        return {
-            "command": self.command,
-            "config": self.config,
-            "seed": self.seed,
-            "version": self.version,
-            "outputs": list(self.outputs),
-        }
+        return asdict(self)
 
 
 def _write_json(path: Path, payload: dict) -> None:

@@ -196,7 +196,17 @@ def optimal_plan(
     for j in range(m):
         a_eq[n + j, j::m] = 1.0
     b_eq = np.concatenate([source.weights, target.weights])
-    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    # HiGHS meets constraints only to its primal feasibility tolerance, 1e-7
+    # by default, which TransportPlan's marginal check rejects.  1e-10 is
+    # also the tightest tolerance HiGHS accepts.
+    res = linprog(
+        cost.ravel(),
+        A_eq=a_eq,
+        b_eq=b_eq,
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": _MARGINAL_TOL},
+    )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")
     plan = res.x.reshape(n, m)

@@ -40,7 +40,6 @@ __all__ = [
     "calibrate_flow_error",
     "growth_bound",
     "support_radius",
-    "disturbance_magnitude",
     "builtin_field",
 ]
 
@@ -93,30 +92,44 @@ def integrate_flow(
     x = np.asarray(state, dtype=float).copy()
     if x.shape != (field.dim,):
         raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
-    span = t_end - t_start
-    if span == 0.0:
-        return x
-    h = math.copysign(step, span)
-    n_full = int(abs(span) // step)
-    t = t_start
-    for i in range(n_full):
-        x = _rk4_step(field, t, x, h)
-        t = t_start + (i + 1) * h
-    rem = t_end - t
-    if abs(rem) > 1e-15 * max(1.0, abs(t_end)):
-        x = _rk4_step(field, t, x, rem)
+    x = _rk4(field, t_start, t_end, x, step)
     if not np.all(np.isfinite(x)):
         raise ArithmeticError(
-            f"integration blew up near t={t:.6g} (field {field.name or 'anonymous'})"
+            f"integration from t={t_start:.6g} to t={t_end:.6g} blew up "
+            f"(field {field.name or 'anonymous'})"
         )
     return x
 
 
-def _rk4_step(field: VectorField, t: float, x: np.ndarray, h: float) -> np.ndarray:
-    k1 = field(t, x)
-    k2 = field(t + 0.5 * h, x + 0.5 * h * k1)
-    k3 = field(t + 0.5 * h, x + 0.5 * h * k2)
-    k4 = field(t + h, x + h * k3)
+def _rk4(
+    f: Callable[[float, np.ndarray], np.ndarray],
+    t_start: float,
+    t_end: float,
+    x: np.ndarray,
+    step: float,
+) -> np.ndarray:
+    """Fixed-step RK4 for x' = f(t, x) on an array x of any shape, stepping
+    as ``integrate_flow`` describes; flows and fundamental matrices share it."""
+    span = t_end - t_start
+    h = math.copysign(step, span)
+    n_full = int(abs(span) // step)
+    t = t_start
+    for i in range(n_full):
+        x = _rk4_step(f, t, x, h)
+        t = t_start + (i + 1) * h
+    rem = t_end - t
+    if abs(rem) > 1e-15 * max(1.0, abs(t_end)):
+        x = _rk4_step(f, t, x, rem)
+    return x
+
+
+def _rk4_step(
+    f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray, h: float
+) -> np.ndarray:
+    k1 = f(t, x)
+    k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, x + 0.5 * h * k2)
+    k4 = f(t + h, x + h * k3)
     return x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -251,22 +264,6 @@ def support_radius(
     )
     spread = images.max(axis=0) - images.min(axis=0)
     return float(spread.max() / 2.0)
-
-
-def disturbance_magnitude(
-    sup_disturbance: float, tolerance: float, rate: float, horizon: float
-) -> float:
-    """Error-envelope magnitude when model mismatch acts like a disturbance.
-
-    Takes the smaller of the raw disturbance supremum and the magnitude that
-    keeps the envelope at ``tolerance`` by the horizon.
-    """
-    if sup_disturbance < 0.0 or tolerance < 0.0:
-        raise ValueError("disturbance and tolerance must be >= 0")
-    growth = math.expm1(rate * horizon)
-    if growth <= 0.0:
-        return sup_disturbance
-    return min(sup_disturbance, tolerance / growth)
 
 
 # --- built-in vector fields ---------------------------------------------------

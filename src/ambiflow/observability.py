@@ -36,11 +36,11 @@ import numpy as np
 from scipy.linalg import expm
 
 from ambiflow.ambiguity import SamplingSchedule
+from ambiflow.dynamics import _rk4
 
 __all__ = [
     "LinearTimeVaryingSystem",
     "EigenStructure",
-    "ObservationBatch",
     "ScheduleDiagnostics",
     "fundamental_matrix",
     "sample_observability_matrix",
@@ -140,38 +140,6 @@ class LinearTimeVaryingSystem:
         return (hi - lo) / (2.0 * _FD_STEP)
 
 
-@dataclass(frozen=True)
-class ObservationBatch:
-    """Sampled outputs of one population member.
-
-    ``outputs`` has one row per sample time (shape (l, m)); ``noise_bound``
-    is the per-sample output noise level (Euclidean norm of each row's
-    error), zero for exact measurements.
-    """
-
-    member_index: int
-    times: tuple[float, ...]
-    outputs: np.ndarray
-    noise_bound: float = 0.0
-
-    def __post_init__(self) -> None:
-        out = np.atleast_2d(np.asarray(self.outputs, dtype=float))
-        if out.shape[0] != len(self.times):
-            raise ValueError(
-                f"{out.shape[0]} output rows for {len(self.times)} sample times"
-            )
-        if self.noise_bound < 0.0:
-            raise ValueError("noise_bound must be >= 0")
-        object.__setattr__(self, "outputs", out)
-        object.__setattr__(self, "times", tuple(float(t) for t in self.times))
-
-    @property
-    def stacked(self) -> np.ndarray:
-        """Outputs flattened in sample order, matching the rows of the
-        sample observability matrix."""
-        return self.outputs.reshape(-1)
-
-
 # --- fundamental matrices -------------------------------------------------------
 
 
@@ -188,32 +156,17 @@ def fundamental_matrix(
         return expm(sys.a_const * (t - s))
     if step <= 0.0:
         raise ValueError(f"step must be positive, got {step}")
-    span = t - s
-    m = np.eye(sys.dim)
-    if span == 0.0:
-        return m
-    n_full = int(abs(span) // step)
-    h = math.copysign(step, span)
-    tau = s
-    for i in range(n_full):
-        m = _rk4_matrix_step(sys, tau, m, h)
-        tau = s + (i + 1) * h
-    rem = t - tau
-    if abs(rem) > 1e-15 * max(1.0, abs(t)):
-        m = _rk4_matrix_step(sys, tau, m, rem)
+    m = _rk4(_matrix_field(sys), s, t, np.eye(sys.dim), step)
     if not np.all(np.isfinite(m)):
-        raise ArithmeticError(f"fundamental matrix diverged near tau={tau:.6g}")
+        raise ArithmeticError(f"fundamental matrix diverged between {s:.6g} and {t:.6g}")
     return m
 
 
-def _rk4_matrix_step(
-    sys: LinearTimeVaryingSystem, tau: float, m: np.ndarray, h: float
-) -> np.ndarray:
-    k1 = sys.a_at(tau) @ m
-    k2 = sys.a_at(tau + 0.5 * h) @ (m + 0.5 * h * k1)
-    k3 = sys.a_at(tau + 0.5 * h) @ (m + 0.5 * h * k2)
-    k4 = sys.a_at(tau + h) @ (m + h * k3)
-    return m + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def _matrix_field(
+    sys: LinearTimeVaryingSystem,
+) -> Callable[[float, np.ndarray], np.ndarray]:
+    """M' = A(tau) M, whose flow from the identity is the fundamental matrix."""
+    return lambda tau, m: sys.a_at(tau) @ m
 
 
 # --- sampled observability ------------------------------------------------------
@@ -244,27 +197,11 @@ def sample_observability_matrix(
         blocks_rev = [sys.c_at(anchor) @ m]
         tau = anchor
         for t in reversed(ts[:-1]):
-            m = _integrate_matrix_between(sys, tau, t, m, step)
+            m = _rk4(_matrix_field(sys), tau, t, m, step)
             blocks_rev.append(sys.c_at(t) @ m)
             tau = t
         blocks = list(reversed(blocks_rev))
     return np.vstack(blocks)
-
-
-def _integrate_matrix_between(
-    sys: LinearTimeVaryingSystem, t_from: float, t_to: float, m: np.ndarray, step: float
-) -> np.ndarray:
-    span = t_to - t_from
-    n_full = int(abs(span) // step)
-    h = math.copysign(step, span)
-    tau = t_from
-    for i in range(n_full):
-        m = _rk4_matrix_step(sys, tau, m, h)
-        tau = t_from + (i + 1) * h
-    rem = t_to - tau
-    if abs(rem) > 1e-15 * max(1.0, abs(t_to)):
-        m = _rk4_matrix_step(sys, tau, m, rem)
-    return m
 
 
 def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
@@ -354,7 +291,7 @@ def observability_gramian(
             gram += coeff * kern
             if k < n_cells:
                 nxt = anchor - (k + 1) * h
-                m = _integrate_matrix_between(sys, tau, nxt, m, h)
+                m = _rk4(_matrix_field(sys), tau, nxt, m, h)
                 tau = nxt
     gram *= h
     return 0.5 * (gram + gram.T)
@@ -413,7 +350,7 @@ def max_kernel_derivative(
         worst = max(worst, float(np.linalg.norm(deriv, 2)))
         if k < n_cells:
             nxt = t - (k + 1) * h
-            m = _integrate_matrix_between(sys, tau, nxt, m, min(h, grid_step))
+            m = _rk4(_matrix_field(sys), tau, nxt, m, min(h, grid_step))
             tau = nxt
     return worst
 

@@ -32,8 +32,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import minimize_scalar
@@ -121,19 +121,7 @@ class ScenarioConfig:
         return self.square_side * self.n_segments / TWO_PI
 
     def to_json(self) -> dict:
-        return {
-            "orbit_radius": self.orbit_radius,
-            "square_side": self.square_side,
-            "tracking_gain": self.tracking_gain,
-            "v_min": self.v_min,
-            "v_max": self.v_max,
-            "n_segments": self.n_segments,
-            "theta_support": list(self.theta_support),
-            "theta_probabilities": list(self.theta_probabilities),
-            "eps_ref": self.eps_ref,
-            "n_ref": self.n_ref,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, payload: dict) -> "ScenarioConfig":
@@ -380,26 +368,42 @@ def dro_objective(
     at ``t_start``, orbiting the current square) or the candidate state
     ``xi`` (orbiting the next square, one side over along +x).
     """
+    x = _validated_profile(profile, cfg)
+    # Flow formulas take states at relative time zero, so the reference
+    # phase is developed to t_start.
+    shift = np.array([0.0, 0.0, 0.0, 0.0, t_start])
+    known = np.asarray(known_state, dtype=float).reshape(1, 5) + shift
+    cand = np.asarray(xi, dtype=float).reshape(1, 5) + shift
+    return float(_clearance_kernel(known, cand, cfg, n_t)(x[None, :])[0, 0])
+
+
+def _clearance_kernel(
+    known_state: Sequence[float], candidates: np.ndarray, cfg: ScenarioConfig, n_t: int
+) -> Callable[[np.ndarray], np.ndarray]:
+    """Squared clearance as a map from profiles (B, n_segments) to (B, J).
+
+    Entry (b, j) is the minimum over a uniform grid of n_t times in
+    [0, 2*pi] of the squared distance from intruder b to the nearer of the
+    known watcher and candidate j, one square over.  Everything that does
+    not depend on the profile is computed once, here.
+    """
     tau = np.linspace(0.0, TWO_PI, n_t)
-    blue = blue_path(profile, cfg, tau)
-    known = np.asarray(known_state, dtype=float).reshape(1, 5)
-    cand = np.asarray(xi, dtype=float).reshape(1, 5)
-    if t_start != 0.0:
-        # Re-anchor: flow formulas take states at relative time zero with the
-        # reference phase developed to t_start.
-        known = _shift_anchor(known, t_start, cfg)
-        cand = _shift_anchor(cand, t_start, cfg)
-    known_xy = red_position_path(known, tau, cfg)[0]
-    cand_xy = red_position_path(cand, tau, cfg)[0] + np.array([cfg.square_side, 0.0])
-    d_known = ((known_xy - blue) ** 2).sum(axis=1)
-    d_cand = ((cand_xy - blue) ** 2).sum(axis=1)
-    return float(np.minimum(d_known, d_cand).min())
+    coverage = _segment_coverage(tau, cfg.n_segments)
+    known_xy = red_position_path(
+        np.asarray(known_state, dtype=float).reshape(1, 5), tau, cfg
+    )[0]
+    cand_xy = red_position_path(candidates, tau, cfg) + np.array([cfg.square_side, 0.0])
+    cand_x = cand_xy[:, :, 0]
+    cand_y2 = cand_xy[:, :, 1] ** 2
+    known_y2 = known_xy[:, 1] ** 2
 
+    def clearance(xs: np.ndarray) -> np.ndarray:
+        bx = xs @ coverage.T  # (B, n_t); the intruder flies along y = 0
+        best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
+        dc = ((cand_x[None, :, :] - bx[:, None, :]) ** 2 + cand_y2[None, :, :]).min(axis=2)
+        return np.minimum(best_known[:, None], dc)
 
-def _shift_anchor(states: np.ndarray, t_start: float, cfg: ScenarioConfig) -> np.ndarray:
-    out = states.copy()
-    out[:, 4] = out[:, 4] + t_start
-    return out
+    return clearance
 
 
 # --- ambiguity balls and the inner linear program ---------------------------------
@@ -528,6 +532,36 @@ def constrained_min_expectation(
     return total
 
 
+def _inner_evaluator(
+    ball: AmbiguityBall,
+    candidates: np.ndarray,
+    known_state: Sequence[float],
+    cfg: ScenarioConfig,
+    n_t: int,
+) -> Callable[[np.ndarray], list[float]]:
+    """Worst-case expected clearance over the ball, for a batch of profiles.
+
+    Returns a map from profiles (B, n_segments) to B inner-program values,
+    restricted to the finite ``candidates`` support.
+    """
+    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
+    center_pts, weights = _merged_center(ball.center)
+    dist = np.linalg.norm(center_pts[:, None, :] - cand[None, :, :], axis=2)
+    if np.any(dist.min(axis=1) > 1e-12):
+        raise ValueError("candidate support must include the ball center's support")
+    costs = dist**ball.order
+    budget = ball.radius**ball.order
+    clearance = _clearance_kernel(known_state, cand, cfg, n_t)
+
+    def evaluate_many(xs: np.ndarray) -> list[float]:
+        return [
+            constrained_min_expectation(weights, costs, row, budget)
+            for row in clearance(xs)
+        ]
+
+    return evaluate_many
+
+
 def solve_inner_inf(
     ball: AmbiguityBall,
     profile: Sequence[float],
@@ -537,23 +571,8 @@ def solve_inner_inf(
     n_t: int = 200,
 ) -> float:
     """Worst-case expected clearance over the ball, on a finite support."""
-    cand = np.atleast_2d(np.asarray(candidates, dtype=float))
-    center_pts, center_w = _merged_center(ball.center)
-    costs = np.linalg.norm(center_pts[:, None, :] - cand[None, :, :], axis=2)
-    if np.any(costs.min(axis=1) > 1e-12):
-        raise ValueError("candidate support must include the ball center's support")
-    tau = np.linspace(0.0, TWO_PI, n_t)
-    blue = blue_path(profile, cfg, tau)
-    known_xy = red_position_path(
-        np.asarray(known_state, dtype=float).reshape(1, 5), tau, cfg
-    )[0]
-    cand_xy = red_position_path(cand, tau, cfg) + np.array([cfg.square_side, 0.0])
-    best_known = float(((known_xy - blue) ** 2).sum(axis=1).min())
-    d_cand = ((cand_xy - blue[None, :, :]) ** 2).sum(axis=2).min(axis=1)
-    f_vals = np.minimum(best_known, d_cand)
-    return constrained_min_expectation(
-        center_w, costs**ball.order, f_vals, ball.radius**ball.order
-    )
+    evaluate_many = _inner_evaluator(ball, candidates, known_state, cfg, n_t)
+    return evaluate_many(_validated_profile(profile, cfg)[None, :])[0]
 
 
 # --- outer solver -----------------------------------------------------------------
@@ -580,30 +599,7 @@ def solve_dro(
         rng = np.random.default_rng(cfg.seed)
     n = cfg.n_segments
     target = cfg.profile_sum
-    cand = candidate_support(ball)
-    center_pts, weights = _merged_center(ball.center)
-    costs = (
-        np.linalg.norm(center_pts[:, None, :] - cand[None, :, :], axis=2) ** ball.order
-    )
-    budget = ball.radius**ball.order
-    tau = np.linspace(0.0, TWO_PI, n_t)
-    coverage = _segment_coverage(tau, n)
-    known_xy = red_position_path(
-        np.asarray(known_state, dtype=float).reshape(1, 5), tau, cfg
-    )[0]
-    cand_xy = red_position_path(cand, tau, cfg) + np.array([cfg.square_side, 0.0])
-    cand_x = cand_xy[:, :, 0]
-    cand_y2 = cand_xy[:, :, 1] ** 2
-    known_y2 = known_xy[:, 1] ** 2
-
-    def evaluate_many(xs: np.ndarray) -> list[float]:
-        bx = xs @ coverage.T  # (B, n_t)
-        best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
-        dc = ((cand_x[None, :, :] - bx[:, None, :]) ** 2 + cand_y2[None, :, :]).min(axis=2)
-        f_vals = np.minimum(best_known[:, None], dc)
-        return [
-            constrained_min_expectation(weights, costs, row, budget) for row in f_vals
-        ]
+    evaluate_many = _inner_evaluator(ball, candidate_support(ball), known_state, cfg, n_t)
 
     def evaluate(x: np.ndarray) -> float:
         return evaluate_many(x[None, :])[0]

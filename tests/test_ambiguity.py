@@ -13,7 +13,9 @@ import math
 
 import numpy as np
 import pytest
-from scipy.integrate import simpson
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad, simpson
 
 from ambiflow.ambiguity import (
     HorizonResult,
@@ -148,6 +150,24 @@ def test_pushforward_error_matches_simpson_oracle():
             got = pushforward_error(n, 1.0, p, model)
             want = 0.7 * (simpson_envelope_integral(n, a, p) / n) ** (1.0 / p)
             assert got == pytest.approx(want, rel=1e-7), f"p={p} a={a} n={n}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    p=st.integers(min_value=1, max_value=12),
+    a_n=st.floats(min_value=1e-3, max_value=5.0),
+    n=st.integers(min_value=2, max_value=10_000),
+)
+def test_pushforward_error_matches_quad_for_integer_orders(p, a_n, n):
+    # The binomial closed form cancels catastrophically at small a*n for
+    # high orders; wherever it is used it must agree with quadrature.
+    a = a_n / n
+    model = FlowErrorModel(magnitude=1.0, rate=a)
+    integral, _ = quad(
+        lambda s: math.expm1(a * s) ** p, 1.0, n, epsabs=0.0, epsrel=1e-12, limit=500
+    )
+    want = (integral / n) ** (1.0 / p)
+    assert pushforward_error(n, 1.0, float(p), model) == pytest.approx(want, rel=1e-8)
 
 
 def test_pushforward_error_strictly_increasing_in_n_and_delta():

@@ -14,6 +14,8 @@ import json
 
 import numpy as np
 import pytest
+from scipy import sparse
+from scipy.optimize import linprog
 
 from ambiflow.distribution import (
     DiscreteDistribution,
@@ -142,6 +144,26 @@ def test_optimal_plan_is_valid_coupling():
     plan = optimal_plan(src, tgt, p=2.0)
     assert np.allclose(plan.matrix.sum(axis=1), src.weights, atol=1e-9)
     assert np.allclose(plan.matrix.sum(axis=0), tgt.weights, atol=1e-9)
+
+
+def test_lp_plan_meets_marginals_where_default_highs_tolerance_misses():
+    # At HiGHS's default feasibility tolerance this pair's plan misses the
+    # target marginals by 4.7e-8, which TransportPlan rejects.
+    rng = np.random.default_rng(38)
+    src = DiscreteDistribution.empirical(rng.normal(size=(30, 5)))
+    tgt = DiscreteDistribution(rng.normal(size=(300, 5)), rng.dirichlet(np.ones(300)))
+    plan = optimal_plan(src, tgt, p=2.0)
+    assert np.abs(plan.matrix.sum(axis=1) - src.weights).max() <= 1e-10
+    assert np.abs(plan.matrix.sum(axis=0) - tgt.weights).max() <= 1e-10
+    # Oracle: the same transportation LP, solved by linprog directly.
+    n, m = src.n_points, tgt.n_points
+    a_eq = sparse.vstack(
+        [sparse.kron(sparse.eye(n), np.ones((1, m))), sparse.kron(np.ones((1, n)), sparse.eye(m))]
+    )
+    cost = np.linalg.norm(src.points[:, None, :] - tgt.points[None, :, :], axis=2) ** 2
+    b_eq = np.concatenate([src.weights, tgt.weights])
+    res = linprog(cost.ravel(), A_eq=a_eq, b_eq=b_eq, bounds=(0, None), method="highs")
+    assert wasserstein_exact(src, tgt, p=2.0) ** 2 == pytest.approx(res.fun, rel=1e-6)
 
 
 # --- group 3: metric axioms --------------------------------------------------

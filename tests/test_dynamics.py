@@ -19,7 +19,6 @@ from ambiflow.dynamics import (
     VectorField,
     builtin_field,
     calibrate_flow_error,
-    disturbance_magnitude,
     flow_error_bound,
     growth_bound,
     integrate_flow,
@@ -256,13 +255,3 @@ def test_forced_field_singular_at_origin():
     field = builtin_field("forced_norm_growth", gain=1.0, exponent=0.5, dim=2)
     with pytest.raises(ArithmeticError):
         field(0.0, np.zeros(2))
-
-
-def test_disturbance_magnitude_min_semantics():
-    # Envelope capped by tolerance: exp(1) - 1 divides it.
-    got = disturbance_magnitude(5.0, 1.0, 1.0, 1.0)
-    assert got == pytest.approx(1.0 / (math.e - 1.0), rel=1e-12)
-    # Raw supremum smaller: keep it.
-    assert disturbance_magnitude(0.1, 1.0, 1.0, 1.0) == pytest.approx(0.1)
-    # Zero rate: envelope never grows, raw supremum is the only bound.
-    assert disturbance_magnitude(0.3, 1.0, 0.0, 4.0) == pytest.approx(0.3)

@@ -20,7 +20,6 @@ from ambiflow.ambiguity import SamplingSchedule
 from ambiflow.observability import (
     EigenStructure,
     LinearTimeVaryingSystem,
-    ObservationBatch,
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
@@ -511,17 +510,6 @@ def test_estimation_error_bound_anchor():
         estimation_error_bound(1.0, -1.0, 0.5, 0.01)
     with pytest.raises(ValueError):
         estimation_error_bound(1.0, 1.0, 0.0, 0.01)
-
-
-def test_observation_batch_shapes():
-    batch = ObservationBatch(
-        member_index=3, times=(0.0, 0.5), outputs=[[1.0, 2.0], [3.0, 4.0]]
-    )
-    assert batch.stacked.tolist() == [1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(ValueError):
-        ObservationBatch(member_index=0, times=(0.0,), outputs=[[1.0], [2.0]])
-    with pytest.raises(ValueError):
-        ObservationBatch(member_index=0, times=(0.0,), outputs=[[1.0]], noise_bound=-1.0)
 
 
 def test_system_from_json_matrices_and_builtins():

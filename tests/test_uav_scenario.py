@@ -491,7 +491,7 @@ def test_solve_dro_result_is_feasible_and_reproducible_inner_value():
     assert x.min() >= cfg.v_min - 1e-9 and x.max() <= cfg.v_max + 1e-9
     assert x.sum() == pytest.approx(cfg.profile_sum, rel=1e-9)
     again = solve_inner_inf(ball, x, candidate_support(ball), known, cfg)
-    assert value == pytest.approx(again, rel=1e-9)
+    assert value == again
 
 
 # --- group 8: the experiment ---------------------------------------------------------
