@@ -100,10 +100,6 @@ class SamplingSchedule:
     def horizon(self) -> float:
         return self.times[-1][-1]
 
-    @property
-    def last_times(self) -> np.ndarray:
-        return np.array([row[-1] for row in self.times])
-
     def _window(self) -> list[tuple[float, ...]]:
         return list(self.times[self.effective_start - 1 :])
 
@@ -302,7 +298,7 @@ def horizon_margin(
     """
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    if cfg.p == cfg.d / 2.0:
+    if cfg.regime == "critical":
         raise ValueError("effective horizon needs p != d/2")
     pbar = cfg.decay_exponent
     log_term = math.log(cfg.big_c / cfg.beta)
@@ -334,7 +330,7 @@ def effective_horizon(
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if cfg.p == cfg.d / 2.0:
+    if cfg.regime == "critical":
         raise ValueError("effective horizon needs p != d/2")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")

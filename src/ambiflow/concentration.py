@@ -96,9 +96,9 @@ def deviation_bound(eps: float, rho: float, n_samples: int, cfg: RadiusConfig) -
         raise ValueError(f"need at least one sample, got {n_samples}")
     p, d = cfg.p, cfg.d
     n = float(n_samples)
-    if p > d / 2.0:
+    if cfg.regime == "supercritical":
         rate = eps**2 / rho ** (2 * p)
-    elif p == d / 2.0:
+    elif cfg.regime == "critical":
         rate = eps**2 / (rho ** (2 * p) * math.log(2.0 + rho**p / eps) ** 2)
     else:
         rate = eps ** (d / p) / rho**d
@@ -156,9 +156,9 @@ def ambiguity_radius(n_samples: int, cfg: RadiusConfig, rho: float) -> float:
         return 0.0
     p, d = cfg.p, cfg.d
     n = float(n_samples)
-    if p > d / 2.0:
+    if cfg.regime == "supercritical":
         return (log_term / (cfg.small_c * n)) ** (1.0 / (2.0 * p)) * rho
-    if p == d / 2.0:
+    if cfg.regime == "critical":
         x = invert_critical_rate(log_term / (cfg.small_c * n))
         return x ** (1.0 / p) * rho
     return (log_term / (cfg.small_c * n)) ** (1.0 / d) * rho

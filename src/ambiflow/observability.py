@@ -21,6 +21,11 @@ under which a chosen fraction of the Gramian's smallest eigenvalue survives
 discretization, and ``estimation_error_bound`` converts that fraction plus a
 per-output noise level into a state error bound.
 
+The Gramian, the kernel-derivative scan and the stationary gap bound all
+read Phi(tau, t) at uniformly spaced tau on one backward sweep
+(``_backward_sweep``): one matrix exponential stepped node to node for
+stationary systems, RK4 between nodes otherwise.
+
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
 sufficient criteria for time-invariant systems.
@@ -28,9 +33,10 @@ sufficient criteria for time-invariant systems.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -165,8 +171,32 @@ def fundamental_matrix(
 def _matrix_field(
     sys: LinearTimeVaryingSystem,
 ) -> Callable[[float, np.ndarray], np.ndarray]:
-    """M' = A(tau) M, whose flow from the identity is the fundamental matrix."""
-    return lambda tau, m: sys.a_at(tau) @ m
+    """M' = A(tau) M, whose flow from the identity is the fundamental matrix.
+
+    A(tau) is kept for the last tau asked for, so RK4's two midpoint stages
+    (and a last stage landing on the next step's first) build it once.
+    """
+    a_at = functools.lru_cache(maxsize=1)(sys.a_at)
+    return lambda tau, m: a_at(tau) @ m
+
+
+def _backward_sweep(
+    sys: LinearTimeVaryingSystem, t: float, h: float, n: int
+) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield (tau, Phi(tau, t)) at tau = t - k h for k = 0..n, on one sweep.
+
+    Stationary systems step with one exponential, Phi <- Phi expm(-A h);
+    otherwise M' = A(tau) M is integrated by RK4 at step h between nodes.
+    """
+    m = np.eye(sys.dim)
+    yield t, m
+    if sys.is_lti:
+        back = expm(-sys.a_const * h)
+    field = _matrix_field(sys)
+    for k in range(1, n + 1):
+        tau = t - k * h
+        m = m @ back if sys.is_lti else _rk4(field, t - (k - 1) * h, tau, m, h)
+        yield tau, m
 
 
 # --- sampled observability ------------------------------------------------------
@@ -193,11 +223,12 @@ def sample_observability_matrix(
     else:
         # One backward sweep: carry Phi(tau, anchor) from the anchor down
         # through every sample time.
+        field = _matrix_field(sys)
         m = np.eye(sys.dim)
         blocks_rev = [sys.c_at(anchor) @ m]
         tau = anchor
         for t in reversed(ts[:-1]):
-            m = _rk4(_matrix_field(sys), tau, t, m, step)
+            m = _rk4(field, tau, t, m, step)
             blocks_rev.append(sys.c_at(t) @ m)
             tau = t
         blocks = list(reversed(blocks_rev))
@@ -267,32 +298,11 @@ def observability_gramian(
         raise ValueError(f"quad_step must be positive, got {quad_step}")
     n_cells = max(2, math.ceil(varsigma / quad_step))
     h = varsigma / n_cells
-    anchor = t + varsigma
-    d = sys.dim
-
-    gram = np.zeros((d, d))
-    m = np.eye(d)
-    if sys.is_lti:
-        back = expm(-sys.a_const * h)
-        ctc = sys.c_const.T @ sys.c_const
-        for k in range(n_cells + 1):
-            kern = m.T @ ctc @ m
-            coeff = 0.5 if k in (0, n_cells) else 1.0
-            gram += coeff * kern
-            if k < n_cells:
-                m = m @ back
-    else:
-        tau = anchor
-        for k in range(n_cells + 1):
-            c = sys.c_at(tau)
-            cm = c @ m
-            kern = cm.T @ cm
-            coeff = 0.5 if k in (0, n_cells) else 1.0
-            gram += coeff * kern
-            if k < n_cells:
-                nxt = anchor - (k + 1) * h
-                m = _rk4(_matrix_field(sys), tau, nxt, m, h)
-                tau = nxt
+    gram = np.zeros((sys.dim, sys.dim))
+    for k, (tau, m) in enumerate(_backward_sweep(sys, t + varsigma, h, n_cells)):
+        cm = sys.c_at(tau) @ m
+        coeff = 0.5 if k in (0, n_cells) else 1.0
+        gram += coeff * (cm.T @ cm)
     gram *= h
     return 0.5 * (gram + gram.T)
 
@@ -342,16 +352,10 @@ def max_kernel_derivative(
     span = t - s_low
     n_cells = max(1, math.ceil(span / grid_step)) if span > 0.0 else 0
     h = span / n_cells if n_cells else 0.0
-    m = np.eye(sys.dim)
     worst = 0.0
-    tau = t
-    for k in range(n_cells + 1):
+    for tau, m in _backward_sweep(sys, t, h, n_cells):
         deriv = m.T @ _kernel_mid(sys, tau) @ m
         worst = max(worst, float(np.linalg.norm(deriv, 2)))
-        if k < n_cells:
-            nxt = t - (k + 1) * h
-            m = _rk4(_matrix_field(sys), tau, nxt, m, min(h, grid_step))
-            tau = nxt
     return worst
 
 
@@ -395,28 +399,22 @@ def robust_sampling_bound(
             f"Gramian floor is not positive ({floor:.3e}); the pair is not "
             "observable on some window"
         )
-    if sys.is_lti:
-        n_pts = max(2, math.ceil(window_up / grid_step) + 1)
-        us = np.linspace(-window_up, 0.0, n_pts)
-        a = sys.a_const
-        ctc = sys.c_const.T @ sys.c_const
-        worst = 0.0
-        for u in us:
-            e = expm(a * u)
-            kern = e.T @ ctc @ e
-            worst = max(worst, float(np.linalg.norm(kern @ a, 2)))
-        if worst == 0.0:
-            return math.inf
-        return 2.0 * (1.0 - retention) * floor / (window_up * worst)
     worst = 0.0
-    n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
-    anchors = np.linspace(window_low, horizon, n_anchor)
-    for t in anchors:
-        s_low = max(0.0, float(t) - window_up)
-        worst = max(worst, max_kernel_derivative(sys, float(t), s_low, grid_step))
+    if sys.is_lti:
+        factor = 2.0
+        n_cells = max(1, math.ceil(window_up / grid_step))
+        for _, m in _backward_sweep(sys, 0.0, window_up / n_cells, n_cells):
+            cm = sys.c_const @ m
+            worst = max(worst, float(np.linalg.norm(cm.T @ cm @ sys.a_const, 2)))
+    else:
+        factor = 4.0
+        n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
+        for t in np.linspace(window_low, horizon, n_anchor):
+            s_low = max(0.0, float(t) - window_up)
+            worst = max(worst, max_kernel_derivative(sys, float(t), s_low, grid_step))
     if worst == 0.0:
         return math.inf
-    return 4.0 * (1.0 - retention) * floor / (window_up * worst)
+    return factor * (1.0 - retention) * floor / (window_up * worst)
 
 
 # --- reconstruction ---------------------------------------------------------------

@@ -259,7 +259,8 @@ def reconstruct_red_state(
         )
     q, _ = np.linalg.qr(design)
 
-    def residual_batch(thetas: np.ndarray) -> np.ndarray:
+    def offsets(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Forced-response position offsets (B, l) for each candidate phase."""
         th = thetas[:, None]
         ck = np.cos(g * dt)[None, :]
         sk = (np.sin(g * dt) / g)[None, :]
@@ -267,6 +268,10 @@ def reconstruct_red_state(
         c_last, s_last = np.cos(t_last + th), np.sin(t_last + th)
         off_x = amp * (ct - c_last * ck + s_last * sk)
         off_y = amp * (st - s_last * ck - c_last * sk)
+        return off_x, off_y
+
+    def residual_batch(thetas: np.ndarray) -> np.ndarray:
+        off_x, off_y = offsets(thetas)
         bx = pos[None, :, 0] - off_x
         by = pos[None, :, 1] - off_y
         rx = bx - (bx @ q) @ q.T
@@ -308,14 +313,9 @@ def reconstruct_red_state(
         angles = ", ".join(f"{c[0]:.6g}" for c in clusters)
         raise ArithmeticError(f"ambiguous fit: phases {{{angles}}} all reach the tolerance")
     theta = clusters[0][0]
-    ck = np.cos(g * dt)
-    sk = np.sin(g * dt) / g
-    ct, st = np.cos(ts + theta), np.sin(ts + theta)
-    c_last, s_last = math.cos(t_last + theta), math.sin(t_last + theta)
-    off_x = amp * (ct - c_last * ck + s_last * sk)
-    off_y = amp * (st - s_last * ck - c_last * sk)
-    sol_x, *_ = np.linalg.lstsq(design, pos[:, 0] - off_x, rcond=None)
-    sol_y, *_ = np.linalg.lstsq(design, pos[:, 1] - off_y, rcond=None)
+    off_x, off_y = offsets(np.array([theta]))
+    sol_x, *_ = np.linalg.lstsq(design, pos[:, 0] - off_x[0], rcond=None)
+    sol_y, *_ = np.linalg.lstsq(design, pos[:, 1] - off_y[0], rcond=None)
     return np.array([sol_x[0], sol_y[0], sol_x[1], sol_y[1], theta])
 
 

@@ -106,6 +106,23 @@ def test_fundamental_matrix_rk4_matches_exponential():
     assert np.allclose(phi, expm(2.5 * a), atol=1e-10)
 
 
+def test_rk4_builds_a_at_most_three_times_per_step():
+    # RK4's two midpoint stages share one A(t + h/2).
+    calls = []
+
+    def a_fn(t):
+        calls.append(t)
+        return np.array([[0.0, 1.0], [-1.0 - 0.3 * math.sin(t), 0.0]])
+
+    sys = LinearTimeVaryingSystem.time_varying(
+        a_fn=a_fn, c_fn=lambda t: np.array([[1.0, 0.0]])
+    )
+    calls.clear()
+    n_steps = 128
+    fundamental_matrix(sys, 1.0, 0.0, step=1.0 / n_steps)
+    assert 0 < len(calls) <= 3 * n_steps
+
+
 # --- group 2: observability matrix and weights ---------------------------------
 
 
@@ -267,6 +284,49 @@ def test_robust_sampling_bound_validates_windows():
         robust_sampling_bound(double_integrator(), 1.0, 0.5, 2.0, retention=0.5)
     with pytest.raises(ValueError):
         robust_sampling_bound(double_integrator(), 0.5, 1.0, 2.0, retention=1.5)
+
+
+def per_node_expm_bound(sys, window_low, window_up, horizon, retention, grid_step):
+    """Reference LTI bound: one matrix exponential at every grid node."""
+    floor = gramian_floor(sys, window_low, horizon, grid_step)
+    n_pts = max(2, math.ceil(window_up / grid_step) + 1)
+    ctc = sys.c_const.T @ sys.c_const
+    worst = 0.0
+    for u in np.linspace(-window_up, 0.0, n_pts):
+        e = expm(sys.a_const * u)
+        worst = max(worst, float(np.linalg.norm(e.T @ ctc @ e @ sys.a_const, 2)))
+    return 2.0 * (1.0 - retention) * floor / (window_up * worst)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("grid_step", [0.01, 3e-3])
+def test_robust_sampling_bound_lti_stepping_matches_per_node_expm(d, grid_step):
+    rng = np.random.default_rng(17 + d)
+    for _ in range(4):
+        sys = LinearTimeVaryingSystem.lti(
+            rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, (1, d))
+        )
+        args = (sys, 0.5, 0.75, 1.5, 0.5, grid_step)
+        assert robust_sampling_bound(*args) == pytest.approx(
+            per_node_expm_bound(*args), rel=1e-12
+        )
+
+
+@pytest.mark.parametrize("grid_step", [1e-2, 1e-3])
+def test_robust_sampling_bound_lti_takes_two_exponentials(monkeypatch, grid_step):
+    # One for the Gramian floor, one for the kernel scan, whatever the grid.
+    calls = []
+
+    def counted(m):
+        calls.append(m)
+        return expm(m)
+
+    monkeypatch.setattr("ambiflow.observability.expm", counted)
+    bound = robust_sampling_bound(
+        double_integrator(), 1.0, 1.0, 1.0, retention=0.5, grid_step=grid_step
+    )
+    assert bound == pytest.approx(BOUND_ANCHOR, rel=1e-3)
+    assert len(calls) == 2
 
 
 # --- group 5: margin invariant --------------------------------------------------
