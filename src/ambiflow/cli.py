@@ -70,7 +70,24 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise ConfigError(f"config {path} must be a JSON object")
+    _reject_non_finite(payload, "")
     return payload
+
+
+def _reject_non_finite(value: Any, where: str) -> None:
+    """Name the first non-finite number in a parsed config.
+
+    ``json`` accepts NaN, Infinity and overflowing literals such as 1e999;
+    none of them is a meaningful setting anywhere in a config.
+    """
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ConfigError(f"field '{where}' must be a finite number, got {value}")
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _reject_non_finite(item, f"{where}.{key}" if where else str(key))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            _reject_non_finite(item, f"{where}[{i}]")
 
 
 _REQUIRED = object()

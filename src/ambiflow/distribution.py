@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
 __all__ = [
@@ -170,7 +171,7 @@ def optimal_plan(
     """Exact minimum-cost coupling between two discrete distributions.
 
     Equal-size, equal-weight inputs reduce to a linear assignment problem;
-    everything else is solved as a dense transportation LP.
+    everything else is solved as a sparse transportation LP.
     """
     _check_pair(source, target, p)
     cost = _cost_matrix(source.points, target.points, p)
@@ -188,13 +189,16 @@ def optimal_plan(
         plan[rows, cols] = 1.0 / n
         return TransportPlan(source, target, plan, order=p)
 
-    # Dense transportation LP: variables are the n*m plan entries.  One of
-    # the marginal constraint blocks is redundant, which HiGHS tolerates.
-    a_eq = np.zeros((n + m, n * m))
-    for i in range(n):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[n + j, j::m] = 1.0
+    # Transportation LP: variables are the n*m plan entries, row-major, so
+    # row sums and column sums are Kronecker products with a row of ones.
+    # One of the two blocks is redundant, which HiGHS tolerates.
+    a_eq = sparse.vstack(
+        [
+            sparse.kron(sparse.identity(n), np.ones((1, m))),
+            sparse.kron(np.ones((1, n)), sparse.identity(m)),
+        ],
+        format="csr",
+    )
     b_eq = np.concatenate([source.weights, target.weights])
     # HiGHS meets constraints only to its primal feasibility tolerance, 1e-7
     # by default, which TransportPlan's marginal check rejects.  1e-10 is

@@ -12,9 +12,11 @@ reachable states at the checkpoint times T_i = 2*pi*i never changes.
 
 The intruder crosses each square along the x axis with a piecewise-constant
 speed profile, collecting a few exact position samples of the local watcher
-on the way.  Phase-conditioned dynamics are linear-affine, which makes
-state recovery from three position fixes a one-dimensional search over the
-phase (``reconstruct_red_state``).  The recovered states feed a
+on the way.  In complex coordinates every position is linear in the
+position, the velocity and the unit reference phasor (``_tracker_basis``),
+so state recovery from three position fixes is one linear least-squares
+solve for all three, followed by a refit on the unit circle
+(``reconstruct_red_state``).  The recovered states feed a
 distributionally robust program: maximize, over feasible speed profiles,
 the worst-case expected squared clearance from the next (unseen) watcher,
 where the expectation ranges over a Wasserstein ball around the empirical
@@ -84,6 +86,10 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "theta_support", tuple(float(t) for t in self.theta_support))
+        object.__setattr__(
+            self, "theta_probabilities", tuple(float(p) for p in self.theta_probabilities)
+        )
         if self.orbit_radius <= 0.0:
             raise ValueError(f"orbit_radius must be positive, got {self.orbit_radius}")
         if self.square_side <= 0.0:
@@ -110,10 +116,6 @@ class ScenarioConfig:
             raise ValueError("theta probabilities must be nonnegative and sum to 1")
         if self.eps_ref <= 0.0 or self.n_ref < 1:
             raise ValueError("calibration anchor needs eps_ref > 0 and n_ref >= 1")
-        object.__setattr__(self, "theta_support", tuple(float(t) for t in self.theta_support))
-        object.__setattr__(
-            self, "theta_probabilities", tuple(float(p) for p in self.theta_probabilities)
-        )
 
     @property
     def profile_sum(self) -> float:
@@ -129,11 +131,7 @@ class ScenarioConfig:
         unknown = set(payload) - known
         if unknown:
             raise ValueError(f"unknown scenario config fields: {sorted(unknown)}")
-        kwargs = dict(payload)
-        for key in ("theta_support", "theta_probabilities"):
-            if key in kwargs:
-                kwargs[key] = tuple(float(v) for v in kwargs[key])
-        return cls(**kwargs)
+        return cls(**payload)
 
 
 def default_config(seed: int = 0) -> ScenarioConfig:
@@ -143,11 +141,41 @@ def default_config(seed: int = 0) -> ScenarioConfig:
 # --- red vehicle dynamics --------------------------------------------------------
 
 
-def _forced_amplitude(cfg_gain: float, orbit_radius: float) -> float:
-    # Particular solution of pos'' = g^2 (r cos(t + phase) - pos) is
-    # amp * cos(t + phase) with amp = g^2 r / (g^2 - 1).
-    g2 = cfg_gain * cfg_gain
-    return g2 * orbit_radius / (g2 - 1.0)
+def _tracker_basis(
+    tau: np.ndarray, gain: float, orbit_radius: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The closed-form tracker flow as complex-linear maps over a time grid.
+
+    In complex coordinates z = x + i*y and v = vx + i*vy the tracker obeys
+    z'' = g^2 (r e^{i(t + theta)} - z).  After a time tau its state is linear
+    in (z, v, e^{i*phi}), where phi = t + theta is the reference phase at the
+    start: the homogeneous part oscillates at the gain's frequency and the
+    particular solution rides the reference circle with amplitude
+    g^2 r / (g^2 - 1).  Returns the (len(tau), 3) complex maps to position
+    and to velocity.  Valid for any gain with g^2 != 1, forward or backward
+    in time.
+    """
+    g2 = gain * gain
+    if g2 == 1.0:
+        raise ValueError("gain^2 = 1 is resonant; the closed form does not apply")
+    amp = g2 * orbit_radius / (g2 - 1.0)
+    tau = np.asarray(tau, dtype=float)
+    ck, sk, ref = np.cos(gain * tau), np.sin(gain * tau), np.exp(1j * tau)
+    pos = np.stack([ck, sk / gain, amp * (ref - ck - 1j * sk / gain)], axis=-1)
+    vel = np.stack([-gain * sk, ck, amp * (1j * ref + gain * sk - 1j * ck)], axis=-1)
+    return pos, vel
+
+
+def _lift(states: np.ndarray) -> np.ndarray:
+    """Rows (x, y, vx, vy, phase) to the basis coefficients (z, v, e^{i*phase})."""
+    return np.stack(
+        [
+            states[..., 0] + 1j * states[..., 1],
+            states[..., 2] + 1j * states[..., 3],
+            np.exp(1j * states[..., 4]),
+        ],
+        axis=-1,
+    )
 
 
 def initial_red_state(theta: float, orbit_radius: float = 1.0) -> np.ndarray:
@@ -165,33 +193,12 @@ def red_uav_flow(
     gain: float = 4.0,
     orbit_radius: float = 1.0,
 ) -> np.ndarray:
-    """Closed-form tracker state (pos, vel) at time t, given the state at t_start.
-
-    Variation of constants for the forced oscillator: the particular
-    solution rides the reference circle with amplitude g^2 r / (g^2 - 1),
-    the homogeneous part oscillates at the tracking gain's frequency.
-    Valid for any gain with gain^2 != 1, forward or backward in time.
-    """
-    if gain * gain == 1.0:
-        raise ValueError("gain^2 = 1 is resonant; the closed form does not apply")
+    """Closed-form tracker state (pos, vel) at time t, given the state at t_start."""
     x0, y0, vx0, vy0 = (float(v) for v in xi0)
-    amp = _forced_amplitude(gain, orbit_radius)
-    dt = t - t_start
-    ck, sk = math.cos(gain * dt), math.sin(gain * dt)
-    cs, ss = math.cos(t_start + theta), math.sin(t_start + theta)
-    ct, st = math.cos(t + theta), math.sin(t + theta)
-    ax = x0 - amp * cs
-    bx = (vx0 + amp * ss) / gain
-    ay = y0 - amp * ss
-    by = (vy0 - amp * cs) / gain
-    return np.array(
-        [
-            amp * ct + ax * ck + bx * sk,
-            amp * st + ay * ck + by * sk,
-            -amp * st - ax * gain * sk + bx * gain * ck,
-            amp * ct - ay * gain * sk + by * gain * ck,
-        ]
-    )
+    pos, vel = _tracker_basis(np.array([t - t_start]), gain, orbit_radius)
+    coef = _lift(np.array([x0, y0, vx0, vy0, t_start + theta]))
+    z, v = pos[0] @ coef, vel[0] @ coef
+    return np.array([z.real, z.imag, v.real, v.imag])
 
 
 def red_position_path(
@@ -203,40 +210,29 @@ def red_position_path(
     returns (J, len(tau_grid), 2).
     """
     states = np.atleast_2d(np.asarray(states, dtype=float))
-    g = cfg.tracking_gain
-    amp = _forced_amplitude(g, cfg.orbit_radius)
-    theta = states[:, 4:5]
-    tau = np.asarray(tau_grid, dtype=float)[None, :]
-    ck, sk = np.cos(g * tau), np.sin(g * tau)
-    cs, ss = np.cos(theta), np.sin(theta)
-    ax = states[:, 0:1] - amp * cs
-    bx = (states[:, 2:3] + amp * ss) / g
-    ay = states[:, 1:2] - amp * ss
-    by = (states[:, 3:4] - amp * cs) / g
-    x = amp * np.cos(tau + theta) + ax * ck + bx * sk
-    y = amp * np.sin(tau + theta) + ay * ck + by * sk
-    return np.stack([x, y], axis=-1)
+    pos, _ = _tracker_basis(tau_grid, cfg.tracking_gain, cfg.orbit_radius)
+    z = _lift(states) @ pos.T
+    return np.stack([z.real, z.imag], axis=-1)
 
 
 # --- state recovery from position fixes ----------------------------------------
 
+# Squared position residual a noiseless fit must reach.
+_RESIDUAL_TOL = 1e-8
+
 
 def reconstruct_red_state(
-    times: Sequence[float],
-    positions: np.ndarray,
-    cfg: ScenarioConfig,
-    n_phase_grid: int = 720,
-    residual_tol: float = 1e-8,
+    times: Sequence[float], positions: np.ndarray, cfg: ScenarioConfig
 ) -> np.ndarray:
     """Recover (pos, vel, phase) at the last sample time from position fixes.
 
-    Conditioned on the phase, positions are affine in the state at the last
-    sample time with a phase-independent design matrix, so each candidate
-    phase costs one projection.  The residual is scanned on a grid over
-    [0, 2*pi), every basin below a loose threshold is polished by bounded
-    scalar minimization, and the fit must reach ``residual_tol``.  Two
-    distinct phases fitting equally well, or sample spacings that alias the
-    tracking frequency, are reported as errors rather than silently picked.
+    Every fix is complex-linear in (z, v, e^{i*phi}) at the last sample time
+    (``_tracker_basis``), so one least-squares solve on this lifted basis
+    gives the phase phi as the angle of its third coefficient.  (z, v) is
+    then refit with |e^{i*phi}| = 1, and the squared residual must reach
+    ``_RESIDUAL_TOL``.  Sample spacings that alias the tracking frequency, or
+    a lifted basis without full rank (every phase fits), are reported as
+    errors rather than silently picked.
     """
     ts = np.asarray(times, dtype=float)
     pos = np.atleast_2d(np.asarray(positions, dtype=float))
@@ -246,77 +242,30 @@ def reconstruct_red_state(
         raise ValueError(f"positions shape {pos.shape} does not match {len(ts)} times")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
-    g = cfg.tracking_gain
-    amp = _forced_amplitude(g, cfg.orbit_radius)
     t_last = float(ts[-1])
-    dt = ts - t_last
-    design = np.column_stack([np.cos(g * dt), np.sin(g * dt) / g])
+    basis, _ = _tracker_basis(ts - t_last, cfg.tracking_gain, cfg.orbit_radius)
+    design = basis[:, :2].real
     sv = np.linalg.svd(design, compute_uv=False)
     if sv[-1] <= 1e-8 * sv[0]:
         raise ArithmeticError(
             "sample spacing aliases the tracking frequency; velocity is "
             "not identifiable from these times"
         )
-    q, _ = np.linalg.qr(design)
-
-    def offsets(thetas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Forced-response position offsets (B, l) for each candidate phase."""
-        th = thetas[:, None]
-        ck = np.cos(g * dt)[None, :]
-        sk = (np.sin(g * dt) / g)[None, :]
-        ct, st = np.cos(ts[None, :] + th), np.sin(ts[None, :] + th)
-        c_last, s_last = np.cos(t_last + th), np.sin(t_last + th)
-        off_x = amp * (ct - c_last * ck + s_last * sk)
-        off_y = amp * (st - s_last * ck - c_last * sk)
-        return off_x, off_y
-
-    def residual_batch(thetas: np.ndarray) -> np.ndarray:
-        off_x, off_y = offsets(thetas)
-        bx = pos[None, :, 0] - off_x
-        by = pos[None, :, 1] - off_y
-        rx = bx - (bx @ q) @ q.T
-        ry = by - (by @ q) @ q.T
-        return np.einsum("ij,ij->i", rx, rx) + np.einsum("ij,ij->i", ry, ry)
-
-    grid = np.linspace(0.0, TWO_PI, n_phase_grid, endpoint=False)
-    res = residual_batch(grid)
-    # Polish every basin that is plausibly a perfect fit.
-    floor = max(residual_tol, res.min() * 10.0, 1e-6)
-    candidates: list[tuple[float, float]] = []
-    step = TWO_PI / n_phase_grid
-    for i in np.nonzero(res <= floor)[0]:
-        left, right = grid[i] - step, grid[i] + step
-        if res[(i - 1) % n_phase_grid] < res[i] or res[(i + 1) % n_phase_grid] < res[i]:
-            # Not a local minimum on the grid; its basin is polished from
-            # the neighbor instead.
-            continue
-        opt = minimize_scalar(
-            lambda th: float(residual_batch(np.array([th]))[0]),
-            bounds=(left, right),
-            method="bounded",
-            options={"xatol": 1e-12},
-        )
-        if opt.fun < residual_tol:
-            candidates.append((float(opt.x) % TWO_PI, float(opt.fun)))
-    if not candidates:
+    sv = np.linalg.svd(basis, compute_uv=False)
+    if sv[-1] <= 1e-8 * sv[0]:
+        raise ArithmeticError("ambiguous fit: every phase fits samples at these times")
+    z = pos[:, 0] + 1j * pos[:, 1]
+    lifted, *_ = np.linalg.lstsq(basis, z, rcond=None)
+    phi = float(np.angle(lifted[2]))
+    rhs = z - basis[:, 2] * np.exp(1j * phi)
+    sol, res, *_ = np.linalg.lstsq(design, np.column_stack([rhs.real, rhs.imag]), rcond=None)
+    residual = float(res.sum())
+    if not residual <= _RESIDUAL_TOL:
         raise ArithmeticError(
-            f"no phase fits the samples (best residual {res.min():.3e}); the "
+            f"no phase fits the samples (best residual {residual:.3e}); the "
             "data is not a noiseless trajectory of the tracker dynamics"
         )
-    clusters: list[tuple[float, float]] = []
-    for th, r in sorted(candidates, key=lambda c: c[1]):
-        if all(
-            min(abs(th - c[0]), TWO_PI - abs(th - c[0])) > 1e-3 for c in clusters
-        ):
-            clusters.append((th, r))
-    if len(clusters) > 1:
-        angles = ", ".join(f"{c[0]:.6g}" for c in clusters)
-        raise ArithmeticError(f"ambiguous fit: phases {{{angles}}} all reach the tolerance")
-    theta = clusters[0][0]
-    off_x, off_y = offsets(np.array([theta]))
-    sol_x, *_ = np.linalg.lstsq(design, pos[:, 0] - off_x[0], rcond=None)
-    sol_y, *_ = np.linalg.lstsq(design, pos[:, 1] - off_y[0], rcond=None)
-    return np.array([sol_x[0], sol_y[0], sol_x[1], sol_y[1], theta])
+    return np.array([sol[0, 0], sol[0, 1], sol[1, 0], sol[1, 1], (phi - t_last) % TWO_PI])
 
 
 # --- intruder path and objective -------------------------------------------------
@@ -717,14 +666,8 @@ def _observe_and_reconstruct(theta: float, cfg: ScenarioConfig) -> np.ndarray:
     around time zero produces bit-identical samples for every checkpoint.
     """
     xi0 = initial_red_state(theta, cfg.orbit_radius)
-    times = [t for t in SAMPLE_OFFSETS]
-    positions = np.array(
-        [
-            red_uav_flow(theta, xi0[:4], t, 0.0, cfg.tracking_gain, cfg.orbit_radius)[:2]
-            for t in times
-        ]
-    )
-    return reconstruct_red_state(times, positions, cfg)
+    positions = red_position_path(xi0, np.array(SAMPLE_OFFSETS), cfg)[0]
+    return reconstruct_red_state(SAMPLE_OFFSETS, positions, cfg)
 
 
 def run_single_realization(

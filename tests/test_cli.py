@@ -124,6 +124,58 @@ def test_malformed_json_exit_2(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+def _with_literal(payload, dotted, literal):
+    """Config text with the field at a dotted path set to a raw JSON literal."""
+    payload = json.loads(json.dumps(payload))
+    *parents, leaf = dotted.split(".")
+    section = payload
+    for key in parents:
+        section = section[key]
+    section[leaf] = "@LITERAL@"
+    return json.dumps(payload).replace('"@LITERAL@"', literal)
+
+
+@pytest.mark.parametrize(
+    "command, field, literal",
+    [
+        ("radius", "delta", "NaN"),
+        ("radius", "rho_horizon", "NaN"),
+        ("radius", "flow_error.magnitude", "NaN"),
+        ("radius", "radius.big_c", "Infinity"),
+        ("radius", "delta", "1e999"),
+        ("horizon", "delta", "-Infinity"),
+        ("horizon", "flow_error.magnitude", "NaN"),
+        ("uav", "scenario.eps_ref", "NaN"),
+        ("uav", "scenario.tracking_gain", "Infinity"),
+        ("observe", "noise", "NaN"),
+    ],
+)
+def test_non_finite_config_value_exit_2(tmp_path, capsys, command, field, literal):
+    # Python's json reads NaN, Infinity and overflowing literals as floats;
+    # each must fail as a config error naming its field, not run on.
+    base = {
+        "radius": BASE_RADIUS_CONFIG,
+        "horizon": BASE_RADIUS_CONFIG,
+        "observe": observe_payload(),
+        "uav": uav_payload(),
+    }[command]
+    path = tmp_path / "config.json"
+    path.write_text(_with_literal(base, field, literal))
+    out = tmp_path / "out"
+    code = main([command, "--config", str(path), "--out", str(out)])
+    assert code == 2
+    assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_non_finite_list_entry_named_by_index(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(observe_payload(schedules=[[0.0, 0.5, float("nan")]])))
+    code = main(["observe", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "'schedules[0][2]'" in capsys.readouterr().err
+
+
 # --- manifest -------------------------------------------------------------------
 
 

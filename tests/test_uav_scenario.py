@@ -15,6 +15,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 from ambiflow.distribution import DiscreteDistribution
@@ -183,6 +185,43 @@ def test_reconstruct_recovers_generic_state():
     want_state = red_uav_flow(theta, xi0, times[-1])
     assert np.allclose(got[:4], want_state, atol=1e-6)
     assert abs(got[4] - theta) < 1e-6
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    theta=st.floats(min_value=0.0, max_value=TWO_PI, exclude_max=True),
+    xi0=st.lists(
+        st.floats(min_value=-4.0, max_value=4.0), min_size=4, max_size=4
+    ),
+    times=st.lists(
+        st.floats(min_value=-1.0, max_value=1.0), min_size=3, max_size=6, unique=True
+    )
+    .map(sorted)
+    .filter(lambda ts: min(np.diff(ts)) >= 0.05),
+)
+def test_reconstruct_is_exact_to_roundoff(theta, xi0, times):
+    # Fixes are linear in (position, velocity, reference phasor), so the
+    # recovery is one well-conditioned linear solve, not a search whose
+    # accuracy stops at the square root of the residual's precision.
+    cfg = default_config()
+    pos = np.array([red_uav_flow(theta, xi0, t)[:2] for t in times])
+    got = reconstruct_red_state(times, pos, cfg)
+    want = red_uav_flow(theta, xi0, times[-1])
+    assert np.abs(got[:4] - want).max() <= 1e-10
+    gap = (got[4] - theta) % TWO_PI
+    assert min(gap, TWO_PI - gap) <= 1e-10
+
+
+def test_reconstruct_rejects_unidentifiable_phase():
+    # Gaps of 2*pi/3 with gain 4 make the reference phasor at every sample
+    # equal to the homogeneous oscillation e^{i*g*t}: every phase fits.
+    cfg = default_config()
+    theta = THETAS[0]
+    xi0 = initial_red_state(theta)
+    times = [0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0]
+    pos = np.array([red_uav_flow(theta, xi0[:4], t)[:2] for t in times])
+    with pytest.raises(ArithmeticError, match="ambiguous fit"):
+        reconstruct_red_state(times, pos, cfg)
 
 
 def test_reconstruct_needs_three_samples():
