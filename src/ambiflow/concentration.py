@@ -56,6 +56,9 @@ class RadiusConfig:
     small_c: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("p", "beta", "big_c", "small_c"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.p >= 1.0:
             raise ValueError(f"transport order p must be >= 1, got {self.p}")
         if not (isinstance(self.d, int) and self.d >= 1):

@@ -68,6 +68,9 @@ class FlowErrorModel:
     rate: float
 
     def __post_init__(self) -> None:
+        for name in ("magnitude", "rate"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.magnitude < 0.0:
             raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
         if self.rate < 0.0:

@@ -90,6 +90,9 @@ class ScenarioConfig:
         object.__setattr__(
             self, "theta_probabilities", tuple(float(p) for p in self.theta_probabilities)
         )
+        for name, value in asdict(self).items():  # ints are finite; seeds may be huge
+            if not isinstance(value, int) and not np.all(np.isfinite(value)):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.orbit_radius <= 0.0:
             raise ValueError(f"orbit_radius must be positive, got {self.orbit_radius}")
         if self.square_side <= 0.0:
@@ -338,19 +341,24 @@ def _clearance_kernel(
     """
     tau = np.linspace(0.0, TWO_PI, n_t)
     coverage = _segment_coverage(tau, cfg.n_segments)
-    known_xy = red_position_path(
-        np.asarray(known_state, dtype=float).reshape(1, 5), tau, cfg
-    )[0]
+    known_xy = red_position_path(np.asarray(known_state, dtype=float), tau, cfg)[0]
     cand_xy = red_position_path(candidates, tau, cfg) + np.array([cfg.square_side, 0.0])
-    cand_x = cand_xy[:, :, 0]
-    cand_y2 = cand_xy[:, :, 1] ** 2
+    # Time-major (n_t, J) copies and one scratch buffer: no (B, J, n_t) temporary.
+    cand_x = np.ascontiguousarray(cand_xy[:, :, 0].T)
+    cand_y2 = np.ascontiguousarray(cand_xy[:, :, 1].T ** 2)
+    buf = np.empty_like(cand_x)
     known_y2 = known_xy[:, 1] ** 2
 
     def clearance(xs: np.ndarray) -> np.ndarray:
         bx = xs @ coverage.T  # (B, n_t); the intruder flies along y = 0
         best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
-        dc = ((cand_x[None, :, :] - bx[:, None, :]) ** 2 + cand_y2[None, :, :]).min(axis=2)
-        return np.minimum(best_known[:, None], dc)
+        dc = np.empty((len(bx), cand_x.shape[1]))
+        for b in range(len(bx)):
+            np.subtract(cand_x, bx[b][:, None], out=buf)
+            np.square(buf, out=buf)
+            np.add(buf, cand_y2, out=buf)
+            buf.min(axis=0, out=dc[b])
+        return np.minimum(best_known[:, None], dc, out=dc)
 
     return clearance
 
@@ -367,6 +375,9 @@ class AmbiguityBall:
     order: float = 1.0
 
     def __post_init__(self) -> None:
+        for name in ("radius", "order"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.radius < 0.0:
             raise ValueError(f"radius must be >= 0, got {self.radius}")
         if self.order < 1.0:
@@ -425,60 +436,75 @@ def constrained_min_expectation(
     steepest value decrease.  Exactness holds because the per-atom value
     functions are convex piecewise-linear, making the aggregate a classic
     budget allocation.  Each atom needs a zero-cost candidate (itself).
+    An infinite budget is unconstrained transport.
     """
     w = np.asarray(weights, dtype=float)
     c = np.atleast_2d(np.asarray(costs, dtype=float))
     f = np.asarray(values, dtype=float)
     if c.shape != (len(w), len(f)):
         raise ValueError(f"cost matrix {c.shape} does not match {len(w)}x{len(f)}")
-    if budget < 0.0:
+    if not budget >= 0.0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    total = 0.0
-    segments: list[tuple[float, float]] = []  # (slope, budget length)
-    for i in range(len(w)):
-        if w[i] == 0.0:
-            continue
-        order = np.argsort(c[i], kind="stable")
-        cs, fs = c[i][order], f[order]
+    if not np.all(np.isfinite(f)):
+        raise ValueError("values must be finite")
+    return _sorted_sources(w, c)(f, budget)
+
+
+def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., float]:
+    """``constrained_min_expectation`` for fixed weights and costs: ``solve(values, budget)``.
+
+    Each live source atom's candidates are sorted by cost once, here; ``solve`` only gathers
+    the values in that order, drops dominated candidates and runs the hull and the greedy.
+    """
+    live = np.flatnonzero(weights != 0.0)
+    order = np.argsort(costs[live], axis=1, kind="stable")
+    sorted_costs = np.take_along_axis(costs[live], order, axis=1)
+    for i, cs in zip(live, sorted_costs):
         if cs[0] > 1e-12:
             raise ValueError(
                 f"source atom {i} has no zero-cost candidate (closest is "
                 f"{cs[0]:.3e}); include the center's support"
             )
+    live_weights = weights[live].tolist()
+
+    def solve(values: np.ndarray, budget: float) -> float:
+        fs = values[order]
         # Dominated candidates (some cheaper point is at least as good) can
-        # never enter the hull; dropping them first keeps the hull loop short.
-        keep = np.empty(len(fs), dtype=bool)
-        keep[0] = True
-        keep[1:] = fs[1:] < np.minimum.accumulate(fs)[:-1]
-        cs, fs = cs[keep], fs[keep]
-        # Decreasing lower convex hull over (cost, value).
-        hull: list[tuple[float, float]] = []
-        for cj, fj in zip(cs, fs):
-            pt = (float(cj), float(fj))
-            if hull and pt[1] >= hull[-1][1]:
-                continue
-            while len(hull) >= 2:
-                (c1, f1), (c2, f2) = hull[-2], hull[-1]
-                # Drop the middle point when the new segment undercuts it.
-                if (f2 - f1) * (pt[0] - c1) >= (pt[1] - f1) * (c2 - c1):
+        # never enter a hull; dropping them first keeps the hull loop short.
+        keep = np.ones(fs.shape, dtype=bool)
+        np.less(fs[:, 1:], np.minimum.accumulate(fs, axis=1)[:, :-1], out=keep[:, 1:])
+        total = 0.0
+        segments: list[tuple[float, float]] = []  # (slope, budget length)
+        for wi, cs, fi, ki in zip(live_weights, sorted_costs, fs, keep):
+            # Decreasing lower convex hull over (cost, value).
+            hull: list[tuple[float, float]] = []
+            for pt in zip(cs[ki].tolist(), fi[ki].tolist()):
+                if hull and pt[1] >= hull[-1][1]:
+                    continue
+                while len(hull) >= 2:
+                    (c1, f1), (c2, f2) = hull[-2], hull[-1]
+                    # Drop the middle point when the new segment undercuts it.
+                    if (f2 - f1) * (pt[0] - c1) >= (pt[1] - f1) * (c2 - c1):
+                        hull.pop()
+                    else:
+                        break
+                if hull and pt[0] <= hull[-1][0] + 1e-15:
                     hull.pop()
-                else:
-                    break
-            if hull and pt[0] <= hull[-1][0] + 1e-15:
-                hull.pop()
-            hull.append(pt)
-        total += w[i] * hull[0][1]
-        for (c1, f1), (c2, f2) in zip(hull, hull[1:]):
-            slope = (f2 - f1) / (c2 - c1)
-            segments.append((slope, w[i] * (c2 - c1)))
-    remaining = budget
-    for slope, length in sorted(segments, key=lambda s: s[0]):
-        if remaining <= 0.0 or slope >= 0.0:
-            break
-        used = min(length, remaining)
-        total += slope * used
-        remaining -= used
-    return total
+                hull.append(pt)
+            total += wi * hull[0][1]
+            for (c1, f1), (c2, f2) in zip(hull, hull[1:]):
+                slope = (f2 - f1) / (c2 - c1)
+                segments.append((slope, wi * (c2 - c1)))
+        remaining = budget
+        for slope, length in sorted(segments, key=lambda s: s[0]):
+            if remaining <= 0.0 or slope >= 0.0:
+                break
+            used = min(length, remaining)
+            total += slope * used
+            remaining -= used
+        return total
+
+    return solve
 
 
 def _inner_evaluator(
@@ -501,12 +527,10 @@ def _inner_evaluator(
     costs = dist**ball.order
     budget = ball.radius**ball.order
     clearance = _clearance_kernel(known_state, cand, cfg, n_t)
+    solve = _sorted_sources(weights, costs)
 
     def evaluate_many(xs: np.ndarray) -> list[float]:
-        return [
-            constrained_min_expectation(weights, costs, row, budget)
-            for row in clearance(xs)
-        ]
+        return [solve(row, budget) for row in clearance(xs)]
 
     return evaluate_many
 

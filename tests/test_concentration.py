@@ -94,6 +94,18 @@ def test_config_validation():
         RadiusConfig(p=1.0, d=1, beta=0.5, big_c=0.0)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("p", math.inf), ("p", math.nan), ("beta", math.nan), ("big_c", math.inf),
+     ("big_c", math.nan), ("small_c", math.inf)],
+)
+def test_config_rejects_non_finite_numbers(name, value):
+    kwargs = dict(p=1.0, d=1, beta=0.5)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        RadiusConfig(**kwargs)
+
+
 # --- group 2: critical rate inversion ----------------------------------------
 
 

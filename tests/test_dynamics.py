@@ -108,6 +108,17 @@ def test_error_model_validation():
         FlowErrorModel(magnitude=1.0, rate=-0.1)
 
 
+@pytest.mark.parametrize(
+    "name, value",
+    [("magnitude", math.nan), ("magnitude", math.inf), ("rate", math.inf), ("rate", math.nan)],
+)
+def test_error_model_rejects_non_finite_numbers(name, value):
+    kwargs = dict(magnitude=1.0, rate=0.1)
+    kwargs[name] = value
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        FlowErrorModel(**kwargs)
+
+
 def test_calibrated_envelope_covers_observed_errors():
     rng = np.random.default_rng(42)
     horizon = 3.0

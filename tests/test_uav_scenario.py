@@ -25,6 +25,9 @@ from ambiflow.uav_scenario import (
     TWO_PI,
     AmbiguityBall,
     ScenarioConfig,
+    _clearance_kernel,
+    _inner_evaluator,
+    _merged_center,
     blue_path,
     candidate_support,
     constrained_min_expectation,
@@ -84,6 +87,32 @@ def test_config_validation():
         ScenarioConfig(theta_probabilities=(0.5, 0.5))
     with pytest.raises(ValueError):
         ScenarioConfig(theta_probabilities=(0.5, 0.4, 0.2))
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("eps_ref", math.nan),
+        ("orbit_radius", math.inf),
+        ("tracking_gain", math.inf),
+        ("square_side", -math.inf),
+        ("v_max", math.nan),
+        ("theta_support", (math.nan, 2.0, 3.0)),
+        ("theta_probabilities", (math.inf, 0.5, 0.5)),
+    ],
+)
+def test_config_rejects_non_finite_numbers(name, value):
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        ScenarioConfig(**{name: value})
+
+
+@pytest.mark.parametrize(
+    "name, value", [("radius", math.nan), ("radius", math.inf), ("order", math.inf)]
+)
+def test_ball_rejects_non_finite_numbers(name, value):
+    center = DiscreteDistribution.empirical(np.zeros((1, 5)))
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        AmbiguityBall(center=center, **{"radius": 0.1, name: value})
 
 
 # --- group 2: tracker flow -----------------------------------------------------
@@ -423,6 +452,56 @@ def test_constrained_expectation_needs_zero_cost_candidate():
         )
 
 
+def test_constrained_expectation_rejects_nan_inputs():
+    w = np.array([0.5, 0.5])
+    costs = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 2.0]])
+    f = np.array([4.0, 3.0, 1.0])
+    with pytest.raises(ValueError, match="budget"):
+        constrained_min_expectation(w, costs, f, math.nan)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="values must be finite"):
+            constrained_min_expectation(w, costs, np.array([3.0, bad, 0.0]), 1.0)
+    # An infinite budget is unconstrained transport: every atom moves to the minimum.
+    assert constrained_min_expectation(w, costs, f, math.inf) == 1.0
+
+
+def lp_dual(w, costs, f, budget):
+    """max over lam >= 0 of sum_i w_i min_j (f_j + lam c_ij) - lam * budget.
+
+    The dual is concave and piecewise linear in lam, with kinks only where
+    two candidates of one source tie in f_j + lam c_ij, so evaluating it at
+    0 and at every such pairwise crossing finds its maximum exactly.
+    """
+    lams = {0.0}
+    for row in costs:
+        for j in range(len(f)):
+            for k in range(j + 1, len(f)):
+                if row[j] != row[k]:
+                    lam = (f[k] - f[j]) / (row[j] - row[k])
+                    if lam > 0.0:
+                        lams.add(lam)
+    return max(float(w @ (f[None, :] + lam * costs).min(axis=1)) - lam * budget for lam in lams)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_constrained_expectation_matches_lp_dual(data):
+    grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    n_src = data.draw(st.integers(1, 4))
+    pts = data.draw(st.lists(grid, min_size=n_src, max_size=n_src + 4))
+    pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))  # tied costs
+    cand = np.array(pts, dtype=float)
+    order = data.draw(st.sampled_from([1.0, 2.0]))
+    costs = np.linalg.norm(cand[:n_src, None, :] - cand[None, :, :], axis=2) ** order
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    w = np.array(data.draw(st.lists(weight, min_size=n_src, max_size=n_src)))
+    value = st.floats(0.0, 5.0, allow_nan=False)
+    f = np.array(data.draw(st.lists(value, min_size=len(pts), max_size=len(pts))))
+    budget = data.draw(st.floats(0.0, 1.5 * float(costs.max()) + 1.0))
+    got = constrained_min_expectation(w, costs, f, budget)
+    assert got == pytest.approx(lp_dual(w, costs, f, budget), rel=1e-9, abs=1e-12)
+
+
 # --- group 6: candidate supports and inner infimum -----------------------------------
 
 
@@ -464,6 +543,39 @@ def test_inner_inf_requires_center_in_candidates():
     x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
     with pytest.raises(ValueError, match="candidate support"):
         solve_inner_inf(ball, x, atoms + 1.0, known, cfg)
+
+
+def test_inner_evaluator_batch_is_bit_identical():
+    # An 8-atom ball as in the wide benchmark: 808 candidates.  The batched
+    # evaluator, the single-profile paths and the public LP on the kernel's
+    # rows agree exactly.  Only the intruder path ``xs @ coverage.T`` may
+    # round differently for one profile than for a batch (a BLAS product),
+    # so batched and single-profile values are compared to a few ulps.
+    thetas = np.linspace(2.6 * math.pi / 4.0, 4.8 * math.pi / 4.0, 8)
+    cfg = default_config(seed=7)
+    states = np.array([reconstruct_red_state(*observe(float(t), cfg), cfg) for t in thetas])
+    ball = AmbiguityBall(center=DiscreteDistribution.empirical(states), radius=0.05)
+    cand = candidate_support(ball)
+    assert len(cand) == 808
+    known = states[3]
+    evaluate_many = _inner_evaluator(ball, cand, known, cfg, 200)
+    mid = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
+    span = min(mid[0] - cfg.v_min, cfg.v_max - mid[1])
+    xs = np.stack([mid + t * np.array([1.0, -1.0, 0.0, 0.0]) for t in np.linspace(-span, span, 9)])
+    batch = evaluate_many(xs)
+    points, weights = _merged_center(ball.center)
+    costs = np.linalg.norm(points[:, None, :] - cand[None, :, :], axis=2) ** ball.order
+    budget = ball.radius**ball.order
+    clearance = _clearance_kernel(known, cand, cfg, 200)
+    rows = clearance(xs)
+    for b, x in enumerate(xs):
+        single = evaluate_many(x[None, :])[0]
+        assert single == solve_inner_inf(ball, x, cand, known, cfg)
+        assert single == constrained_min_expectation(
+            weights, costs, clearance(x[None, :])[0], budget
+        )
+        assert batch[b] == constrained_min_expectation(weights, costs, rows[b], budget)
+        assert batch[b] == pytest.approx(single, rel=1e-14, abs=0.0)
 
 
 def test_inner_inf_nonincreasing_in_radius():
