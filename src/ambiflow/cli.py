@@ -497,6 +497,10 @@ def cmd_uav(args: argparse.Namespace) -> int:
         raise ConfigError(f"field 'checkpoints': {exc}") from exc
     n_t = _field(raw, "time_grid", "", cast=int, default=200)
     n_starts = _field(raw, "solver_starts", "", cast=int, default=20)
+    if n_t < 2:
+        raise ConfigError(f"field 'time_grid' must be >= 2 time nodes, got {n_t}")
+    if n_starts < 1:
+        raise ConfigError(f"field 'solver_starts' must be >= 1, got {n_starts}")
 
     resolved = {
         "scenario": scenario.to_json(),

@@ -23,11 +23,14 @@ where the expectation ranges over a Wasserstein ball around the empirical
 state distribution.  The inner infimum restricted to a finite candidate
 support is an exact linear program solved in closed form by a budgeted
 exchange argument (``constrained_min_expectation``); the outer supremum is
-multi-start pairwise coordinate ascent over the profile polytope.
+pairwise coordinate ascent over the profile polytope, started from the
+best local maxima of a fixed lattice of profiles, so the answer depends
+only on the problem.
 
 ``run_experiment`` assembles the full seeded comparison between the
 cumulative ambiguity ball (all recovered states, shrinking radius) and the
-static one (latest state only, fixed radius).
+static one (latest state only, fixed radius), solving each distinct
+problem once.
 """
 
 from __future__ import annotations
@@ -171,14 +174,8 @@ def _tracker_basis(
 
 def _lift(states: np.ndarray) -> np.ndarray:
     """Rows (x, y, vx, vy, phase) to the basis coefficients (z, v, e^{i*phase})."""
-    return np.stack(
-        [
-            states[..., 0] + 1j * states[..., 1],
-            states[..., 2] + 1j * states[..., 3],
-            np.exp(1j * states[..., 4]),
-        ],
-        axis=-1,
-    )
+    z, v = states[..., 0] + 1j * states[..., 1], states[..., 2] + 1j * states[..., 3]
+    return np.stack([z, v, np.exp(1j * states[..., 4])], axis=-1)
 
 
 def initial_red_state(theta: float, orbit_radius: float = 1.0) -> np.ndarray:
@@ -320,6 +317,7 @@ def dro_objective(
     at ``t_start``, orbiting the current square) or the candidate state
     ``xi`` (orbiting the next square, one side over along +x).
     """
+    _check_solver_settings(n_t)
     x = _validated_profile(profile, cfg)
     # Flow formulas take states at relative time zero, so the reference
     # phase is developed to t_start.
@@ -350,7 +348,11 @@ def _clearance_kernel(
     known_y2 = known_xy[:, 1] ** 2
 
     def clearance(xs: np.ndarray) -> np.ndarray:
-        bx = xs @ coverage.T  # (B, n_t); the intruder flies along y = 0
+        # (B, n_t) intruder x along y = 0, summed in a fixed order rather than
+        # by a BLAS product, so a profile rounds the same alone as in a batch.
+        bx = xs[:, :1] * coverage[:, 0]
+        for k in range(1, cfg.n_segments):
+            bx += xs[:, k : k + 1] * coverage[:, k]
         best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
         dc = np.empty((len(bx), cand_x.shape[1]))
         for b in range(len(bx)):
@@ -409,14 +411,9 @@ def candidate_support(ball: AmbiguityBall, star_steps: int = 10) -> np.ndarray:
     pieces = [atoms]
     if ball.radius > 0.0:
         d = atoms.shape[1]
-        offsets = []
-        for axis in range(d):
-            for k in range(1, star_steps + 1):
-                delta = np.zeros(d)
-                delta[axis] = ball.radius * k / star_steps
-                offsets.append(delta)
-                offsets.append(-delta)
-        offsets = np.array(offsets)
+        reach = ball.radius * np.arange(1, star_steps + 1) / star_steps
+        steps = np.eye(d)[:, None, :] * reach[:, None]  # (axis, step, coordinate)
+        offsets = np.stack([steps, -steps], axis=2).reshape(-1, d)
         pieces.append((atoms[:, None, :] + offsets[None, :, :]).reshape(-1, atoms.shape[1]))
     return np.unique(np.vstack(pieces), axis=0)
 
@@ -550,53 +547,86 @@ def solve_inner_inf(
 
 # --- outer solver -----------------------------------------------------------------
 
+# Lattice levels: the largest L >= 2 with L^(n-1) <= _LATTICE_SIZE (13 at n = 4).
+# Evaluating _LATTICE_BLOCK profiles at a time bounds the kernel's (B, J) scratch.
+_LATTICE_SIZE = 13**3
+_LATTICE_BLOCK = 64
+
+
+def _check_solver_settings(n_t: int, n_starts: int = 1) -> None:
+    if n_t < 2:
+        raise ValueError(f"n_t must be >= 2 time nodes, got {n_t}")
+    if n_starts < 1:
+        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
+
+
+def _profile_lattice(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Feasible points of a fixed lattice on the profile polytope (n_segments >= 2).
+
+    The first n - 1 speeds take L evenly spaced levels in [v_min, v_max] and the
+    last one closes the sum.  Returns the feasible profiles (m, n) in lattice
+    order and the (m, n(n-1)) rows of their neighbours under one-level pairwise
+    transfers, -1 where infeasible.  With no feasible point: the uniform profile.
+    """
+    n = cfg.n_segments
+    levels = 2
+    while (levels + 1) ** (n - 1) <= _LATTICE_SIZE:
+        levels += 1
+    shape = (levels,) * (n - 1)
+    index = np.indices(shape).reshape(n - 1, -1).T
+    head = np.linspace(cfg.v_min, cfg.v_max, levels)[index]
+    profiles = np.column_stack([head, cfg.profile_sum - head.sum(axis=1)])
+    last = profiles[:, -1]
+    feasible = (last >= cfg.v_min - 1e-12) & (last <= cfg.v_max + 1e-12)
+    if not feasible.any():
+        return np.full((1, n), cfg.profile_sum / n), np.empty((1, 0), dtype=int)
+    row = np.where(feasible, np.cumsum(feasible) - 1, -1)
+    unit = np.eye(n, n - 1, dtype=int)  # the closing speed has no level index
+    moves = np.array([unit[k] - unit[l] for k in range(n) for l in range(n) if k != l])
+    nbr = index[feasible][:, None, :] + moves[None, :, :]
+    inside = np.all((nbr >= 0) & (nbr < levels), axis=2)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(np.clip(nbr, 0, levels - 1), -1, 0)), shape)
+    return profiles[feasible], np.where(inside, row[flat], -1)
+
 
 def solve_dro(
     known_state: Sequence[float],
     ball: AmbiguityBall,
     cfg: ScenarioConfig,
-    rng: np.random.Generator | None = None,
     n_t: int = 200,
     n_starts: int = 20,
     tol: float = 1e-6,
 ) -> tuple[np.ndarray, float]:
     """Best speed profile and its worst-case expected squared clearance.
 
-    Multi-start pairwise coordinate ascent on the profile polytope (box
-    constraints plus the fixed crossing-time sum).  Mass transfers between
-    coordinate pairs preserve the sum; each pair is line-searched on a
-    coarse grid and polished.  Local optimality only; the returned value is
-    a certified lower bound of the restricted sup-inf.
+    A fixed lattice on the profile polytope (box constraints plus the fixed
+    crossing-time sum, ``_profile_lattice``) is evaluated in full; its local
+    maxima under one-level pairwise transfers, best first (ties by lattice
+    order), start at most ``n_starts`` runs of pairwise coordinate ascent.
+    Mass transfers between coordinate pairs preserve the sum; each pair is
+    line-searched on a coarse grid and polished.  The result depends only on
+    the problem, so equal problems get equal answers.  Local optimality
+    only; the returned value is a certified lower bound of the restricted
+    sup-inf, and at least the best lattice value.
     """
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    _check_solver_settings(n_t, n_starts)
     n = cfg.n_segments
-    target = cfg.profile_sum
     evaluate_many = _inner_evaluator(ball, candidate_support(ball), known_state, cfg, n_t)
+    if cfg.v_min == cfg.v_max or n == 1:
+        x = np.full(n, cfg.profile_sum / n)
+        return x, evaluate_many(x[None, :])[0]
 
-    def evaluate(x: np.ndarray) -> float:
-        return evaluate_many(x[None, :])[0]
+    lattice, neighbors = _profile_lattice(cfg)
+    blocks = range(0, len(lattice), _LATTICE_BLOCK)
+    values = np.concatenate([evaluate_many(lattice[i : i + _LATTICE_BLOCK]) for i in blocks])
+    local_max = np.all(np.append(values, -np.inf)[neighbors] <= values[:, None], axis=1)
+    maxima = np.flatnonzero(local_max)
+    starts = maxima[np.argsort(-values[maxima], kind="stable")][:n_starts]
 
-    def feasible_start() -> np.ndarray:
-        x = rng.uniform(cfg.v_min, cfg.v_max, size=n)
-        for _ in range(50):
-            x += (target - x.sum()) / n
-            x = np.clip(x, cfg.v_min, cfg.v_max)
-            if abs(x.sum() - target) <= 1e-12 * max(1.0, target):
-                break
-        x[0] += target - x.sum()
-        return x
-
-    if cfg.v_min == cfg.v_max:
-        x = np.full(n, cfg.v_min)
-        return x, evaluate(x)
-
-    best_x: np.ndarray | None = None
-    best_val = -math.inf
+    best_x, best_val = lattice[starts[0]], -math.inf
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    for _ in range(max(1, n_starts)):
-        x = feasible_start()
-        val = evaluate(x)
+    for s in starts:
+        x, val = lattice[s].copy(), float(values[s])
         for _sweep in range(30):
             improved = 0.0
             for k, l in pairs:
@@ -618,7 +648,7 @@ def solve_dro(
                 left = max(lo, probes[j] - span)
                 right = min(hi, probes[j] + span)
                 opt = minimize_scalar(
-                    lambda t: -evaluate(shifted(t)),
+                    lambda t: -evaluate_many(shifted(t)[None, :])[0],
                     bounds=(left, right),
                     method="bounded",
                     options={"xatol": 1e-6},
@@ -635,7 +665,6 @@ def solve_dro(
         if val > best_val:
             best_val = val
             best_x = x
-    assert best_x is not None
     return best_x, best_val
 
 
@@ -665,17 +694,10 @@ class ExperimentReport:
         for cp in self.checkpoints:
             entry = {}
             for mode in ("dynamic", "static"):
-                vals = [
-                    r.dro_value
-                    for r in self.rows
-                    if r.checkpoint == cp and r.mode == mode
-                ]
+                vals = [r.dro_value for r in self.rows if r.checkpoint == cp and r.mode == mode]
                 entry[f"{mode}_mean"] = sum(vals) / len(vals) if vals else None
-            entry["dynamic_minus_static"] = (
-                entry["dynamic_mean"] - entry["static_mean"]
-                if entry["dynamic_mean"] is not None
-                else None
-            )
+            dyn, stat = entry["dynamic_mean"], entry["static_mean"]
+            entry["dynamic_minus_static"] = dyn - stat if dyn is not None else None
             out["checkpoints"][str(cp)] = entry
         return out
 
@@ -694,6 +716,69 @@ def _observe_and_reconstruct(theta: float, cfg: ScenarioConfig) -> np.ndarray:
     return reconstruct_red_state(SAMPLE_OFFSETS, positions, cfg)
 
 
+def _realization_problems(cfg: ScenarioConfig, realization: int, cps: list[int]) -> list[tuple]:
+    """Draw one realization's phases, recover the states, build both balls per checkpoint.
+
+    Returns (realization, checkpoint, mode, known state, ball, true next state) per row.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, realization)))
+    n_watchers = cps[-1] + 1  # one beyond the last checkpoint: the unseen vehicle
+    support = np.array(cfg.theta_support)
+    thetas = rng.choice(support, size=n_watchers, p=np.array(cfg.theta_probabilities))
+    fixes = {t: _observe_and_reconstruct(t, cfg) for t in dict.fromkeys(map(float, thetas[:-1]))}
+    recovered = np.array([fixes[float(t)] for t in thetas[:-1]])
+    problems = []
+    for cp in cps:
+        true_next = initial_red_state(float(thetas[cp]), cfg.orbit_radius)
+        # The cumulative ball holds every recovered state; the static one the latest.
+        for mode, first, n_samples in (("dynamic", 0, cp), ("static", cp - 1, 1)):
+            center = DiscreteDistribution.empirical(recovered[first:cp])
+            radius = calibrated_radius(cfg.eps_ref, cfg.n_ref, n_samples)
+            ball = AmbiguityBall(center=center, radius=radius)
+            problems.append((realization, cp, mode, recovered[cp - 1], ball, true_next))
+    return problems
+
+
+def _experiment_rows(
+    cfg: ScenarioConfig,
+    realizations: Sequence[int],
+    checkpoints: Sequence[int],
+    n_t: int,
+    n_starts: int,
+    jobs: int,
+) -> list[ExperimentRow]:
+    """Build every realization's problems, solve each distinct one once, assemble the rows.
+
+    With the config, n_t and n_starts fixed, ``solve_dro`` depends only on the
+    known state, the merged center, the radius and the order, so a repeated
+    problem reuses the first solution bit for bit.  With ``jobs`` > 1 the
+    distinct problems are solved in separate processes.
+    """
+    _check_solver_settings(n_t, n_starts)
+    cps = sorted(int(c) for c in checkpoints)
+    if not cps or cps[0] < 1:
+        raise ValueError(f"checkpoints must be positive integers, got {checkpoints}")
+    problems = [p for r in realizations for p in _realization_problems(cfg, r, cps)]
+    keys = []
+    distinct: dict[tuple, tuple] = {}
+    for _, _, _, known, ball, _ in problems:
+        merged = b"".join(a.tobytes() for a in _merged_center(ball.center))
+        keys.append((known.tobytes(), merged, ball.radius, ball.order))
+        distinct.setdefault(keys[-1], (known, ball, cfg, n_t, n_starts))
+    columns = list(zip(*distinct.values()))  # one sequence per solve_dro argument
+    if jobs > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            solved = dict(zip(distinct, pool.map(solve_dro, *columns)))
+    else:
+        solved = dict(zip(distinct, map(solve_dro, *columns)))
+    rows = []
+    for key, (realization, cp, mode, known, ball, true_next) in zip(keys, problems):
+        profile, value = solved[key]
+        true_d2 = dro_objective(profile, true_next, known, cfg, n_t=n_t)
+        rows.append(ExperimentRow(realization, cp, mode, ball.radius, value, math.sqrt(true_d2)))
+    return rows
+
+
 def run_single_realization(
     cfg: ScenarioConfig,
     realization: int,
@@ -702,59 +787,7 @@ def run_single_realization(
     n_starts: int = 20,
 ) -> list[ExperimentRow]:
     """One seeded pass: draw watcher phases, recover states, solve both DROs."""
-    cps = sorted(int(c) for c in checkpoints)
-    if not cps or cps[0] < 1:
-        raise ValueError(f"checkpoints must be positive integers, got {checkpoints}")
-    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, realization)))
-    n_watchers = cps[-1] + 1  # one beyond the last checkpoint: the unseen vehicle
-    support = np.array(cfg.theta_support)
-    thetas = rng.choice(support, size=n_watchers, p=np.array(cfg.theta_probabilities))
-    cache: dict[float, np.ndarray] = {}
-    recovered = []
-    for theta in thetas[:-1]:
-        key = float(theta)
-        if key not in cache:
-            cache[key] = _observe_and_reconstruct(key, cfg)
-        recovered.append(cache[key])
-    recovered = np.array(recovered)
-
-    rows: list[ExperimentRow] = []
-    for cp in cps:
-        known = recovered[cp - 1]
-        true_next = initial_red_state(float(thetas[cp]), cfg.orbit_radius)
-        for mode in ("dynamic", "static"):
-            if mode == "dynamic":
-                center = DiscreteDistribution.empirical(recovered[:cp])
-                radius = calibrated_radius(cfg.eps_ref, cfg.n_ref, cp)
-            else:
-                center = DiscreteDistribution.empirical(recovered[cp - 1 : cp])
-                radius = calibrated_radius(cfg.eps_ref, cfg.n_ref, 1)
-            ball = AmbiguityBall(center=center, radius=radius)
-            # Both modes share one start sequence (common random numbers):
-            # identical balls then produce identical values, and the paired
-            # comparison has lower variance.
-            solver_rng = np.random.default_rng(
-                np.random.SeedSequence((cfg.seed, realization, cp))
-            )
-            profile, value = solve_dro(
-                known, ball, cfg, rng=solver_rng, n_t=n_t, n_starts=n_starts
-            )
-            true_d2 = dro_objective(profile, true_next, known, cfg, n_t=n_t)
-            rows.append(
-                ExperimentRow(
-                    realization=realization,
-                    checkpoint=cp,
-                    mode=mode,
-                    radius=radius,
-                    dro_value=value,
-                    min_true_distance=math.sqrt(true_d2),
-                )
-            )
-    return rows
-
-
-def _realization_args(args: tuple) -> list[ExperimentRow]:
-    return run_single_realization(*args)
+    return _experiment_rows(cfg, [realization], checkpoints, n_t, n_starts, jobs=1)
 
 
 def run_experiment(
@@ -767,19 +800,14 @@ def run_experiment(
 ) -> ExperimentReport:
     """Seeded dynamic-vs-static comparison across independent realizations.
 
-    Realizations are independent; with ``jobs`` > 1 they run in separate
-    processes.  Row order and content depend only on the config and
-    arguments, never on the worker count.
+    Each distinct DRO problem among all realizations is solved once; with
+    ``jobs`` > 1 the distinct problems run in separate processes.  Row order
+    and content depend only on the config and arguments, never on the
+    worker count.
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    tasks = [(cfg, r, tuple(checkpoints), n_t, n_starts) for r in range(1, n_realizations + 1)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_realization_args, tasks))
-    else:
-        chunks = [_realization_args(t) for t in tasks]
-    rows = tuple(row for chunk in chunks for row in chunk)
+    rows = _experiment_rows(cfg, range(1, n_realizations + 1), checkpoints, n_t, n_starts, jobs)
     return ExperimentReport(
-        rows=rows, config=cfg, checkpoints=tuple(sorted(int(c) for c in checkpoints))
+        rows=tuple(rows), config=cfg, checkpoints=tuple(sorted(int(c) for c in checkpoints))
     )

@@ -407,7 +407,7 @@ def test_criterion_09_benchmark_ordering():
         assert again == original
 
     run_criterion(
-        9, "dynamic beats static at every checkpoint, reproducibly", 600.0, body
+        9, "dynamic beats static at every checkpoint, reproducibly", 60.0, body
     )
 
 

@@ -426,6 +426,18 @@ def test_uav_bad_checkpoints_exit_2(tmp_path, capsys):
     assert "checkpoints" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("solver_starts", 0), ("solver_starts", -3), ("time_grid", 1), ("time_grid", 0)],
+)
+def test_uav_bad_solver_settings_exit_2(tmp_path, capsys, field, value):
+    # No start, or a one-instant clearance grid, is a config error, not a
+    # silently adjusted run.
+    code, _ = run(tmp_path, "uav", uav_payload(**{field: value}))
+    assert code == 2
+    assert field in capsys.readouterr().err
+
+
 # --- flags and parser ------------------------------------------------------------
 
 

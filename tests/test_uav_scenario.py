@@ -28,6 +28,7 @@ from ambiflow.uav_scenario import (
     _clearance_kernel,
     _inner_evaluator,
     _merged_center,
+    _profile_lattice,
     blue_path,
     candidate_support,
     constrained_min_expectation,
@@ -548,9 +549,8 @@ def test_inner_inf_requires_center_in_candidates():
 def test_inner_evaluator_batch_is_bit_identical():
     # An 8-atom ball as in the wide benchmark: 808 candidates.  The batched
     # evaluator, the single-profile paths and the public LP on the kernel's
-    # rows agree exactly.  Only the intruder path ``xs @ coverage.T`` may
-    # round differently for one profile than for a batch (a BLAS product),
-    # so batched and single-profile values are compared to a few ulps.
+    # rows agree exactly: the intruder path is a fixed-order sum, so one
+    # profile rounds the same alone as in a batch.
     thetas = np.linspace(2.6 * math.pi / 4.0, 4.8 * math.pi / 4.0, 8)
     cfg = default_config(seed=7)
     states = np.array([reconstruct_red_state(*observe(float(t), cfg), cfg) for t in thetas])
@@ -575,7 +575,7 @@ def test_inner_evaluator_batch_is_bit_identical():
             weights, costs, clearance(x[None, :])[0], budget
         )
         assert batch[b] == constrained_min_expectation(weights, costs, rows[b], budget)
-        assert batch[b] == pytest.approx(single, rel=1e-14, abs=0.0)
+        assert batch[b] == single
 
 
 def test_inner_inf_nonincreasing_in_radius():
@@ -599,7 +599,7 @@ def test_solve_dro_singleton_profile_set():
     atoms = np.array([initial_red_state(THETAS[1])])
     ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.1)
     known = initial_red_state(THETAS[0])
-    x, value = solve_dro(known, ball, cfg, rng=np.random.default_rng(0), n_starts=3)
+    x, value = solve_dro(known, ball, cfg, n_starts=3)
     assert np.allclose(x, np.full(cfg.n_segments, speed))
     want = solve_inner_inf(ball, x, candidate_support(ball), known, cfg)
     assert value == pytest.approx(want, rel=1e-12)
@@ -611,7 +611,7 @@ def test_solve_dro_deterministic():
     ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.17)
     known = initial_red_state(THETAS[0])
     runs = [
-        solve_dro(known, ball, cfg, rng=np.random.default_rng(5), n_t=100, n_starts=2)
+        solve_dro(known, ball, cfg, n_t=100, n_starts=2)
         for _ in range(2)
     ]
     assert np.array_equal(runs[0][0], runs[1][0])
@@ -626,9 +626,7 @@ def test_solve_dro_value_shrinks_with_radius():
     values = []
     for radius in (0.02, 0.5):
         ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=radius)
-        _, value = solve_dro(
-            known, ball, cfg, rng=np.random.default_rng(2), n_t=100, n_starts=2
-        )
+        _, value = solve_dro(known, ball, cfg, n_t=100, n_starts=2)
         values.append(value)
     assert values[1] < values[0]
 
@@ -638,11 +636,104 @@ def test_solve_dro_result_is_feasible_and_reproducible_inner_value():
     atoms = np.array([initial_red_state(t) for t in THETAS])
     ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.17)
     known = initial_red_state(THETAS[2])
-    x, value = solve_dro(known, ball, cfg, rng=np.random.default_rng(8), n_t=200, n_starts=3)
+    x, value = solve_dro(known, ball, cfg, n_t=200, n_starts=3)
     assert x.min() >= cfg.v_min - 1e-9 and x.max() <= cfg.v_max + 1e-9
     assert x.sum() == pytest.approx(cfg.profile_sum, rel=1e-9)
     again = solve_inner_inf(ball, x, candidate_support(ball), known, cfg)
     assert value == again
+
+
+def test_profile_lattice_design():
+    # 13 levels on the first three speeds at the defaults; every point is a
+    # feasible profile, and each neighbour is one level moved between two speeds.
+    cfg = default_config()
+    lattice, neighbors = _profile_lattice(cfg)
+    assert lattice.shape == (1291, 4) and neighbors.shape == (1291, 12)
+    assert lattice.min() >= cfg.v_min - 1e-12 and lattice.max() <= cfg.v_max + 1e-12
+    assert np.allclose(lattice.sum(axis=1), cfg.profile_sum, rtol=0.0, atol=1e-12)
+    step = (cfg.v_max - cfg.v_min) / 12
+    i, k = np.nonzero(neighbors >= 0)
+    moved = lattice[neighbors[i, k]] - lattice[i]
+    assert np.all(np.sum(np.abs(moved) > 1e-9, axis=1) == 2)
+    assert np.allclose(np.abs(moved).sum(axis=1), 2 * step, rtol=0.0, atol=1e-12)
+    # Each point has a distinct neighbour per ordered pair of speeds.
+    assert all(len(set(row[row >= 0])) == np.count_nonzero(row >= 0) for row in neighbors)
+
+
+def test_solve_dro_depends_only_on_the_merged_center():
+    # Permuting or duplicating center atoms leaves the merged center, and so
+    # the problem, unchanged: the answer is bit-identical.
+    # Four atoms keep every weight a binary fraction, so the merged weights
+    # agree to the bit.
+    cfg = default_config()
+    atoms = np.array([initial_red_state(t) for t in (*THETAS, 3.0)])
+    known = initial_red_state(THETAS[0])
+    centers = [
+        DiscreteDistribution.empirical(atoms),
+        DiscreteDistribution.empirical(atoms[[2, 0, 3, 1]]),
+        DiscreteDistribution.empirical(atoms[[1, 3, 0, 2, 2, 0, 3, 1]]),
+    ]
+    merged = [_merged_center(c) for c in centers]
+    for points, weights in merged[1:]:
+        assert points.tobytes() == merged[0][0].tobytes()
+        assert weights.tobytes() == merged[0][1].tobytes()
+    runs = [solve_dro(known, AmbiguityBall(c, 0.17), cfg, n_t=100, n_starts=2) for c in centers]
+    for x, value in runs[1:]:
+        assert x.tobytes() == runs[0][0].tobytes()
+        assert value == runs[0][1]
+
+
+def test_solve_dro_beats_the_lattice_and_reports_its_inner_value():
+    cfg = default_config()
+    atoms = np.array([initial_red_state(t) for t in THETAS[1:]])
+    ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.1)
+    known = initial_red_state(THETAS[0])
+    cand = candidate_support(ball)
+    lattice, _ = _profile_lattice(cfg)
+    best_lattice = max(_inner_evaluator(ball, cand, known, cfg, 100)(lattice))
+    x, value = solve_dro(known, ball, cfg, n_t=100, n_starts=1)
+    assert value >= best_lattice
+    assert value == solve_inner_inf(ball, x, cand, known, cfg, n_t=100)
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {"n_segments": 1},
+        {"n_segments": 2},
+        {"n_segments": 3},
+        {"v_max": 2.5 / TWO_PI},  # mean speed exactly v_max: one feasible profile
+        {"v_min": 2.5 / TWO_PI},
+    ],
+)
+def test_solve_dro_edge_designs_return_feasible_profiles(overrides):
+    cfg = ScenarioConfig(**overrides)
+    atoms = np.array([initial_red_state(THETAS[1])])
+    ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.1)
+    known = initial_red_state(THETAS[0])
+    x, value = solve_dro(known, ball, cfg, n_t=100, n_starts=2)
+    assert x.shape == (cfg.n_segments,)
+    assert x.min() >= cfg.v_min - 1e-9 and x.max() <= cfg.v_max + 1e-9
+    assert x.sum() == pytest.approx(cfg.profile_sum, rel=1e-9)
+    assert value == solve_inner_inf(ball, x, candidate_support(ball), known, cfg, n_t=100)
+
+
+@pytest.mark.parametrize("n_t, n_starts", [(200, 0), (200, -3), (1, 20), (0, 20)])
+def test_solver_settings_rejected(n_t, n_starts):
+    # No start, or a one-instant clearance grid, fails loudly.
+    cfg = default_config()
+    atoms = np.array([initial_red_state(THETAS[1])])
+    ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.1)
+    known = initial_red_state(THETAS[0])
+    name = "n_t" if n_t < 2 else "n_starts"
+    with pytest.raises(ValueError, match=name):
+        solve_dro(known, ball, cfg, n_t=n_t, n_starts=n_starts)
+    with pytest.raises(ValueError, match=name):
+        run_experiment(cfg, 1, [1], n_t=n_t, n_starts=n_starts)
+    if n_t < 2:
+        x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
+        with pytest.raises(ValueError, match=name):
+            dro_objective(x, atoms[0], known, cfg, n_t=n_t)
 
 
 # --- group 8: the experiment ---------------------------------------------------------
@@ -695,3 +786,15 @@ def test_experiment_validates_arguments():
         run_experiment(cfg, 0, [1])
     with pytest.raises(ValueError):
         run_single_realization(cfg, 1, [0])
+
+
+def test_experiment_rows_independent_of_jobs_and_path():
+    # Distinct problems are solved once, serially or in a pool; the rows equal
+    # those of each realization run on its own.
+    cfg = default_config(seed=12)
+    serial = run_experiment(cfg, 2, [1, 3], n_t=100, n_starts=2)
+    pooled = run_experiment(cfg, 2, [1, 3], n_t=100, n_starts=2, jobs=2)
+    assert serial.rows == pooled.rows
+    for k in (1, 2):
+        alone = run_single_realization(cfg, k, [1, 3], n_t=100, n_starts=2)
+        assert alone == [r for r in serial.rows if r.realization == k]
