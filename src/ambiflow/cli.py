@@ -10,8 +10,9 @@ artifacts out.
 
 Every run first writes ``manifest.json`` into the output directory (command
 name, fully resolved config, seed, tool version, output names), then the
-artifacts.  Reruns with the same manifest are byte-identical: floats are
-written with 17 significant digits and JSON keys are sorted.
+artifacts, so a crashed run is recognizable by its missing outputs.  Reruns
+with the same manifest are byte-identical: floats are written with 17
+significant digits and JSON keys are sorted.
 
 Exit codes: 0 success, 2 bad config (message to stderr names the offending
 field), 3 numerical failure.
@@ -24,7 +25,7 @@ import csv
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, astuple, fields
 from pathlib import Path
 from typing import Any, Sequence
 
@@ -50,7 +51,7 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
-from ambiflow.uav_scenario import ScenarioConfig, run_experiment
+from ambiflow.uav_scenario import ExperimentRow, ScenarioConfig, run_experiment
 
 
 class ConfigError(Exception):
@@ -154,30 +155,27 @@ def _n_range(cfg: dict) -> tuple[int, int]:
 # --- manifest and writers --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """What a run was: enough to reproduce its outputs bit for bit."""
-
-    command: str
-    config: dict
-    seed: int | None
-    version: str
-    outputs: tuple[str, ...]
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-
 def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
 
-def _write_manifest(out_dir: Path, manifest: RunManifest) -> None:
-    # The manifest goes first so a crashed run is recognizable: manifest
-    # present, outputs missing.
-    _write_json(out_dir / "manifest.json", manifest.to_json())
+def _start_run(
+    args: argparse.Namespace, command: str, config: dict, seed: int | None, outputs: tuple[str, ...]
+) -> Path:
+    """Make the output directory and write ``manifest.json`` into it before any output."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "command": command,
+        "config": config,
+        "seed": seed,
+        "version": ambiflow.__version__,
+        "outputs": list(outputs),
+    }
+    _write_json(out / "manifest.json", manifest)
+    return out
 
 
 def _fmt(x: float) -> str:
@@ -190,12 +188,6 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]])
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
-
-
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 # --- radius ---------------------------------------------------------------------
@@ -236,9 +228,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
         "n_range": [lo, hi],
         "recon_error": recon_error,
     }
-    out = _out_dir(args)
-    manifest = RunManifest("radius", resolved, args.seed, ambiflow.__version__, ("radius.csv",))
-    _write_manifest(out, manifest)
+    out = _start_run(args, "radius", resolved, args.seed, ("radius.csv",))
 
     rows = _radius_table(cfg, model, rho_horizon, delta, lo, hi, recon_error)
     _write_csv(out / "radius.csv", ["N", "eps_N", "bar_eps_N", "psi_N"], rows)
@@ -309,10 +299,7 @@ def cmd_horizon(args: argparse.Namespace) -> int:
         "cap": cap,
         "n_range": [lo, hi],
     }
-    out = _out_dir(args)
-    outputs = ("horizon.json", "horizon.csv")
-    manifest = RunManifest("horizon", resolved, args.seed, ambiflow.__version__, outputs)
-    _write_manifest(out, manifest)
+    out = _start_run(args, "horizon", resolved, args.seed, ("horizon.json", "horizon.csv"))
 
     entries = [_horizon_entry(cfg, model, rho, delta, cap) for rho in rho_values]
     payload: dict[str, Any] = {"Delta": delta}
@@ -402,9 +389,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
         "criterion": criterion,
         "true_state": state_raw,
     }
-    out = _out_dir(args)
-    manifest = RunManifest("observe", resolved, seed, ambiflow.__version__, ("observe.json",))
-    _write_manifest(out, manifest)
+    out = _start_run(args, "observe", resolved, seed, ("observe.json",))
 
     rng = np.random.default_rng(seed)
     if state_raw is None:
@@ -432,14 +417,15 @@ def cmd_observe(args: argparse.Namespace) -> int:
             bound = robust_sampling_bound(
                 sys_model, min(spans), max(spans), horizon, retention
             )
-            floor = gramian_floor(sys_model, max(spans), horizon)
+            # The certificate keeps a fraction of the floor over the shortest window.
+            floor = gramian_floor(sys_model, min(spans), horizon)
             err_bound = estimation_error_bound(max(spans), floor, retention, noise)
             payload["gap_bound"] = None if math.isinf(bound) else bound
-            payload["max_gap"] = float(max(gaps)) if gaps else None
-            payload["gap_bound_satisfied"] = (
-                bool(max(gaps) <= bound) if gaps else None
-            )
+            payload["max_gap"] = float(max(gaps))
+            payload["gap_bound_satisfied"] = bool(max(gaps) <= bound)
             payload["error_bound"] = err_bound
+        except OverflowError:
+            raise  # a diverging flow is a numerical failure, not an unobservable pair
         except ArithmeticError as exc:
             payload["gap_bound"] = None
             payload["error_bound"] = None
@@ -509,27 +495,13 @@ def cmd_uav(args: argparse.Namespace) -> int:
         "time_grid": n_t,
         "solver_starts": n_starts,
     }
-    out = _out_dir(args)
-    outputs = ("uav.csv", "uav_summary.json")
-    manifest = RunManifest("uav", resolved, scenario.seed, ambiflow.__version__, outputs)
-    _write_manifest(out, manifest)
+    out = _start_run(args, "uav", resolved, scenario.seed, ("uav.csv", "uav_summary.json"))
 
-    try:
-        report = run_experiment(
-            scenario, n_realizations, checkpoints, n_t=n_t, n_starts=n_starts, jobs=args.jobs
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-
-    rows = [
-        (r.realization, r.checkpoint, r.mode, r.radius, r.dro_value, r.min_true_distance)
-        for r in report.rows
-    ]
-    _write_csv(
-        out / "uav.csv",
-        ["realization", "checkpoint", "mode", "radius", "dro_value", "min_true_distance"],
-        rows,
+    report = run_experiment(
+        scenario, n_realizations, checkpoints, n_t=n_t, n_starts=n_starts, jobs=args.jobs
     )
+    header = [f.name for f in fields(ExperimentRow)]
+    _write_csv(out / "uav.csv", header, [astuple(r) for r in report.rows])
     _write_json(
         out / "uav_summary.json",
         {"summary": report.summary(), "realizations": n_realizations},
@@ -577,11 +549,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        # Domain validation downstream of config values: still a config error.
+    except (ConfigError, ValueError) as exc:
+        # ValueError is domain validation downstream of config values.
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

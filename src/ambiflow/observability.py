@@ -24,7 +24,9 @@ per-output noise level into a state error bound.
 The Gramian, the kernel-derivative scan and the stationary gap bound all
 read Phi(tau, t) at uniformly spaced tau on one backward sweep
 (``_backward_sweep``): one matrix exponential stepped node to node for
-stationary systems, RK4 between nodes otherwise.
+stationary systems, RK4 between nodes otherwise.  Where the flow overflows,
+each of them raises OverflowError (an ArithmeticError) instead of returning
+NaN or inf.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -232,7 +234,12 @@ def sample_observability_matrix(
             blocks_rev.append(sys.c_at(t) @ m)
             tau = t
         blocks = list(reversed(blocks_rev))
-    return np.vstack(blocks)
+    obs = np.vstack(blocks)
+    if not np.isfinite(obs).all():
+        raise OverflowError(
+            f"sample observability matrix is not finite over [{ts[0]:.6g}, {anchor:.6g}]"
+        )
+    return obs
 
 
 def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
@@ -304,6 +311,8 @@ def observability_gramian(
         coeff = 0.5 if k in (0, n_cells) else 1.0
         gram += coeff * (cm.T @ cm)
     gram *= h
+    if not np.isfinite(gram).all():
+        raise OverflowError(f"Gramian over [{t:.6g}, {t + varsigma:.6g}] is not finite")
     return 0.5 * (gram + gram.T)
 
 
@@ -354,9 +363,15 @@ def max_kernel_derivative(
     h = span / n_cells if n_cells else 0.0
     worst = 0.0
     for tau, m in _backward_sweep(sys, t, h, n_cells):
-        deriv = m.T @ _kernel_mid(sys, tau) @ m
-        worst = max(worst, float(np.linalg.norm(deriv, 2)))
+        worst = max(worst, _finite_norm(m.T @ _kernel_mid(sys, tau) @ m))
     return worst
+
+
+def _finite_norm(kernel: np.ndarray) -> float:
+    """Spectral norm of a kernel term; OverflowError once the flow has overflowed it."""
+    if not np.isfinite(kernel).all():
+        raise OverflowError("kernel derivative is not finite: the flow diverges on the window")
+    return float(np.linalg.norm(kernel, 2))
 
 
 def robust_sampling_bound(
@@ -405,7 +420,7 @@ def robust_sampling_bound(
         n_cells = max(1, math.ceil(window_up / grid_step))
         for _, m in _backward_sweep(sys, 0.0, window_up / n_cells, n_cells):
             cm = sys.c_const @ m
-            worst = max(worst, float(np.linalg.norm(cm.T @ cm @ sys.a_const, 2)))
+            worst = max(worst, _finite_norm(cm.T @ cm @ sys.a_const))
     else:
         factor = 4.0
         n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)

@@ -109,6 +109,11 @@ class ScenarioConfig:
             raise ValueError(f"need 0 < v_min <= v_max, got ({self.v_min}, {self.v_max})")
         if self.n_segments < 1:
             raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
+        if self.n_segments > _LATTICE_SIZE.bit_length():  # i.e. 2^(n - 1) > _LATTICE_SIZE
+            raise ValueError(
+                f"n_segments must be <= {_LATTICE_SIZE.bit_length()} for a profile lattice "
+                f"of at most {_LATTICE_SIZE} points, got {self.n_segments}"
+            )
         mean_speed = self.square_side / TWO_PI
         if not self.v_min <= mean_speed + 1e-12 or not mean_speed <= self.v_max + 1e-12:
             raise ValueError(
@@ -285,8 +290,20 @@ def blue_path(
     x = _validated_profile(profile, cfg)
     cov = _segment_coverage(np.asarray(tau_grid, dtype=float), cfg.n_segments)
     out = np.zeros((len(tau_grid), 2))
-    out[:, 0] = cov @ x
+    out[:, 0] = _intruder_x(x[None, :], cov)[0]
     return out
+
+
+def _intruder_x(xs: np.ndarray, coverage: np.ndarray) -> np.ndarray:
+    """(B, n_t) intruder x of profiles (B, n), given their (n_t, n) segment coverage.
+
+    The columns are summed left to right rather than by a BLAS product, so a
+    profile rounds the same alone as in a batch, on any BLAS build.
+    """
+    bx = xs[:, :1] * coverage[:, 0]
+    for k in range(1, xs.shape[1]):
+        bx += xs[:, k : k + 1] * coverage[:, k]
+    return bx
 
 
 def _validated_profile(profile: Sequence[float], cfg: ScenarioConfig) -> np.ndarray:
@@ -348,11 +365,7 @@ def _clearance_kernel(
     known_y2 = known_xy[:, 1] ** 2
 
     def clearance(xs: np.ndarray) -> np.ndarray:
-        # (B, n_t) intruder x along y = 0, summed in a fixed order rather than
-        # by a BLAS product, so a profile rounds the same alone as in a batch.
-        bx = xs[:, :1] * coverage[:, 0]
-        for k in range(1, cfg.n_segments):
-            bx += xs[:, k : k + 1] * coverage[:, k]
+        bx = _intruder_x(xs, coverage)  # (B, n_t), along y = 0
         best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
         dc = np.empty((len(bx), cand_x.shape[1]))
         for b in range(len(bx)):
@@ -547,7 +560,8 @@ def solve_inner_inf(
 
 # --- outer solver -----------------------------------------------------------------
 
-# Lattice levels: the largest L >= 2 with L^(n-1) <= _LATTICE_SIZE (13 at n = 4).
+# Lattice levels: the largest L >= 2 with L^(n-1) <= _LATTICE_SIZE (13 at n = 4);
+# ScenarioConfig caps n_segments so that L = 2 fits.
 # Evaluating _LATTICE_BLOCK profiles at a time bounds the kernel's (B, J) scratch.
 _LATTICE_SIZE = 13**3
 _LATTICE_BLOCK = 64
@@ -686,7 +700,6 @@ class ExperimentReport:
     """All rows of a comparison run plus per-checkpoint means."""
 
     rows: tuple[ExperimentRow, ...]
-    config: ScenarioConfig
     checkpoints: tuple[int, ...]
 
     def summary(self) -> dict:
@@ -808,6 +821,5 @@ def run_experiment(
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
     rows = _experiment_rows(cfg, range(1, n_realizations + 1), checkpoints, n_t, n_starts, jobs)
-    return ExperimentReport(
-        rows=tuple(rows), config=cfg, checkpoints=tuple(sorted(int(c) for c in checkpoints))
-    )
+    cps = tuple(sorted(int(c) for c in checkpoints))
+    return ExperimentReport(rows=tuple(rows), checkpoints=cps)

@@ -15,6 +15,13 @@ from ambiflow.ambiguity import total_radius
 from ambiflow.cli import main
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.dynamics import FlowErrorModel
+from ambiflow.observability import (
+    LinearTimeVaryingSystem,
+    estimation_error_bound,
+    gramian_floor,
+    sample_observability_matrix,
+    weight_matrix,
+)
 
 BASE_RADIUS_CONFIG = {
     "radius": {"p": 1, "dimension": 1, "beta": 0.05},
@@ -177,6 +184,32 @@ def test_non_finite_list_entry_named_by_index(tmp_path, capsys):
 
 
 # --- manifest -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "command, extra, seed",
+    [
+        ("radius", ["--seed", "5"], 5),
+        ("horizon", [], None),
+        ("observe", [], 0),  # observe draws its noise from seed 0 by default
+        ("uav", [], 3),  # the scenario's seed
+    ],
+)
+def test_manifest_lists_every_output(tmp_path, command, extra, seed):
+    payload = {
+        "radius": BASE_RADIUS_CONFIG,
+        "horizon": BASE_RADIUS_CONFIG,
+        "observe": observe_payload(),
+        "uav": uav_payload(checkpoints=[1]),
+    }[command]
+    code, out = run(tmp_path, command, payload, *extra)
+    assert code == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["command"] == command
+    assert manifest["seed"] == seed
+    assert manifest["version"] == ambiflow.__version__
+    written = {p.name for p in out.iterdir()} - {"manifest.json"}
+    assert sorted(manifest["outputs"]) == sorted(written)
 
 
 def test_manifest_contents(tmp_path):
@@ -352,6 +385,60 @@ def test_observe_seed_changes_noise_draws(tmp_path):
     assert errors[0] != errors[1]
 
 
+def worst_box_noise_error(obs, weight, noise):
+    """Largest state error of the weighted fit under outputs off by at most noise.
+
+    The fit's error map R (2 x l) is linear, so the worst noise is a vertex
+    s of the box and the error is noise * max_theta sum_j |u_theta . r_j|.
+    Its sign pattern only changes where u_theta is orthogonal to a column
+    r_j, so the patterns at the midpoints between those angles are all of
+    the candidates.
+    """
+    wo = weight @ obs
+    r = np.linalg.pinv(wo) @ weight
+    cuts = np.sort(np.mod(np.arctan2(r[1], r[0]) + np.pi / 2, np.pi))
+    mids = (cuts + np.append(cuts[1:], cuts[0] + np.pi)) / 2
+    u = np.stack([np.cos(mids), np.sin(mids)], axis=1)
+    signs = np.sign(u @ r)
+    return noise * float(np.linalg.norm(signs @ r.T, axis=1).max())
+
+
+def test_observe_error_bound_uses_the_shortest_window(tmp_path):
+    # The sampling certificate keeps a fraction of the Gramian floor over the
+    # shortest span; the floor over the longest is larger and the bound it
+    # gives fails for the short trajectory.
+    schedules = [list(np.linspace(0.0, 0.5, 77)), list(np.linspace(1.0, 2.0, 153))]
+    payload = observe_payload(schedules=schedules, retention=0.5, noise=0.01)
+    code, out = run(tmp_path, "observe", payload)
+    assert code == 0
+    data = json.loads((out / "observe.json").read_text())
+    assert data["gap_bound_satisfied"] is True
+    sys = LinearTimeVaryingSystem.lti([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]])
+    floor = gramian_floor(sys, 0.5, 2.0)
+    assert data["error_bound"] == estimation_error_bound(1.0, floor, 0.5, 0.01)
+    for times in schedules:
+        worst = worst_box_noise_error(
+            sample_observability_matrix(sys, times), weight_matrix(times), 0.01
+        )
+        assert worst <= data["error_bound"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "fast, schedules",
+    [
+        (-3000.0, [[0.0, 0.25, 0.5], [0.5, 0.75, 1.0]]),  # the backward flow overflows
+        (-900.0, [[0.0, 0.5]]),  # the flow is finite, its Gramian overflows
+    ],
+)
+def test_observe_overflow_exit_3(tmp_path, capsys, fast, schedules):
+    system = {"A": [[fast, 0.0], [0.0, -1.0]], "C": [[1.0, 1.0]]}
+    code, out = run(tmp_path, "observe", observe_payload(system=system, schedules=schedules))
+    assert code == 3
+    assert "numerical failure" in capsys.readouterr().err
+    assert not (out / "observe.json").exists()
+
+
 def test_observe_bad_true_state_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "observe", observe_payload(true_state=[1.0, 2.0, 3.0]))
     assert code == 2
@@ -418,6 +505,13 @@ def test_uav_bad_scenario_exit_2(tmp_path, capsys):
     code, _ = run(tmp_path, "uav", payload)
     assert code == 2
     assert "gain" in capsys.readouterr().err
+
+
+def test_uav_too_many_segments_exit_2(tmp_path, capsys):
+    payload = uav_payload(scenario={"seed": 3, "n_segments": 13})
+    code, _ = run(tmp_path, "uav", payload)
+    assert code == 2
+    assert "n_segments" in capsys.readouterr().err
 
 
 def test_uav_bad_checkpoints_exit_2(tmp_path, capsys):

@@ -329,6 +329,39 @@ def test_robust_sampling_bound_lti_takes_two_exponentials(monkeypatch, grid_step
     assert len(calls) == 2
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("lti", [True, False])
+def test_overflowing_flow_raises_instead_of_nan(lti):
+    # The backward flow of the fast mode overflows (LTI) or its Gramian does
+    # (LTV at grid 0.01, where RK4's Phi peaks near 1e229): both fail loudly,
+    # rather than a floor of NaN or inf and an SVD error downstream.
+    a, c = np.diag([-3000.0, -1.0]), np.array([[1.0, 1.0]])
+    if lti:
+        sys = LinearTimeVaryingSystem.lti(a, c)
+    else:
+        sys = LinearTimeVaryingSystem.time_varying(lambda t: a, lambda t: c)
+    with pytest.raises(OverflowError):
+        gramian_floor(sys, 0.5, 1.5, grid_step=0.01)
+    with pytest.raises(OverflowError):
+        robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=0.01)
+    with pytest.raises(OverflowError):
+        sample_observability_matrix(sys, [0.0, 0.25, 0.5])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_kernel_overflow_with_finite_flow_raises():
+    # Phi stays finite (about 1e195) while the kernel term squares past the
+    # largest double: the scan must not skip the NaN or fail inside the SVD.
+    sys = LinearTimeVaryingSystem.lti(np.diag([-900.0, -1.0]), np.array([[1.0, 1.0]]))
+    with pytest.raises(OverflowError):
+        observability_gramian(sys, 0.0, 0.5)
+    with pytest.raises(OverflowError):
+        max_kernel_derivative(sys, 0.5, 0.0, 0.01)
+    # The floor over 0.3 is finite; the kernel scan over 0.5 is not.
+    with pytest.raises(OverflowError):
+        robust_sampling_bound(sys, 0.3, 0.5, 1.5, 0.5)
+
+
 # --- group 5: margin invariant --------------------------------------------------
 
 

@@ -300,6 +300,27 @@ def test_blue_path_crosses_one_square():
     assert np.all(np.diff(path[:, 0]) > 0.0)
 
 
+def test_blue_path_is_the_solver_path():
+    # blue_path sums the segment columns left to right, as the clearance
+    # kernel does, so it reports the path the solver values to the bit.
+    cfg = default_config()
+    n = cfg.n_segments
+    tau = np.linspace(0.0, TWO_PI, 200)
+    h = TWO_PI / n
+    cov = np.clip(tau[:, None] - np.arange(n)[None, :] * h, 0.0, h)
+    rng = np.random.default_rng(5)
+    checked = 0
+    while checked < 200:
+        x = cfg.v_min + (cfg.profile_sum - n * cfg.v_min) * rng.dirichlet(np.ones(n))
+        if x.max() > cfg.v_max:
+            continue
+        expected = x[0] * cov[:, 0]
+        for k in range(1, n):
+            expected = expected + x[k] * cov[:, k]
+        assert np.array_equal(blue_path(x, cfg, tau)[:, 0], expected)
+        checked += 1
+
+
 def test_blue_path_rejects_infeasible_profiles():
     cfg = default_config()
     tau = np.linspace(0.0, TWO_PI, 5)
@@ -658,6 +679,16 @@ def test_profile_lattice_design():
     assert np.allclose(np.abs(moved).sum(axis=1), 2 * step, rtol=0.0, atol=1e-12)
     # Each point has a distinct neighbour per ordered pair of speeds.
     assert all(len(set(row[row >= 0])) == np.count_nonzero(row >= 0) for row in neighbors)
+
+
+def test_segment_count_bounded_by_lattice_size():
+    # L = 2 levels give 2^(n-1) lattice points; beyond 12 segments that
+    # passes 13^3, so the config is rejected before any lattice is built.
+    with pytest.raises(ValueError, match="n_segments"):
+        ScenarioConfig(n_segments=13)
+    lattice, neighbors = _profile_lattice(ScenarioConfig(n_segments=12))
+    assert 0 < len(lattice) <= 13**3
+    assert neighbors.shape == (len(lattice), 12 * 11)
 
 
 def test_solve_dro_depends_only_on_the_merged_center():
