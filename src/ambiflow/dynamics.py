@@ -4,7 +4,10 @@ Three separate concerns live here because they feed the same downstream
 budget:
 
 * ``integrate_flow`` pushes a state through a vector field with classical
-  fixed-step RK4 (final partial step shortened to land exactly on t).
+  fixed-step RK4 (final partial step shortened to land exactly on t).  The
+  sample-set consumers (``calibrate_flow_error``, ``support_radius`` and
+  ``ambiguity.cumulative_empirical``) push all their points in one
+  state-major sweep of the same loop, each point on its own step grid.
 
 * ``FlowErrorModel`` captures the usual one-sided bound on the gap between a
   numerical flow and the exact one over a window [s, t]:
@@ -43,17 +46,33 @@ __all__ = [
     "builtin_field",
 ]
 
+# f(t, x): t is a number or one time per column of a state-major batch x.
+_Field = Callable[[float | np.ndarray, np.ndarray], np.ndarray]
+
 
 @dataclass(frozen=True)
 class VectorField:
-    """A time-dependent vector field f(t, x) on R^dim."""
+    """A time-dependent vector field f(t, x) on R^dim.
 
-    f: Callable[[float, np.ndarray], np.ndarray]
+    f is called with one state, x of shape (dim,) and a number t, or with a
+    state-major batch: x of shape (dim, N) holds one state per column and t
+    of shape (N,) the time of each column.  It returns an array of x's shape
+    either way, so it reads coordinates as x[k] and computes with numpy
+    ufuncs; the call raises ValueError on any other shape.
+    """
+
+    f: _Field
     dim: int
     name: str = ""
 
-    def __call__(self, t: float, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f(t, x), dtype=float)
+    def __call__(self, t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+        out = np.asarray(self.f(t, x), dtype=float)
+        if out.shape != x.shape:
+            raise ValueError(
+                f"field {self.name or 'anonymous'} returned shape {out.shape} "
+                f"for states of shape {x.shape}"
+            )
+        return out
 
 
 @dataclass(frozen=True)
@@ -90,44 +109,108 @@ def integrate_flow(
     trajectory lands exactly on t_end.  Integration backward in time is
     allowed.  Raises ArithmeticError if the state stops being finite.
     """
-    if step <= 0.0:
+    if not step > 0.0:
         raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(state, dtype=float).copy()
     if x.shape != (field.dim,):
         raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
     x = _rk4(field, t_start, t_end, x, step)
-    if not np.all(np.isfinite(x)):
-        raise ArithmeticError(
-            f"integration from t={t_start:.6g} to t={t_end:.6g} blew up "
-            f"(field {field.name or 'anonymous'})"
-        )
+    _check_finite(field, [t_start], t_end, x[:, None])
     return x
 
 
+def _push(
+    field: VectorField,
+    times: Sequence[float],
+    t_end: float,
+    states: Iterable[np.ndarray],
+    step: float,
+) -> np.ndarray:
+    """Images at t_end of states[i] taken at times[i], one per row.
+
+    All states go through one state-major RK4 sweep; each lands exactly where
+    ``integrate_flow`` would put it, and fails with the same errors, naming
+    the first sample at fault.
+    """
+    if not step > 0.0:
+        raise ValueError(f"step must be positive, got {step}")
+    cols = []
+    for state in states:
+        x = np.asarray(state, dtype=float)
+        if x.shape != (field.dim,):
+            raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
+        cols.append(x)
+    t0 = np.array(times, dtype=float)
+    x = _rk4(field, t0, t_end, np.column_stack(cols), step)
+    _check_finite(field, t0, t_end, x)
+    return np.ascontiguousarray(x.T)
+
+
+def _check_finite(
+    field: VectorField, t_start: Sequence[float], t_end: float, x: np.ndarray
+) -> None:
+    """ArithmeticError naming the first column of x, pushed from t_start[i]
+    to t_end, that is not finite."""
+    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    if bad.size:
+        raise ArithmeticError(
+            f"integration from t={t_start[bad[0]]:.6g} to t={t_end:.6g} blew up "
+            f"(field {field.name or 'anonymous'})"
+        )
+
+
 def _rk4(
-    f: Callable[[float, np.ndarray], np.ndarray],
-    t_start: float,
+    f: _Field,
+    t_start: float | np.ndarray,
     t_end: float,
     x: np.ndarray,
     step: float,
 ) -> np.ndarray:
-    """Fixed-step RK4 for x' = f(t, x) on an array x of any shape, stepping
-    as ``integrate_flow`` describes; flows and fundamental matrices share it."""
+    """Fixed-step RK4 for x' = f(t, x), stepping as ``integrate_flow`` describes.
+
+    With a number ``t_start``, x may have any shape: flows and fundamental
+    matrices share this loop.  With a vector of N start times, x is a
+    state-major batch of shape (dim, N) and column i starts at t_start[i].
+    Each column steps on its own grid t_start[i] + k h, with its own
+    shortened last step, so it ends bit for bit where it would alone; f sees
+    only the columns still stepping, x of shape (dim, n) with t of shape (n,).
+    """
     span = t_end - t_start
-    h = math.copysign(step, span)
-    n_full = int(abs(span) // step)
+    if isinstance(t_start, np.ndarray):
+        x = np.array(x, dtype=float)
+        h = np.copysign(step, span)
+        n_full = (np.abs(span) // step).astype(int)
+        n_steps = int(n_full.max())
+    else:
+        h = math.copysign(step, span)
+        n_steps = n_full = int(abs(span) // step)
     t = t_start
-    for i in range(n_full):
-        x = _rk4_step(f, t, x, h)
+    for i in range(n_steps):
+        x = _advance(f, t, x, h, n_full > i)
         t = t_start + (i + 1) * h
+    t = t_start + n_full * h
     rem = t_end - t
-    if abs(rem) > 1e-15 * max(1.0, abs(t_end)):
-        x = _rk4_step(f, t, x, rem)
+    return _advance(f, t, x, rem, abs(rem) > 1e-15 * max(1.0, abs(t_end)))
+
+
+def _advance(
+    f: _Field,
+    t: float | np.ndarray,
+    x: np.ndarray,
+    h: float | np.ndarray,
+    live: bool | np.ndarray,
+) -> np.ndarray:
+    """One RK4 step of the batch columns where ``live`` holds, in place; a
+    scalar ``live`` steps all of x, whatever its shape, or none of it."""
+    if not isinstance(live, np.ndarray):
+        return _rk4_step(f, t, x, h) if live else x
+    if live.any():
+        x[:, live] = _rk4_step(f, t[live], x[:, live], h[live])
     return x
 
 
 def _rk4_step(
-    f: Callable[[float, np.ndarray], np.ndarray], t: float, x: np.ndarray, h: float
+    f: _Field, t: float | np.ndarray, x: np.ndarray, h: float | np.ndarray
 ) -> np.ndarray:
     k1 = f(t, x)
     k2 = f(t + 0.5 * h, x + 0.5 * h * k1)
@@ -157,17 +240,23 @@ def calibrate_flow_error(
     working step and once at step/10; the gap between the two is treated as
     the integration error at the working step.  The smallest magnitude that
     covers every observed gap under the given rate is returned, inflated by
-    ``safety``.
+    ``safety``.  At least one sample is needed: none would certify an exact
+    integrator from no evidence.
     """
     if rate <= 0.0:
         raise ValueError(f"rate must be positive, got {rate}")
-    worst = 0.0
-    for t, x in samples:
+    samples = list(samples)
+    if not samples:
+        raise ValueError("need at least one sample")
+    for t, _ in samples:
         if t > horizon:
             raise ValueError(f"sample time {t} beyond horizon {horizon}")
-        coarse = integrate_flow(field, t, horizon, x, step)
-        fine = integrate_flow(field, t, horizon, x, step / 10.0)
-        gap = float(np.linalg.norm(coarse - fine))
+    times, states = zip(*samples)
+    coarse = _push(field, times, horizon, states, step)
+    fine = _push(field, times, horizon, states, step / 10.0)
+    worst = 0.0
+    for t, a, b in zip(times, coarse, fine):
+        gap = float(np.linalg.norm(a - b))
         growth = math.expm1(rate * (horizon - t))
         if growth > 0.0:
             worst = max(worst, gap / growth)
@@ -262,9 +351,7 @@ def support_radius(
     pts = np.atleast_2d(np.asarray(initial_points, dtype=float))
     if pts.shape[0] < 1:
         raise ValueError("need at least one initial point")
-    images = np.vstack(
-        [integrate_flow(field, 0.0, horizon, p, step) for p in pts]
-    )
+    images = _push(field, np.zeros(len(pts)), horizon, pts, step)
     spread = images.max(axis=0) - images.min(axis=0)
     return float(spread.max() / 2.0)
 
@@ -272,17 +359,19 @@ def support_radius(
 # --- built-in vector fields ---------------------------------------------------
 
 
-def _double_integrator(t: float, x: np.ndarray) -> np.ndarray:
-    return np.array([x[1], 1.0])
+def _double_integrator(t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+    return np.array([x[1], np.ones(x[1].shape)])
 
 
 def _make_forced_norm_growth(gain: float, exponent: float):
     # d/dt ||x||^2 = drift * ||x||^2 + gain * ||x||^(2*exponent) along this
     # field (with zero drift), which meets a power-2 certificate with
     # equality.  Singular at the origin for exponent < 1.
-    def f(t: float, x: np.ndarray) -> np.ndarray:
-        nrm = float(np.linalg.norm(x))
-        if nrm == 0.0:
+    def f(t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
+        nrm = np.sqrt(np.vecdot(x, x, axis=0))
+        # One state gives a numpy scalar, whose .all() costs more than the
+        # rest of the field; its truth value is the same test.
+        if not (nrm.all() if nrm.ndim else nrm):
             raise ArithmeticError("forced-growth field is singular at the origin")
         return (gain / 2.0) * nrm ** (2.0 * exponent - 2.0) * x
 
@@ -292,12 +381,12 @@ def _make_forced_norm_growth(gain: float, exponent: float):
 def _make_orbit_tracker(orbit_radius: float, gain: float):
     # Five-dimensional state (px, py, vx, vy, phase): a double integrator
     # steered toward a point moving on a circle, with frozen phase offset.
-    def f(t: float, x: np.ndarray) -> np.ndarray:
+    def f(t: float | np.ndarray, x: np.ndarray) -> np.ndarray:
         px, py, vx, vy, phase = x
-        cx = orbit_radius * math.cos(phase + t)
-        cy = orbit_radius * math.sin(phase + t)
+        cx = orbit_radius * np.cos(phase + t)
+        cy = orbit_radius * np.sin(phase + t)
         g2 = gain * gain
-        return np.array([vx, vy, g2 * (cx - px), g2 * (cy - py), 0.0])
+        return np.array([vx, vy, g2 * (cx - px), g2 * (cy - py), np.zeros(phase.shape)])
 
     return f
 

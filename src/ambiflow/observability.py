@@ -24,9 +24,11 @@ per-output noise level into a state error bound.
 The Gramian, the kernel-derivative scan and the stationary gap bound all
 read Phi(tau, t) at uniformly spaced tau on one backward sweep
 (``_backward_sweep``): one matrix exponential stepped node to node for
-stationary systems, RK4 between nodes otherwise.  Where the flow overflows,
-each of them raises OverflowError (an ArithmeticError) instead of returning
-NaN or inf.
+stationary systems, RK4 between nodes otherwise.  The two kernel scans take
+the spectral norms of a whole sweep's terms in one stacked call.  Where the
+flow overflows, each of them raises OverflowError (an ArithmeticError)
+instead of returning NaN or inf.  Their ``grid_step`` must be positive and
+finite.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -332,6 +334,7 @@ def gramian_floor(
         raise ValueError(f"need 0 < window <= horizon, got ({window}, {horizon})")
     if grid_step is None:
         grid_step = window / 100.0
+    _check_grid_step(grid_step)
     if sys.is_lti:
         g = observability_gramian(sys, 0.0, window, quad_step=grid_step)
         return float(np.linalg.eigvalsh(g)[0])
@@ -356,22 +359,29 @@ def max_kernel_derivative(
     where K(s, t) = Phi(s, t)^T C(s)^T C(s) Phi(s, t).  Evaluated on one
     backward sweep from s = t with uniform node spacing at most grid_step.
     """
+    _check_grid_step(grid_step)
     if s_low > t:
         raise ValueError(f"need s_low <= t, got ({s_low}, {t})")
     span = t - s_low
     n_cells = max(1, math.ceil(span / grid_step)) if span > 0.0 else 0
     h = span / n_cells if n_cells else 0.0
-    worst = 0.0
-    for tau, m in _backward_sweep(sys, t, h, n_cells):
-        worst = max(worst, _finite_norm(m.T @ _kernel_mid(sys, tau) @ m))
-    return worst
+    return _max_norm(
+        [m.T @ _kernel_mid(sys, tau) @ m for tau, m in _backward_sweep(sys, t, h, n_cells)]
+    )
 
 
-def _finite_norm(kernel: np.ndarray) -> float:
-    """Spectral norm of a kernel term; OverflowError once the flow has overflowed it."""
-    if not np.isfinite(kernel).all():
+def _max_norm(kernels: list[np.ndarray]) -> float:
+    """Largest spectral norm over one sweep's kernel terms, in one stacked SVD;
+    OverflowError once the flow has overflowed any of them."""
+    stack = np.stack(kernels)
+    if not np.isfinite(stack).all():
         raise OverflowError("kernel derivative is not finite: the flow diverges on the window")
-    return float(np.linalg.norm(kernel, 2))
+    return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
+
+
+def _check_grid_step(grid_step: float) -> None:
+    if not (grid_step > 0.0 and math.isfinite(grid_step)):
+        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
 
 
 def robust_sampling_bound(
@@ -408,25 +418,26 @@ def robust_sampling_bound(
         raise ValueError(f"retention must be in (0, 1), got {retention}")
     if grid_step is None:
         grid_step = window_low / 100.0
+    _check_grid_step(grid_step)
     floor = gramian_floor(sys, window_low, horizon, grid_step)
     if floor <= 0.0:
         raise ArithmeticError(
             f"Gramian floor is not positive ({floor:.3e}); the pair is not "
             "observable on some window"
         )
-    worst = 0.0
     if sys.is_lti:
         factor = 2.0
         n_cells = max(1, math.ceil(window_up / grid_step))
-        for _, m in _backward_sweep(sys, 0.0, window_up / n_cells, n_cells):
-            cm = sys.c_const @ m
-            worst = max(worst, _finite_norm(cm.T @ cm @ sys.a_const))
+        sweep = _backward_sweep(sys, 0.0, window_up / n_cells, n_cells)
+        cms = [sys.c_const @ m for _, m in sweep]
+        worst = _max_norm([cm.T @ cm @ sys.a_const for cm in cms])
     else:
         factor = 4.0
         n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
-        for t in np.linspace(window_low, horizon, n_anchor):
-            s_low = max(0.0, float(t) - window_up)
-            worst = max(worst, max_kernel_derivative(sys, float(t), s_low, grid_step))
+        worst = max(
+            max_kernel_derivative(sys, float(t), max(0.0, float(t) - window_up), grid_step)
+            for t in np.linspace(window_low, horizon, n_anchor)
+        )
     if worst == 0.0:
         return math.inf
     return factor * (1.0 - retention) * floor / (window_up * worst)

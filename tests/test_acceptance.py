@@ -314,7 +314,7 @@ def test_criterion_06_margin_retention():
             )
             checked += 1
 
-    run_criterion(6, "margin retention on 200 random observable instances", 60.0, body)
+    run_criterion(6, "margin retention on 200 random observable instances", 20.0, body)
 
 
 # --- 7: noise error certificate -------------------------------------------------------

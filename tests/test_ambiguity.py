@@ -40,6 +40,7 @@ from ambiflow.dynamics import (
     calibrate_flow_error,
     integrate_flow,
 )
+from ambiflow.uav_scenario import red_uav_flow
 
 
 def simpson_envelope_integral(n: float, a: float, p: float) -> float:
@@ -120,6 +121,44 @@ def test_cumulative_empirical_rejects_future_samples():
     field = builtin_field("double_integrator")
     with pytest.raises(ValueError):
         cumulative_empirical([(2.0, np.zeros(2))], 1.0, field)
+
+
+def test_cumulative_empirical_errors_name_the_sample():
+    rotation = VectorField(lambda t, x: np.array([x[1], -x[0]]), dim=2)
+    with pytest.raises(ValueError, match="state shape \\(3,\\) does not match field dim 2"):
+        cumulative_empirical([(0.0, np.zeros(2)), (0.5, np.zeros(3))], 1.0, rotation)
+    with pytest.raises(ValueError, match="sample 1 taken at t=1.5, after the horizon 1.0"):
+        cumulative_empirical([(0.0, np.zeros(2)), (1.5, np.zeros(2))], 1.0, rotation)
+    # x' = x^2 from x0 blows up at t0 + 1/x0: samples 1 and 2 do before the
+    # horizon, and the error names the first of them.
+    riccati = VectorField(lambda t, x: x * x, dim=1, name="riccati")
+    samples = [(0.0, np.array([0.1])), (0.25, np.array([1.0])), (0.5, np.array([1.0]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(ArithmeticError, match="from t=0.25 to t=2 blew up"):
+            cumulative_empirical(samples, 2.0, riccati)
+
+
+def test_orbit_tracker_pushes_converge_to_closed_form_at_fourth_order():
+    # The tracker's closed form is its exact flow.  Members observed at
+    # staggered times are pushed in one batch, each on its own step grid
+    # with a shortened last step; halving the step cuts the error ~16x.
+    rng = np.random.default_rng(21)
+    horizon = 2.0
+    times = np.sort(rng.uniform(0.0, 1.8, 9))
+    states = np.column_stack(
+        [rng.normal(size=(9, 4)), rng.uniform(0.0, 2.0 * math.pi, 9)]
+    )
+    exact = np.array(
+        [red_uav_flow(s[4] + t0, s[:4], horizon - t0) for t0, s in zip(times, states)]
+    )
+    samples = list(zip(times, states))
+    errors = []
+    for step in (0.04, 0.02, 0.01):
+        pushed = cumulative_empirical(samples, horizon, builtin_field("orbit_tracker"), step)
+        assert np.array_equal(pushed.points[:, 4], states[:, 4])
+        errors.append(float(np.abs(pushed.points[:, :4] - exact).max()))
+    ratios = [errors[0] / errors[1], errors[1] / errors[2]]
+    assert all(12.0 <= r <= 20.0 for r in ratios), f"errors {errors}, ratios {ratios}"
 
 
 # --- group 3: pushforward error terms -------------------------------------------

@@ -6,6 +6,7 @@ Groups:
   3. growth_bound formulas and domination of true trajectories
   4. support_radius geometry
   5. built-in field registry behaviour
+  6. state-major batches: one RK4 sweep for a whole sample set
 """
 
 import math
@@ -17,6 +18,7 @@ from ambiflow.dynamics import (
     FlowErrorModel,
     GrowthCertificate,
     VectorField,
+    _rk4,
     builtin_field,
     calibrate_flow_error,
     flow_error_bound,
@@ -84,6 +86,11 @@ def test_blow_up_detected():
 def test_bad_inputs():
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=0.0)
+    # A NaN step must not pass the check and leave the states where they are.
+    with pytest.raises(ValueError, match="step must be positive, got nan"):
+        integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=math.nan)
+    with pytest.raises(ValueError, match="step must be positive, got nan"):
+        support_radius(np.ones((2, 2)), ROTATION, 1.0, step=math.nan)
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0, 3.0]))
 
@@ -132,6 +139,12 @@ def test_calibrated_envelope_covers_observed_errors():
         gap = np.linalg.norm(coarse - exact)
         envelope = flow_error_bound(model, t, horizon)
         assert gap <= envelope + 1e-12, f"gap {gap} above envelope {envelope} at t={t}"
+
+
+def test_calibration_needs_samples():
+    # No sample would certify an exact integrator (magnitude 0) from no evidence.
+    with pytest.raises(ValueError, match="at least one sample"):
+        calibrate_flow_error(ROTATION, [], 1.0, 0.1, 1.0)
 
 
 # --- group 3: growth certificates -----------------------------------------------
@@ -266,3 +279,44 @@ def test_forced_field_singular_at_origin():
     field = builtin_field("forced_norm_growth", gain=1.0, exponent=0.5, dim=2)
     with pytest.raises(ArithmeticError):
         field(0.0, np.zeros(2))
+
+
+# --- group 6: state-major batches ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field", [ROTATION, builtin_field("orbit_tracker"), builtin_field("double_integrator")]
+)
+def test_batched_rk4_matches_per_column_loop(field):
+    # Mixed start times: staggered forward spans, a zero-length span, spans
+    # shorter than one step and a backward one.  Each column keeps its own
+    # grid and shortened last step, so it equals the single-state loop.
+    rng = np.random.default_rng(3)
+    t_end = 2.0
+    starts = np.array([0.0, 0.37, 1.2, t_end, 1.999, 0.5, 2.31])
+    x = rng.normal(size=(field.dim, len(starts)))
+    before = x.copy()
+    got = _rk4(field, starts, t_end, x, 0.05)
+    assert np.array_equal(x, before)
+    assert np.array_equal(got[:, 3], x[:, 3])
+    for i, t0 in enumerate(starts):
+        assert np.array_equal(got[:, i], _rk4(field, float(t0), t_end, x[:, i], 0.05))
+
+
+def test_support_radius_matches_per_point_flows():
+    field = builtin_field("forced_norm_growth", gain=1.0, exponent=0.5, dim=3)
+    cloud = np.random.default_rng(8).normal(size=(6, 3))
+    images = np.array([integrate_flow(field, 0.0, 1.5, p, 0.01) for p in cloud])
+    want = float((images.max(axis=0) - images.min(axis=0)).max() / 2.0)
+    assert support_radius(cloud, field, 1.5, step=0.01) == want
+
+
+def test_field_must_return_the_state_shape():
+    # A constant (dim,) vector would broadcast along the wrong axis of a
+    # (dim, N) batch, silently so when N equals dim.
+    field = VectorField(lambda t, x: np.array([1.0, 0.0]), dim=2, name="const")
+    assert np.array_equal(field(0.0, np.zeros(2)), [1.0, 0.0])
+    with pytest.raises(ValueError, match=r"returned shape \(2,\) for states of shape \(2, 2\)"):
+        field(np.zeros(2), np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="returned shape"):
+        support_radius(np.zeros((2, 2)), field, 1.0, step=0.1)

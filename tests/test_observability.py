@@ -33,6 +33,7 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
+from ambiflow.observability import _backward_sweep, _kernel_mid
 
 # Closed-form anchors for the double integrator observed in position.
 # Gramian over a unit window, anchored at the right end, is
@@ -327,6 +328,71 @@ def test_robust_sampling_bound_lti_takes_two_exponentials(monkeypatch, grid_step
     )
     assert bound == pytest.approx(BOUND_ANCHOR, rel=1e-3)
     assert len(calls) == 2
+
+
+def per_node_kernel_scan(sys, t, s_low, grid_step):
+    """Reference scan: one spectral norm per sweep node, as a running max."""
+    span = t - s_low
+    n_cells = max(1, math.ceil(span / grid_step)) if span > 0.0 else 0
+    h = span / n_cells if n_cells else 0.0
+    worst = 0.0
+    for tau, m in _backward_sweep(sys, t, h, n_cells):
+        worst = max(worst, float(np.linalg.norm(m.T @ _kernel_mid(sys, tau) @ m, 2)))
+    return worst
+
+
+def per_node_sampling_bound(sys, window_low, window_up, horizon, retention, grid_step):
+    """Reference gap bound with every kernel norm taken node by node."""
+    floor = gramian_floor(sys, window_low, horizon, grid_step)
+    worst = 0.0
+    if sys.is_lti:
+        n_cells = max(1, math.ceil(window_up / grid_step))
+        for _, m in _backward_sweep(sys, 0.0, window_up / n_cells, n_cells):
+            cm = sys.c_const @ m
+            worst = max(worst, float(np.linalg.norm(cm.T @ cm @ sys.a_const, 2)))
+        return 2.0 * (1.0 - retention) * floor / (window_up * worst)
+    n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
+    for t in np.linspace(window_low, horizon, n_anchor):
+        s_low = max(0.0, float(t) - window_up)
+        worst = max(worst, per_node_kernel_scan(sys, float(t), s_low, grid_step))
+    return 4.0 * (1.0 - retention) * floor / (window_up * worst)
+
+
+@pytest.mark.parametrize("kind", ["lti2", "lti3", "ltv"])
+def test_stacked_kernel_norms_match_per_node_loop(kind):
+    # One stacked SVD per sweep gives each node's norm bit for bit.
+    rng = np.random.default_rng(29)
+    if kind == "ltv":
+        systems = [wobbly_system()]
+    else:
+        d = int(kind[-1])
+        systems = [
+            LinearTimeVaryingSystem.lti(
+                rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, (1, d))
+            )
+            for _ in range(3)
+        ]
+    for sys in systems:
+        for t, s_low, grid in ((1.3, 0.4, 0.05), (0.75, 0.0, 0.01), (0.5, 0.5, 0.1)):
+            assert max_kernel_derivative(sys, t, s_low, grid) == per_node_kernel_scan(
+                sys, t, s_low, grid
+            )
+        args = (sys, 0.5, 0.75, 1.5, 0.5, 0.05 if kind == "ltv" else 0.01)
+        assert robust_sampling_bound(*args) == per_node_sampling_bound(*args)
+
+
+@pytest.mark.parametrize("grid_step", [0.0, -0.05, math.inf, math.nan])
+@pytest.mark.parametrize("lti", [True, False])
+def test_grid_step_must_be_positive_and_finite(lti, grid_step):
+    # A negative or infinite step would scan a single cell and return an
+    # uncertified bound; zero and NaN would fail with unrelated errors.
+    sys = harmonic_oscillator() if lti else wobbly_system()
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        gramian_floor(sys, 0.5, 1.5, grid_step=grid_step)
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        max_kernel_derivative(sys, 1.0, 0.25, grid_step)
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=grid_step)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
