@@ -293,21 +293,16 @@ def horizon_margin(
 ) -> tuple[float, float]:
     """(statistical gain, pushforward growth) of the step kappa -> kappa + 1.
 
-    The gain uses the clean power-law form of the concentration radius, valid
-    away from the balanced case p = d/2: radius = scale * kappa^(-1/pbar)
-    with pbar = max(2p, d).  Growing the sample keeps shrinking the total
-    radius exactly while gain > growth.
+    Both are differences of the two parts of ``total_radius`` between kappa
+    and kappa + 1 samples, in every regime of the concentration radius.
+    Growing the sample keeps shrinking the total radius exactly while
+    gain > growth.
     """
     if kappa < 1:
         raise ValueError(f"kappa must be >= 1, got {kappa}")
-    if cfg.regime == "critical":
-        raise ValueError("effective horizon needs p != d/2")
-    pbar = cfg.decay_exponent
-    log_term = math.log(cfg.big_c / cfg.beta)
-    scale = 0.0
-    if log_term > 0.0:
-        scale = (log_term / cfg.small_c) ** (1.0 / pbar) * rho_horizon
-    gain = scale * (kappa ** (-1.0 / pbar) - (kappa + 1.0) ** (-1.0 / pbar))
+    gain = ambiguity_radius(kappa, cfg, rho_horizon) - ambiguity_radius(
+        kappa + 1, cfg, rho_horizon
+    )
     growth = pushforward_error(kappa + 1, delta, cfg.p, model) - pushforward_error(
         kappa, delta, cfg.p, model
     )
@@ -332,16 +327,13 @@ def effective_horizon(
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if cfg.regime == "critical":
-        raise ValueError("effective horizon needs p != d/2")
     if delta < 0.0:
         raise ValueError(f"delta must be >= 0, got {delta}")
-    log_term = math.log(cfg.big_c / cfg.beta)
-    positive_gain = rho_horizon > 0.0 and log_term > 0.0
-    # With an exact flow the pushforward part is identically zero, so any
-    # positive statistical gain wins forever.
+    # With an exact flow the pushforward part is identically zero, so a
+    # positive statistical gain at the first step wins forever.
     if model.magnitude == 0.0 or model.rate * delta == 0.0:
-        if positive_gain:
+        gain, _ = horizon_margin(1, delta, cfg, rho_horizon, model)
+        if gain > 0.0:
             return HorizonResult("capped", None, delta, cap)
         return HorizonResult("no-improvement", 1, delta, 1)
     for kappa in range(1, cap + 1):

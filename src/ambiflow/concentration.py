@@ -128,7 +128,7 @@ def invert_critical_rate(y: float) -> float:
         hi *= 2.0
         if hi > 1e200:
             raise ArithmeticError(f"bracket growth failed for y={y}")
-    for _ in range(200):
+    while True:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
@@ -157,27 +157,19 @@ def ambiguity_radius(n_samples: int, cfg: RadiusConfig, rho: float) -> float:
     log_term = math.log(cfg.big_c / cfg.beta)
     if log_term <= 0.0:
         return 0.0
-    p, d = cfg.p, cfg.d
-    n = float(n_samples)
-    if cfg.regime == "supercritical":
-        return (log_term / (cfg.small_c * n)) ** (1.0 / (2.0 * p)) * rho
+    y = log_term / (cfg.small_c * float(n_samples))
     if cfg.regime == "critical":
-        x = invert_critical_rate(log_term / (cfg.small_c * n))
-        return x ** (1.0 / p) * rho
-    return (log_term / (cfg.small_c * n)) ** (1.0 / d) * rho
+        return invert_critical_rate(y) ** (1.0 / cfg.p) * rho
+    return y ** (1.0 / cfg.decay_exponent) * rho
 
 
-def calibrated_radius(
-    eps_ref: float, n_ref: int, n_samples: int, exponent: float = 0.25
-) -> float:
+def calibrated_radius(eps_ref: float, n_ref: int, n_samples: int) -> float:
     """Radius schedule pinned to a reference pair (n_ref, eps_ref).
 
-    Uses the scaling eps_n = eps_ref * (n_ref / n)^exponent.  Useful when a
-    radius at one sample count is known (from calibration or from published
-    results) and the whole schedule is needed.
+    Uses the quarter-power scaling eps_n = eps_ref * (n_ref / n)^(1/4).
+    Useful when a radius at one sample count is known (from calibration or
+    from published results) and the whole schedule is needed.
     """
     if eps_ref <= 0.0 or n_ref < 1 or n_samples < 1:
         raise ValueError("eps_ref must be positive and sample counts >= 1")
-    if exponent <= 0.0:
-        raise ValueError(f"exponent must be positive, got {exponent}")
-    return eps_ref * (n_ref / n_samples) ** exponent
+    return eps_ref * (n_ref / n_samples) ** 0.25

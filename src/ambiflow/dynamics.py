@@ -109,8 +109,6 @@ def integrate_flow(
     trajectory lands exactly on t_end.  Integration backward in time is
     allowed.  Raises ArithmeticError if the state stops being finite.
     """
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     x = np.asarray(state, dtype=float).copy()
     if x.shape != (field.dim,):
         raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
@@ -132,8 +130,6 @@ def _push(
     ``integrate_flow`` would put it, and fails with the same errors, naming
     the first sample at fault.
     """
-    if not step > 0.0:
-        raise ValueError(f"step must be positive, got {step}")
     cols = []
     for state in states:
         x = np.asarray(state, dtype=float)
@@ -175,6 +171,8 @@ def _rk4(
     shortened last step, so it ends bit for bit where it would alone; f sees
     only the columns still stepping, x of shape (dim, n) with t of shape (n,).
     """
+    if not (step > 0.0 and math.isfinite(step)):
+        raise ValueError(f"step must be positive and finite, got {step}")
     span = t_end - t_start
     if isinstance(t_start, np.ndarray):
         x = np.array(x, dtype=float)

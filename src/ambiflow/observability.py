@@ -26,9 +26,10 @@ read Phi(tau, t) at uniformly spaced tau on one backward sweep
 (``_backward_sweep``): one matrix exponential stepped node to node for
 stationary systems, RK4 between nodes otherwise.  The two kernel scans take
 the spectral norms of a whole sweep's terms in one stacked call.  Where the
-flow overflows, each of them raises OverflowError (an ArithmeticError)
+flow overflows, each of them, ``fundamental_matrix`` and
+``sample_observability_matrix`` raise OverflowError (an ArithmeticError)
 instead of returning NaN or inf.  Their ``grid_step`` must be positive and
-finite.
+finite, as must the RK4 ``step`` of time-varying flows.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -69,6 +70,8 @@ __all__ = [
 _FD_STEP = 1e-5          # central-difference step for C'(t) when not supplied
 _RANK_TOL = 1e-9
 _PATTERN_TOL = 1e-9
+_MIN_SINGULAR = 1e-10    # relative singular-value floor of a reconstruction
+_CLUSTER_TOL = 1e-5      # relative distance that merges eigenvalues
 
 
 @dataclass(frozen=True)
@@ -163,12 +166,11 @@ def fundamental_matrix(
     (backward in time when t < s).
     """
     if sys.is_lti:
-        return expm(sys.a_const * (t - s))
-    if step <= 0.0:
-        raise ValueError(f"step must be positive, got {step}")
-    m = _rk4(_matrix_field(sys), s, t, np.eye(sys.dim), step)
-    if not np.all(np.isfinite(m)):
-        raise ArithmeticError(f"fundamental matrix diverged between {s:.6g} and {t:.6g}")
+        m = expm(sys.a_const * (t - s))
+    else:
+        m = _rk4(_matrix_field(sys), s, t, np.eye(sys.dim), step)
+    if not np.isfinite(m).all():
+        raise OverflowError(f"fundamental matrix is not finite between {s:.6g} and {t:.6g}")
     return m
 
 
@@ -450,12 +452,11 @@ def reconstruct_state(
     obs_matrix: np.ndarray,
     weight: np.ndarray,
     outputs: np.ndarray,
-    min_singular: float = 1e-10,
 ) -> np.ndarray:
     """Weighted least-squares state estimate pinv(W O) W y.
 
     Rejects ill-posed problems: the smallest singular value of W O must
-    exceed ``min_singular`` relative to the largest.
+    exceed 1e-10 relative to the largest.
     """
     o = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
     w = np.atleast_2d(np.asarray(weight, dtype=float))
@@ -466,7 +467,7 @@ def reconstruct_state(
         raise ValueError(f"{y.shape[0]} outputs for {o.shape[0]} observation rows")
     wo = w @ o
     u, sv, vt = np.linalg.svd(wo, full_matrices=False)
-    if o.shape[0] < o.shape[1] or sv[-1] <= min_singular * sv[0]:
+    if o.shape[0] < o.shape[1] or sv[-1] <= _MIN_SINGULAR * sv[0]:
         smallest = sv[-1] if o.shape[0] >= o.shape[1] else 0.0
         raise ArithmeticError(
             f"weighted observability matrix is numerically rank deficient "
@@ -516,9 +517,7 @@ class EigenStructure:
         return max(ims) - min(ims) if ims else 0.0
 
     @classmethod
-    def from_matrix(
-        cls, a: np.ndarray, cluster_tol: float = 1e-5
-    ) -> "EigenStructure":
+    def from_matrix(cls, a: np.ndarray) -> "EigenStructure":
         a = np.atleast_2d(np.asarray(a, dtype=float))
         if a.shape[0] != a.shape[1]:
             raise ValueError(f"matrix must be square, got {a.shape}")
@@ -528,7 +527,7 @@ class EigenStructure:
         clusters: list[list[complex]] = []
         for ev in sorted(raw, key=lambda z: (z.real, z.imag)):
             for group in clusters:
-                if abs(ev - group[0]) <= cluster_tol * scale:
+                if abs(ev - group[0]) <= _CLUSTER_TOL * scale:
                     group.append(ev)
                     break
             else:

@@ -412,19 +412,22 @@ def _merged_center(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
     return points, weights
 
 
-def candidate_support(ball: AmbiguityBall, star_steps: int = 10) -> np.ndarray:
+_STAR_STEPS = 10
+
+
+def candidate_support(ball: AmbiguityBall) -> np.ndarray:
     """Finite support for the inner adversary.
 
     The exact-deduplicated center atoms, plus an axis-aligned star around
-    each: ``star_steps`` offsets per direction per coordinate, extending to
-    the ball radius with resolution radius / star_steps.  Zero radius keeps
+    each: ``_STAR_STEPS`` offsets per direction per coordinate, extending to
+    the ball radius with resolution radius / _STAR_STEPS.  Zero radius keeps
     just the atoms.
     """
     atoms = np.unique(ball.center.points, axis=0)
     pieces = [atoms]
     if ball.radius > 0.0:
         d = atoms.shape[1]
-        reach = ball.radius * np.arange(1, star_steps + 1) / star_steps
+        reach = ball.radius * np.arange(1, _STAR_STEPS + 1) / _STAR_STEPS
         steps = np.eye(d)[:, None, :] * reach[:, None]  # (axis, step, coordinate)
         offsets = np.stack([steps, -steps], axis=2).reshape(-1, d)
         pieces.append((atoms[:, None, :] + offsets[None, :, :]).reshape(-1, atoms.shape[1]))
@@ -563,8 +566,10 @@ def solve_inner_inf(
 # Lattice levels: the largest L >= 2 with L^(n-1) <= _LATTICE_SIZE (13 at n = 4);
 # ScenarioConfig caps n_segments so that L = 2 fits.
 # Evaluating _LATTICE_BLOCK profiles at a time bounds the kernel's (B, J) scratch.
+# An ascent stops after a sweep that gains less than _SWEEP_TOL.
 _LATTICE_SIZE = 13**3
 _LATTICE_BLOCK = 64
+_SWEEP_TOL = 1e-6
 
 
 def _check_solver_settings(n_t: int, n_starts: int = 1) -> None:
@@ -609,7 +614,6 @@ def solve_dro(
     cfg: ScenarioConfig,
     n_t: int = 200,
     n_starts: int = 20,
-    tol: float = 1e-6,
 ) -> tuple[np.ndarray, float]:
     """Best speed profile and its worst-case expected squared clearance.
 
@@ -674,7 +678,7 @@ def solve_dro(
                     improved += cand_val - val
                     x = shifted(cand_t)
                     val = cand_val
-            if improved < tol:
+            if improved < _SWEEP_TOL:
                 break
         if val > best_val:
             best_val = val

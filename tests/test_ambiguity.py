@@ -320,16 +320,20 @@ def test_margin_gain_matches_radius_difference():
             assert gain == pytest.approx(want, rel=1e-12)
 
 
-def test_horizon_found_and_strict_decrease():
-    res = effective_horizon(0.05, CFG, 1.0, MODEL)
+@pytest.mark.parametrize(
+    "p, d", [(1.0, 1), (1.0, 2), (1.0, 4)], ids=["supercritical", "critical", "subcritical"]
+)
+def test_horizon_found_and_strict_decrease(p, d):
+    cfg = RadiusConfig(p=p, d=d, beta=0.05)
+    res = effective_horizon(0.05, cfg, 1.0, MODEL)
     assert res.status == "found"
     n_star = res.n_star
     assert n_star is not None and n_star >= 2
     psi = [
-        total_radius(n, CFG, 1.0, 0.05, MODEL) for n in range(1, n_star + 2)
+        total_radius(n, cfg, 1.0, 0.05, MODEL) for n in range(1, n_star + 2)
     ]
     drops = [a - b for a, b in zip(psi, psi[1:])]
-    assert all(d > 0 for d in drops[: n_star - 1]), "radius must shrink up to n_star"
+    assert all(drop > 0 for drop in drops[: n_star - 1]), "radius must shrink up to n_star"
     assert drops[n_star - 1] <= 0, "first non-improving step is at n_star"
 
 
@@ -345,11 +349,6 @@ def test_horizon_capped_for_exact_flow():
     assert res.n_star is None
     small_cap = effective_horizon(0.01, CFG, 1.0, MODEL, cap=10)
     assert small_cap.status in ("capped", "found")
-
-
-def test_horizon_rejects_balanced_case():
-    with pytest.raises(ValueError):
-        effective_horizon(0.05, RadiusConfig(p=1.0, d=2, beta=0.05), 1.0, MODEL)
 
 
 def test_horizon_nondecreasing_in_rho():

@@ -237,8 +237,8 @@ def test_rerun_byte_identical(tmp_path):
 # --- horizon --------------------------------------------------------------------
 
 
-def test_horizon_single_rho(tmp_path):
-    code, out = run(tmp_path, "horizon", BASE_RADIUS_CONFIG)
+def check_horizon_table(payload, tmp_path):
+    code, out = run(tmp_path, "horizon", payload)
     assert code == 0
     data = json.loads((out / "horizon.json").read_text())
     assert data["Delta"] == 0.01
@@ -255,6 +255,23 @@ def test_horizon_single_rho(tmp_path):
     rows = read_csv(out / "horizon.csv")
     assert rows[0] == ["N", "eps_N", "bar_eps_N", "psi_N"]
     assert rows[-1][0] == "N_star" and rows[-1][1] == str(n_star)
+
+
+def test_horizon_single_rho(tmp_path):
+    check_horizon_table(BASE_RADIUS_CONFIG, tmp_path)
+
+
+def test_horizon_critical_regime(tmp_path):
+    # p = d/2: the horizon differences the same radius as the radius command.
+    payload = dict(BASE_RADIUS_CONFIG, radius={"p": 1, "dimension": 2, "beta": 0.05})
+    check_horizon_table(payload, tmp_path)
+
+
+def test_horizon_negative_rho_is_a_config_error(tmp_path, capsys):
+    payload = dict(BASE_RADIUS_CONFIG, rho_horizon=[2.0, -1.0])
+    code, _ = run(tmp_path, "horizon", payload)
+    assert code == 2
+    assert "rho must be nonnegative, got -1.0" in capsys.readouterr().err
 
 
 def test_horizon_sweep_nondecreasing(tmp_path):

@@ -12,6 +12,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ambiflow.concentration import (
     RadiusConfig,
@@ -177,6 +179,45 @@ def test_radius_inverts_the_bound(cfg):
             )
 
 
+@st.composite
+def radius_configs(draw):
+    """RadiusConfig in a drawn regime, with C, c and beta over wide ranges."""
+    regime = draw(st.sampled_from(["supercritical", "critical", "subcritical"]))
+    if regime == "supercritical":
+        d = draw(st.integers(1, 8))
+        p = max(1.0, d / 2.0 + draw(st.floats(1e-3, 4.0)))
+    elif regime == "critical":
+        d = draw(st.integers(2, 8))
+        p = d / 2.0
+    else:
+        d = draw(st.integers(3, 8))
+        p = draw(st.floats(1.0, d / 2.0, exclude_max=True))
+    cfg = RadiusConfig(
+        p=p,
+        d=d,
+        beta=draw(st.floats(1e-9, 0.99)),
+        big_c=10.0 ** draw(st.floats(0.0, 3.0)),
+        small_c=10.0 ** draw(st.floats(-6.0, 150.0)),
+    )
+    assert cfg.regime == regime
+    return cfg
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    cfg=radius_configs(),
+    n=st.integers(1, 10**9),
+    rho=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+)
+# Tiny critical rates, far below the inverse's starting bracket [0, 1].
+@example(cfg=RadiusConfig(p=1.0, d=2, beta=0.05, small_c=1e130), n=1, rho=1.0)
+@example(cfg=RadiusConfig(p=1.0, d=2, beta=0.05, small_c=1e300), n=1, rho=1.0)
+def test_radius_inverts_the_bound_everywhere(cfg, n, rho):
+    eps = ambiguity_radius(n, cfg, rho)
+    back = deviation_bound(eps**cfg.p, rho, n, cfg)
+    assert back == pytest.approx(cfg.beta, rel=1e-9)
+
+
 def test_radius_zero_cases():
     cfg = RadiusConfig(p=1.0, d=1, beta=0.5)
     assert ambiguity_radius(5, cfg, 0.0) == 0.0
@@ -243,5 +284,3 @@ def test_calibrated_schedule_values():
 def test_calibrated_validation():
     with pytest.raises(ValueError):
         calibrated_radius(-0.1, 10, 5)
-    with pytest.raises(ValueError):
-        calibrated_radius(0.1, 10, 5, exponent=0.0)

@@ -14,6 +14,7 @@ import math
 import numpy as np
 import pytest
 
+from ambiflow.ambiguity import cumulative_empirical
 from ambiflow.dynamics import (
     FlowErrorModel,
     GrowthCertificate,
@@ -25,6 +26,11 @@ from ambiflow.dynamics import (
     growth_bound,
     integrate_flow,
     support_radius,
+)
+from ambiflow.observability import (
+    fundamental_matrix,
+    sample_observability_matrix,
+    system_from_json,
 )
 
 ROTATION = VectorField(
@@ -87,12 +93,42 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=0.0)
     # A NaN step must not pass the check and leave the states where they are.
-    with pytest.raises(ValueError, match="step must be positive, got nan"):
+    with pytest.raises(ValueError, match="step must be positive and finite, got nan"):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=math.nan)
-    with pytest.raises(ValueError, match="step must be positive, got nan"):
+    with pytest.raises(ValueError, match="step must be positive and finite, got nan"):
         support_radius(np.ones((2, 2)), ROTATION, 1.0, step=math.nan)
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0, 3.0]))
+
+
+SENSOR = system_from_json({"name": "rotating_sensor", "params": {"omega": 2.0}})
+TWO_SAMPLES = [(0.0, np.array([1.0, 0.0])), (0.5, np.array([0.0, 1.0]))]
+STEP_USERS = {
+    "integrate_flow": lambda step: integrate_flow(
+        ROTATION, 0.0, 1.0, np.array([0.0, 0.0]), step=step
+    ),
+    "cumulative_empirical": lambda step: cumulative_empirical(
+        TWO_SAMPLES, 1.0, ROTATION, step=step
+    ),
+    "support_radius": lambda step: support_radius(np.eye(2), ROTATION, 1.0, step=step),
+    "calibrate_flow_error": lambda step: calibrate_flow_error(
+        ROTATION, TWO_SAMPLES, 2.0, step, rate=1.0
+    ),
+    "fundamental_matrix": lambda step: fundamental_matrix(SENSOR, 1.0, 0.0, step=step),
+    "sample_observability_matrix": lambda step: sample_observability_matrix(
+        SENSOR, [0.0, 0.4, 1.0], step=step
+    ),
+}
+
+
+@pytest.mark.parametrize("step", [0.0, -0.1, math.inf, math.nan])
+@pytest.mark.parametrize("user", sorted(STEP_USERS))
+def test_every_rk4_user_rejects_a_bad_step(user, step):
+    # An infinite step would take no step at all and return the state
+    # unpushed (a zero calibrated magnitude, an identity Phi), and a negative
+    # one would cross each gap in one step: the one RK4 core rejects them.
+    with pytest.raises(ValueError, match="step must be positive and finite"):
+        STEP_USERS[user](step)
 
 
 # --- group 2: error envelopes ---------------------------------------------------

@@ -412,6 +412,8 @@ def test_overflowing_flow_raises_instead_of_nan(lti):
         robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=0.01)
     with pytest.raises(OverflowError):
         sample_observability_matrix(sys, [0.0, 0.25, 0.5])
+    with pytest.raises(OverflowError):
+        fundamental_matrix(sys, 0.0, 0.5)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

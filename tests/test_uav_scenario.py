@@ -530,7 +530,7 @@ def test_constrained_expectation_matches_lp_dual(data):
 def test_candidate_support_star_geometry():
     atoms = np.array([[0.0, 0.0, 0.0, 0.0, 1.0]])
     ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.2)
-    cand = candidate_support(ball, star_steps=10)
+    cand = candidate_support(ball)
     assert any(np.allclose(c, atoms[0]) for c in cand)
     assert len(cand) == 1 + 10 * 5 * 2
     dists = np.linalg.norm(cand - atoms[0], axis=1)
