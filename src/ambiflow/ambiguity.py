@@ -28,6 +28,7 @@ last sample count at which adding one more member still shrinks the ball;
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -280,12 +281,16 @@ class HorizonResult:
       'no-improvement'  already the step from 1 to 2 samples fails to shrink
                         the ball (delta at or above its critical value)
       'capped'          every count up to the cap improves; n_star is None
+
+    margins holds the (statistical gain, pushforward growth) of the steps
+    kappa = 1..n_star, as ``horizon_margin`` gives them; it is empty when capped.
     """
 
     status: str
     n_star: int | None
     delta: float
     checked: int
+    margins: tuple[tuple[float, float], ...] = ()
 
 
 def horizon_margin(
@@ -332,13 +337,20 @@ def effective_horizon(
     # With an exact flow the pushforward part is identically zero, so a
     # positive statistical gain at the first step wins forever.
     if model.magnitude == 0.0 or model.rate * delta == 0.0:
-        gain, _ = horizon_margin(1, delta, cfg, rho_horizon, model)
+        gain, growth = horizon_margin(1, delta, cfg, rho_horizon, model)
         if gain > 0.0:
             return HorizonResult("capped", None, delta, cap)
-        return HorizonResult("no-improvement", 1, delta, 1)
+        return HorizonResult("no-improvement", 1, delta, 1, ((gain, growth),))
+    # ``horizon_margin``'s differences, each radius computed once, in compact arrays.
+    gains, growths = array("d"), array("d")
+    stat, push = ambiguity_radius(1, cfg, rho_horizon), pushforward_error(1, delta, cfg.p, model)
     for kappa in range(1, cap + 1):
-        gain, growth = horizon_margin(kappa, delta, cfg, rho_horizon, model)
-        if not gain > growth:
+        stat_next = ambiguity_radius(kappa + 1, cfg, rho_horizon)
+        push_next = pushforward_error(kappa + 1, delta, cfg.p, model)
+        gains.append(stat - stat_next)
+        growths.append(push_next - push)
+        if not gains[-1] > growths[-1]:
             status = "no-improvement" if kappa == 1 else "found"
-            return HorizonResult(status, kappa, delta, kappa)
+            return HorizonResult(status, kappa, delta, kappa, tuple(zip(gains, growths)))
+        stat, push = stat_next, push_next
     return HorizonResult("capped", None, delta, cap)

@@ -35,18 +35,16 @@ import ambiflow
 from ambiflow.ambiguity import (
     SamplingSchedule,
     effective_horizon,
-    horizon_margin,
     total_radius,
 )
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.dynamics import FlowErrorModel
 from ambiflow.observability import (
+    _sampling_bound_and_floor,
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
-    gramian_floor,
     reconstruct_state,
-    robust_sampling_bound,
     sample_observability_matrix,
     system_from_json,
     weight_matrix,
@@ -254,22 +252,17 @@ def _horizon_entry(
         entry["reason"] = "no guaranteed improvement"
     else:
         entry["N_star"] = "cap"
-    table = []
-    # Margins are only defined for the incremental scan; the capped /
-    # degenerate branches skip it (the scan never ran or ran to the cap).
-    limit = result.n_star if result.n_star is not None else 0
-    for kappa in range(1, min(limit, cap) + 1):
-        gain, growth = horizon_margin(kappa, delta, cfg, rho_horizon, model)
-        table.append(
-            {
-                "kappa": kappa,
-                "statistical_gain": gain,
-                "pushforward_growth": growth,
-                "margin": gain - growth,
-                "improves": gain > growth,
-            }
-        )
-    entry["table"] = table
+    # The scan's margins up to N*; a capped scan has none.
+    entry["table"] = [
+        {
+            "kappa": kappa,
+            "statistical_gain": gain,
+            "pushforward_growth": growth,
+            "margin": gain - growth,
+            "improves": gain > growth,
+        }
+        for kappa, (gain, growth) in enumerate(result.margins, start=1)
+    ]
     return entry
 
 
@@ -414,11 +407,10 @@ def cmd_observe(args: argparse.Namespace) -> int:
     err_bound = None
     if min(spans) > 0.0 and horizon > 0.0:
         try:
-            bound = robust_sampling_bound(
+            # The certificate keeps a fraction of the floor over the shortest window.
+            bound, floor = _sampling_bound_and_floor(
                 sys_model, min(spans), max(spans), horizon, retention
             )
-            # The certificate keeps a fraction of the floor over the shortest window.
-            floor = gramian_floor(sys_model, min(spans), horizon)
             err_bound = estimation_error_bound(max(spans), floor, retention, noise)
             payload["gap_bound"] = None if math.isinf(bound) else bound
             payload["max_gap"] = float(max(gaps))

@@ -411,6 +411,18 @@ def robust_sampling_bound(
     (s, t) pairs.  Extrema are approximated on grids of spacing
     ``grid_step`` (default window_low / 100).
     """
+    return _sampling_bound_and_floor(sys, window_low, window_up, horizon, retention, grid_step)[0]
+
+
+def _sampling_bound_and_floor(
+    sys: LinearTimeVaryingSystem,
+    window_low: float,
+    window_up: float,
+    horizon: float,
+    retention: float,
+    grid_step: float | None = None,
+) -> tuple[float, float]:
+    """``robust_sampling_bound`` and the Gramian floor over window_low it keeps a fraction of."""
     if not 0.0 < window_low <= window_up <= horizon:
         raise ValueError(
             f"need 0 < window_low <= window_up <= horizon, got "
@@ -441,8 +453,8 @@ def robust_sampling_bound(
             for t in np.linspace(window_low, horizon, n_anchor)
         )
     if worst == 0.0:
-        return math.inf
-    return factor * (1.0 - retention) * floor / (window_up * worst)
+        return math.inf, floor
+    return factor * (1.0 - retention) * floor / (window_up * worst), floor
 
 
 # --- reconstruction ---------------------------------------------------------------

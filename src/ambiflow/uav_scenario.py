@@ -344,6 +344,11 @@ def dro_objective(
     return float(_clearance_kernel(known, cand, cfg, n_t)(x[None, :])[0, 0])
 
 
+# The clearance kernel cuts its (n_t, J) grid into tiles of _TILE_T times by _TILE_J
+# candidates and computes at most _TILE_CHUNK live tiles at a time.
+_TILE_T, _TILE_J, _TILE_CHUNK = 4, 32, 512
+
+
 def _clearance_kernel(
     known_state: Sequence[float], candidates: np.ndarray, cfg: ScenarioConfig, n_t: int
 ) -> Callable[[np.ndarray], np.ndarray]:
@@ -353,26 +358,55 @@ def _clearance_kernel(
     [0, 2*pi] of the squared distance from intruder b to the nearer of the
     known watcher and candidate j, one square over.  Everything that does
     not depend on the profile is computed once, here.
+
+    Exact pruning: rounding is monotone, so a cell fl(fl(cx - bx)^2 + cy^2) is at least cy^2 and
+    fl(fl(cx - bx)^2); where either reaches the known-watcher clearance it is skipped.
     """
     tau = np.linspace(0.0, TWO_PI, n_t)
     coverage = _segment_coverage(tau, cfg.n_segments)
     known_xy = red_position_path(np.asarray(known_state, dtype=float), tau, cfg)[0]
-    cand_xy = red_position_path(candidates, tau, cfg) + np.array([cfg.square_side, 0.0])
-    # Time-major (n_t, J) copies and one scratch buffer: no (B, J, n_t) temporary.
-    cand_x = np.ascontiguousarray(cand_xy[:, :, 0].T)
-    cand_y2 = np.ascontiguousarray(cand_xy[:, :, 1].T ** 2)
-    buf = np.empty_like(cand_x)
     known_y2 = known_xy[:, 1] ** 2
+    cand_xy = red_position_path(candidates, tau, cfg)
+    cand_xy[:, :, 0] += cfg.square_side
+    # (n_tj, n_tt, _TILE_T, _TILE_J) tiles with the columns in phase order, so that a
+    # tile holds neighbouring orbits.  Padding repeats real cells: no min changes.
+    order = np.argsort(np.atleast_2d(candidates)[:, 4], kind="stable")
+    n_tj, n_tt = -(-len(order) // _TILE_J), -(-n_t // _TILE_T)
+    cols = order[np.minimum(np.arange(n_tj * _TILE_J), len(order) - 1)].reshape(n_tj, 1, 1, -1)
+    t_index = np.minimum(np.arange(n_tt * _TILE_T), n_t - 1)
+    times = t_index.reshape(n_tt, _TILE_T, 1)
+    cand_x, cand_y2 = cand_xy[cols, times, 0], cand_xy[cols, times, 1]
+    np.square(cand_y2, out=cand_y2)
+    y2_lo = cand_y2.min(axis=(2, 3))
+    x_lo, x_hi = cand_x.min(axis=(2, 3)), cand_x.max(axis=(2, 3))
+    restore = np.argsort(order)
 
     def clearance(xs: np.ndarray) -> np.ndarray:
         bx = _intruder_x(xs, coverage)  # (B, n_t), along y = 0
         best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
-        dc = np.empty((len(bx), cand_x.shape[1]))
-        for b in range(len(bx)):
-            np.subtract(cand_x, bx[b][:, None], out=buf)
-            np.square(buf, out=buf)
-            np.add(buf, cand_y2, out=buf)
-            buf.min(axis=0, out=dc[b])
+        bxp = bx[:, t_index].reshape(len(bx), n_tt, _TILE_T)
+        # A lower bound on every cell of a tile: its y^2 floor, or the square of the
+        # cells' own rounded x difference at the tile's closest x range.
+        lb = x_lo - bxp.max(axis=2)[:, None, :]
+        np.maximum(lb, bxp.min(axis=2)[:, None, :] - x_hi, out=lb)
+        np.maximum(lb, 0.0, out=lb)
+        np.square(lb, out=lb)
+        np.maximum(lb, y2_lo, out=lb)
+        cells = np.flatnonzero(lb < best_known[:, None, None])  # (b, j) rows in runs
+        dc = np.full((len(bx) * n_tj, _TILE_J), np.inf)
+        for s in range(0, len(cells), _TILE_CHUNK):
+            row, t = np.divmod(cells[s : s + _TILE_CHUNK], n_tt)  # row = b * n_tj + j
+            b, j = np.divmod(row, n_tj)
+            d = cand_x[j, t]
+            np.subtract(d, bxp[b, t][:, :, None], out=d)
+            np.square(d, out=d)
+            np.add(d, cand_y2[j, t], out=d)
+            runs = np.flatnonzero(np.diff(row, prepend=-1))
+            row = row[runs]
+            run_min = np.minimum.reduceat(d.reshape(-1, _TILE_J), runs * _TILE_T)
+            np.minimum(run_min[0], dc[row[0]], out=run_min[0])  # a run from the last chunk
+            dc[row] = run_min
+        dc = dc.reshape(len(bx), -1)[:, restore]
         return np.minimum(best_known[:, None], dc, out=dc)
 
     return clearance

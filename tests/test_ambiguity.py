@@ -27,6 +27,7 @@ from ambiflow.ambiguity import (
     pushforward_error_noisy,
     total_radius,
 )
+import ambiflow.concentration as conc
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.distribution import (
     DiscreteDistribution,
@@ -349,6 +350,22 @@ def test_horizon_capped_for_exact_flow():
     assert res.n_star is None
     small_cap = effective_horizon(0.01, CFG, 1.0, MODEL, cap=10)
     assert small_cap.status in ("capped", "found")
+
+
+def test_horizon_scan_inverts_each_radius_once(monkeypatch):
+    # Critical regime (p = d/2), N* = 256: one critical-rate inversion per
+    # radius N = 1..257, and the scan's margins are horizon_margin's, exactly.
+    cfg = RadiusConfig(p=1.0, d=2, beta=0.05)
+    calls = []
+    invert = conc.invert_critical_rate
+    monkeypatch.setattr(conc, "invert_critical_rate", lambda y: calls.append(y) or invert(y))
+    res = effective_horizon(0.01, cfg, 2.0, MODEL)
+    assert (res.status, res.n_star, len(calls)) == ("found", 256, 257)
+    assert res.margins == tuple(
+        horizon_margin(kappa, 0.01, cfg, 2.0, MODEL) for kappa in range(1, 257)
+    )
+    capped = effective_horizon(0.01, cfg, 2.0, MODEL, cap=10)
+    assert capped.status == "capped" and capped.margins == ()
 
 
 def test_horizon_nondecreasing_in_rho():

@@ -11,6 +11,8 @@ import numpy as np
 import pytest
 
 import ambiflow
+import ambiflow.cli as cli
+import ambiflow.observability as obs
 from ambiflow.ambiguity import total_radius
 from ambiflow.cli import main
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
@@ -438,6 +440,26 @@ def test_observe_error_bound_uses_the_shortest_window(tmp_path):
             sample_observability_matrix(sys, times), weight_matrix(times), 0.01
         )
         assert worst <= data["error_bound"]
+
+
+def test_observe_computes_the_gramian_floor_once(tmp_path, monkeypatch):
+    # The certificate's floor over the shortest window serves the gap bound and
+    # the error bound alike.
+    calls = []
+    floor = obs.gramian_floor
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return floor(*args, **kwargs)
+
+    monkeypatch.setattr(obs, "gramian_floor", counted)
+    monkeypatch.setattr(cli, "gramian_floor", counted, raising=False)
+    code, out = run(tmp_path, "observe", observe_payload())
+    assert code == 0
+    assert len(calls) == 1
+    data = json.loads((out / "observe.json").read_text())
+    sys = LinearTimeVaryingSystem.lti([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]])
+    assert data["error_bound"] == estimation_error_bound(1.0, floor(sys, 1.0, 2.5), 0.5, 0.01)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -12,6 +12,7 @@ Grouped as:
 """
 
 import math
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
 
+import ambiflow.uav_scenario as uav
 from ambiflow.distribution import DiscreteDistribution
 from ambiflow.dynamics import VectorField, builtin_field, integrate_flow
 from ambiflow.uav_scenario import (
@@ -27,8 +29,10 @@ from ambiflow.uav_scenario import (
     ScenarioConfig,
     _clearance_kernel,
     _inner_evaluator,
+    _intruder_x,
     _merged_center,
     _profile_lattice,
+    _segment_coverage,
     blue_path,
     candidate_support,
     constrained_min_expectation,
@@ -597,6 +601,92 @@ def test_inner_evaluator_batch_is_bit_identical():
         )
         assert batch[b] == constrained_min_expectation(weights, costs, rows[b], budget)
         assert batch[b] == single
+
+
+def dense_clearance_kernel(known_state, candidates, cfg, n_t):
+    """The clearance kernel computing every (profile, time, candidate) cell."""
+    tau = np.linspace(0.0, TWO_PI, n_t)
+    coverage = _segment_coverage(tau, cfg.n_segments)
+    known_xy = red_position_path(np.asarray(known_state, dtype=float), tau, cfg)[0]
+    cand_xy = red_position_path(candidates, tau, cfg) + np.array([cfg.square_side, 0.0])
+    # Time-major (n_t, J) copies and one scratch buffer: no (B, J, n_t) temporary.
+    cand_x = np.ascontiguousarray(cand_xy[:, :, 0].T)
+    cand_y2 = np.ascontiguousarray(cand_xy[:, :, 1].T ** 2)
+    buf = np.empty_like(cand_x)
+    known_y2 = known_xy[:, 1] ** 2
+
+    def clearance(xs: np.ndarray) -> np.ndarray:
+        bx = _intruder_x(xs, coverage)  # (B, n_t), along y = 0
+        best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
+        dc = np.empty((len(bx), cand_x.shape[1]))
+        for b in range(len(bx)):
+            np.subtract(cand_x, bx[b][:, None], out=buf)
+            np.square(buf, out=buf)
+            np.add(buf, cand_y2, out=buf)
+            buf.min(axis=0, out=dc[b])
+        return np.minimum(best_known[:, None], dc, out=dc)
+
+    return clearance
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_clearance_kernel_equals_dense_reference(data):
+    # Pruned cells can never undercut the known-watcher clearance, so the kernel
+    # equals the full grid bit for bit.  Edge cases: a known watcher on the
+    # intruder's start point (best_known = 0: every cell pruned) and candidates
+    # circling 100 units out (every column pruned).
+    cfg = ScenarioConfig(n_segments=data.draw(st.sampled_from([2, 3, 4])))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_atoms = data.draw(st.integers(1, 8))
+    atoms = np.array([initial_red_state(t) for t in rng.uniform(0.0, TWO_PI, n_atoms)])
+    atoms[:, :4] += rng.uniform(-0.2, 0.2, (n_atoms, 4))
+    radius = data.draw(st.floats(0.0, 0.3))
+    cand = candidate_support(AmbiguityBall(DiscreteDistribution.empirical(atoms), radius))
+    known = initial_red_state(rng.uniform(0.0, TWO_PI))
+    known[:4] += rng.uniform(-0.2, 0.2, 4)
+    case = data.draw(st.sampled_from(["random", "touching", "far"]))
+    if case == "touching":
+        known[:2] = 0.0
+    if case == "far":
+        z0 = 100.0 * np.exp(1j * rng.uniform(0.0, TWO_PI, len(cand)))
+        v0 = 1j * cfg.tracking_gain * z0  # z0 cos(g t) + v0 sin(g t) / g = z0 e^{i g t}
+        cand = np.column_stack([z0.real, z0.imag, v0.real, v0.imag, cand[:, 4]])
+    n_t = data.draw(st.integers(2, 200))
+    chunk = data.draw(st.sampled_from([uav._TILE_CHUNK, 5]))  # runs split across chunks
+    pruned = _clearance_kernel(known, cand, cfg, n_t)
+    dense = dense_clearance_kernel(known, cand, cfg, n_t)
+    lattice, _ = _profile_lattice(cfg)
+    for batch in (1, 9, 64):
+        corners = lattice[rng.integers(0, len(lattice), (batch, 3))]
+        xs = np.einsum("bk,bkn->bn", rng.dirichlet(np.ones(3), batch), corners)
+        with patch.object(uav, "_TILE_CHUNK", chunk):
+            got = pruned(xs)
+        assert got.shape == (batch, len(cand))
+        assert np.array_equal(got, dense(xs))
+        if case == "touching":
+            assert not got.any()
+        if case == "far":
+            assert np.all(got == got[:, :1])
+
+
+def test_pruned_kernel_leaves_solutions_unchanged(monkeypatch):
+    # The 8-atom, 808-candidate ball of the wide benchmark, and a small
+    # experiment serially and in a pool, whose forked workers inherit the patch.
+    thetas = np.linspace(2.6 * math.pi / 4.0, 4.8 * math.pi / 4.0, 8)
+    cfg = default_config(seed=7)
+    states = np.array([reconstruct_red_state(*observe(float(t), cfg), cfg) for t in thetas])
+    ball = AmbiguityBall(center=DiscreteDistribution.empirical(states), radius=0.05)
+    assert len(candidate_support(ball)) == 808
+    known, small = states[3], default_config(seed=12)
+    pruned = [solve_dro(known, ball, cfg, n_starts=3)]
+    pruned += [run_experiment(small, 2, [1, 3], n_t=100, n_starts=2, jobs=j).rows for j in (1, 2)]
+    monkeypatch.setattr(uav, "_clearance_kernel", dense_clearance_kernel)
+    dense = [solve_dro(known, ball, cfg, n_starts=3)]
+    dense += [run_experiment(small, 2, [1, 3], n_t=100, n_starts=2, jobs=j).rows for j in (1, 2)]
+    (x, value), (x_dense, value_dense) = pruned[0], dense[0]
+    assert np.array_equal(x, x_dense) and value == value_dense
+    assert pruned[1] == dense[1] == pruned[2] == dense[2]
 
 
 def test_inner_inf_nonincreasing_in_radius():
