@@ -22,10 +22,13 @@ the worst-case expected squared clearance from the next (unseen) watcher,
 where the expectation ranges over a Wasserstein ball around the empirical
 state distribution.  The inner infimum restricted to a finite candidate
 support is an exact linear program solved in closed form by a budgeted
-exchange argument (``constrained_min_expectation``); the outer supremum is
-pairwise coordinate ascent over the profile polytope, started from the
-best local maxima of a fixed lattice of profiles, so the answer depends
-only on the problem.
+exchange argument (``constrained_min_expectation``), for a whole batch of
+profiles at once: the convex hull is built in Python only where a source
+atom's dominance staircase has more than one point.  The outer supremum is
+pairwise coordinate ascent over the profile polytope (a probe grid, then a
+bounded Brent line search), started from the best local maxima of a fixed
+lattice of profiles, so the answer depends only on the problem.  The
+ascents run in lockstep, so each round of them is one batch evaluation.
 
 ``run_experiment`` assembles the full seeded comparison between the
 cumulative ambiguity ball (all recovered states, shrinking radius) and the
@@ -38,10 +41,9 @@ from __future__ import annotations
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
-from typing import Callable, Sequence
+from typing import Callable, Generator, Sequence
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from ambiflow.concentration import calibrated_radius
 from ambiflow.distribution import DiscreteDistribution
@@ -310,9 +312,10 @@ def _validated_profile(profile: Sequence[float], cfg: ScenarioConfig) -> np.ndar
     x = np.asarray(profile, dtype=float)
     if x.shape != (cfg.n_segments,):
         raise ValueError(f"profile infeasible: expected {cfg.n_segments} segments")
-    if x.min() < cfg.v_min - 1e-9 or x.max() > cfg.v_max + 1e-9:
+    # Phrased so that NaN fails: every comparison with NaN is false.
+    if not (x.min() >= cfg.v_min - 1e-9 and x.max() <= cfg.v_max + 1e-9):
         raise ValueError("profile infeasible: speed bounds violated")
-    if abs(x.sum() - cfg.profile_sum) > 1e-9 * max(1.0, cfg.profile_sum):
+    if not abs(x.sum() - cfg.profile_sum) <= 1e-9 * max(1.0, cfg.profile_sum):
         raise ValueError(
             f"profile infeasible: sums to {x.sum():.9g}, needs {cfg.profile_sum:.9g}"
         )
@@ -483,7 +486,8 @@ def constrained_min_expectation(
     steepest value decrease.  Exactness holds because the per-atom value
     functions are convex piecewise-linear, making the aggregate a classic
     budget allocation.  Each atom needs a zero-cost candidate (itself).
-    An infinite budget is unconstrained transport.
+    An infinite budget is unconstrained transport.  Weights, costs and values
+    must be finite, and weights and costs nonnegative.
     """
     w = np.asarray(weights, dtype=float)
     c = np.atleast_2d(np.asarray(costs, dtype=float))
@@ -494,14 +498,22 @@ def constrained_min_expectation(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if not np.all(np.isfinite(f)):
         raise ValueError("values must be finite")
-    return _sorted_sources(w, c)(f, budget)
+    for name, a in (("weights", w), ("costs", c)):
+        if not np.all(np.isfinite(a) & (a >= 0.0)):
+            raise ValueError(f"{name} must be finite and nonnegative")
+    return _sorted_sources(w, c)(f[None, :], budget)[0]
 
 
-def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., float]:
-    """``constrained_min_expectation`` for fixed weights and costs: ``solve(values, budget)``.
+def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., list[float]]:
+    """``constrained_min_expectation`` for fixed weights and costs, over a batch of values.
 
-    Each live source atom's candidates are sorted by cost once, here; ``solve`` only gathers
-    the values in that order, drops dominated candidates and runs the hull and the greedy.
+    Returns ``solve(values, budget)``, mapping (B, J) values to B optima.  Each live source
+    atom's candidates are sorted by cost once, here.  ``solve`` takes one atom at a time
+    for all B rows.  A row's hull starts at its base point: the best of the atom's
+    cheapest candidates.  Only the candidates that undercut every cheaper one (the
+    dominance staircase, from a running minimum in cost order) can join it, so the
+    staircase is gathered only for the rows with some value below the base, and the hull
+    and the greedy run in Python only for those rows.
     """
     live = np.flatnonzero(weights != 0.0)
     order = np.argsort(costs[live], axis=1, kind="stable")
@@ -512,44 +524,56 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., flo
                 f"source atom {i} has no zero-cost candidate (closest is "
                 f"{cs[0]:.3e}); include the center's support"
             )
-    live_weights = weights[live].tolist()
+    # Only exactly equal costs merge: the first n_base candidates share the lowest cost.
+    n_base = (sorted_costs == sorted_costs[:, :1]).sum(axis=1)
+    atoms = list(zip(weights[live].tolist(), order, sorted_costs, n_base.tolist()))
 
-    def solve(values: np.ndarray, budget: float) -> float:
-        fs = values[order]
-        # Dominated candidates (some cheaper point is at least as good) can
-        # never enter a hull; dropping them first keeps the hull loop short.
-        keep = np.ones(fs.shape, dtype=bool)
-        np.less(fs[:, 1:], np.minimum.accumulate(fs, axis=1)[:, :-1], out=keep[:, 1:])
-        total = 0.0
-        segments: list[tuple[float, float]] = []  # (slope, budget length)
-        for wi, cs, fi, ki in zip(live_weights, sorted_costs, fs, keep):
-            # Decreasing lower convex hull over (cost, value).
-            hull: list[tuple[float, float]] = []
-            for pt in zip(cs[ki].tolist(), fi[ki].tolist()):
-                if hull and pt[1] >= hull[-1][1]:
-                    continue
-                while len(hull) >= 2:
-                    (c1, f1), (c2, f2) = hull[-2], hull[-1]
-                    # Drop the middle point when the new segment undercuts it.
-                    if (f2 - f1) * (pt[0] - c1) >= (pt[1] - f1) * (c2 - c1):
-                        hull.pop()
-                    else:
-                        break
-                if hull and pt[0] <= hull[-1][0] + 1e-15:
-                    hull.pop()
-                hull.append(pt)
-            total += wi * hull[0][1]
-            for (c1, f1), (c2, f2) in zip(hull, hull[1:]):
-                slope = (f2 - f1) / (c2 - c1)
-                segments.append((slope, wi * (c2 - c1)))
-        remaining = budget
-        for slope, length in sorted(segments, key=lambda s: s[0]):
-            if remaining <= 0.0 or slope >= 0.0:
-                break
-            used = min(length, remaining)
-            total += slope * used
-            remaining -= used
-        return total
+    def solve(values: np.ndarray, budget: float) -> list[float]:
+        total = np.zeros(len(values))
+        lowest = values.min(axis=1)
+        segments: dict[int, list[tuple[float, float]]] = {}  # row -> (slope, budget length)
+        for wi, oi, cs, m in atoms:
+            base = values[:, oi[:m]].min(axis=1)
+            total += wi * base  # in atom order, as a per-row sum would round
+            # A row's staircase steps below its base iff some value is below the base.
+            stepped = np.flatnonzero(lowest < base)
+            if not len(stepped):
+                continue
+            fs = values[stepped[:, None], oi]
+            run = np.minimum.accumulate(fs, axis=1)
+            # The later steps, row by row: the only points a hull can hold.
+            rows, cols = np.nonzero(fs[:, m:] < run[:, m - 1 : -1])
+            cols += m
+            cuts = np.searchsorted(rows, np.arange(len(stepped))).tolist() + [len(rows)]
+            step_c, step_f = cs[cols].tolist(), fs[rows, cols].tolist()
+            c0 = float(cs[0])
+            for b, f0, lo, hi in zip(stepped.tolist(), base[stepped].tolist(), cuts, cuts[1:]):
+                # Decreasing lower convex hull over (cost, value), from the base point.
+                hull = [(c0, f0)]
+                for c, f in zip(step_c[lo:hi], step_f[lo:hi]):
+                    while len(hull) >= 2:
+                        (c1, f1), (c2, f2) = hull[-2], hull[-1]
+                        # Drop the middle point when the new segment undercuts it (an
+                        # equal-cost twin always does, so hull costs are distinct).
+                        if (f2 - f1) * (c - c1) >= (f - f1) * (c2 - c1):
+                            hull.pop()
+                        else:
+                            break
+                    hull.append((c, f))
+                segments.setdefault(b, []).extend(
+                    ((f2 - f1) / (c2 - c1), wi * (c2 - c1))
+                    for (c1, f1), (c2, f2) in zip(hull, hull[1:])
+                )
+        out = total.tolist()
+        for b, segs in segments.items():
+            remaining = budget
+            for slope, length in sorted(segs, key=lambda s: s[0]):
+                if remaining <= 0.0 or slope >= 0.0:
+                    break
+                used = min(length, remaining)
+                out[b] += slope * used
+                remaining -= used
+        return out
 
     return solve
 
@@ -564,7 +588,9 @@ def _inner_evaluator(
     """Worst-case expected clearance over the ball, for a batch of profiles.
 
     Returns a map from profiles (B, n_segments) to B inner-program values,
-    restricted to the finite ``candidates`` support.
+    restricted to the finite ``candidates`` support.  It evaluates
+    ``_EVAL_BLOCK`` profiles at a time, which bounds the (B, J) scratch; every
+    row is computed on its own, so the blocking changes no value.
     """
     cand = np.atleast_2d(np.asarray(candidates, dtype=float))
     center_pts, weights = _merged_center(ball.center)
@@ -577,7 +603,8 @@ def _inner_evaluator(
     solve = _sorted_sources(weights, costs)
 
     def evaluate_many(xs: np.ndarray) -> list[float]:
-        return [solve(row, budget) for row in clearance(xs)]
+        blocks = range(0, len(xs), _EVAL_BLOCK)
+        return [v for i in blocks for v in solve(clearance(xs[i : i + _EVAL_BLOCK]), budget)]
 
     return evaluate_many
 
@@ -599,11 +626,13 @@ def solve_inner_inf(
 
 # Lattice levels: the largest L >= 2 with L^(n-1) <= _LATTICE_SIZE (13 at n = 4);
 # ScenarioConfig caps n_segments so that L = 2 fits.
-# Evaluating _LATTICE_BLOCK profiles at a time bounds the kernel's (B, J) scratch.
-# An ascent stops after a sweep that gains less than _SWEEP_TOL.
+# The inner evaluator values _EVAL_BLOCK profiles at a time.
+# An ascent stops after a sweep that gains less than _SWEEP_TOL; its line searches
+# stop at scipy's bounded-Brent tolerance _BRENT_XATOL or after _BRENT_MAXFUN values.
 _LATTICE_SIZE = 13**3
-_LATTICE_BLOCK = 64
+_EVAL_BLOCK = 64
 _SWEEP_TOL = 1e-6
+_BRENT_XATOL, _BRENT_MAXFUN = 1e-6, 500
 
 
 def _check_solver_settings(n_t: int, n_starts: int = 1) -> None:
@@ -642,6 +671,162 @@ def _profile_lattice(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
     return profiles[feasible], np.where(inside, row[flat], -1)
 
 
+def _bounded_brent(lo: float, hi: float) -> Generator[float, float, tuple[float, float, int]]:
+    """Minimize a scalar function on [lo, hi] by Brent's bounded method, as a generator.
+
+    A port of scipy's ``minimize_scalar(method="bounded")`` at ``xatol`` =
+    ``_BRENT_XATOL`` (Brent 1973, *Algorithms for Minimization without
+    Derivatives*, ch. 5): the same arithmetic and stop rule, so on finite values
+    it visits the same points and returns the same bits.  It yields each
+    abscissa, is sent the function's value there, and returns (x, f(x), number
+    of values).
+    """
+    sqrt_eps = math.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - math.sqrt(5.0))
+    a, b = lo, hi
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    fx = yield xf
+    num = 1
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+    tol2 = 2.0 * tol1
+    while abs(xf - xm) > tol2 - 0.5 * (b - a):
+        golden = True
+        if abs(e) > tol1:  # try a parabola through the three best points
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = abs(q)
+            r = e
+            e = rat
+            if abs(p) < abs(0.5 * q * r) and q * (a - xf) < p < q * (b - xf):
+                golden = False
+                rat = p / q
+                x = xf + rat
+                if x - a < tol2 or b - x < tol2:
+                    rat = tol1 if xm - xf >= 0.0 else -tol1
+        if golden:
+            e = (a if xf >= xm else b) - xf
+            rat = golden_mean * e
+        step = max(abs(rat), tol1)
+        x = xf + step if rat >= 0.0 else xf - step
+        fu = yield x
+        num += 1
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if fu <= fnfc or nfc == xf:
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif fu <= ffulc or fulc == xf or fulc == nfc:
+                fulc, ffulc = x, fu
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * abs(xf) + _BRENT_XATOL / 3.0
+        tol2 = 2.0 * tol1
+        if num >= _BRENT_MAXFUN:
+            break
+    return xf, fx, num
+
+
+def _ascent(
+    x: np.ndarray, val: float, cfg: ScenarioConfig
+) -> Generator[np.ndarray, list[float], tuple[np.ndarray, float]]:
+    """Pairwise coordinate ascent from one start, as a generator.
+
+    Mass transfers between coordinate pairs preserve the sum.  Each pair is
+    probed on a grid of 9 transfers, then line-searched by bounded Brent
+    around the best probe.  Yields each (m, n_segments) batch of profiles it
+    needs valued, is sent their m values, and returns the final profile and
+    its value.
+    """
+    n = cfg.n_segments
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    for _sweep in range(30):
+        improved = 0.0
+        for k, l in pairs:
+            lo = max(cfg.v_min - x[k], x[l] - cfg.v_max)
+            hi = min(cfg.v_max - x[k], x[l] - cfg.v_min)
+            if hi - lo <= 1e-12:
+                continue
+
+            def shifted(t: float) -> np.ndarray:
+                y = x.copy()
+                y[k] += t
+                y[l] -= t
+                return y
+
+            probes = np.linspace(lo, hi, 9)
+            probe_vals = yield np.stack([shifted(t) for t in probes])
+            j = int(np.argmax(probe_vals))
+            span = probes[1] - probes[0]
+            search = _bounded_brent(max(lo, probes[j] - span), min(hi, probes[j] + span))
+            t = next(search)
+            while True:  # Brent minimizes: it is sent the negated values
+                (value,) = yield shifted(t)[None, :]
+                try:
+                    t = search.send(-value)
+                except StopIteration as stop:
+                    cand_t, neg_val, _ = stop.value
+                    break
+            cand_t, cand_val = float(cand_t), -float(neg_val)
+            if probe_vals[j] > cand_val:
+                cand_t, cand_val = float(probes[j]), float(probe_vals[j])
+            if cand_val > val + 1e-15:
+                improved += cand_val - val
+                x = shifted(cand_t)
+                val = cand_val
+        if improved < _SWEEP_TOL:
+            break
+    return x, val
+
+
+def _lockstep(
+    ascents: Sequence[Generator[np.ndarray, list[float], tuple]],
+    evaluate_many: Callable[[np.ndarray], list[float]],
+) -> list[tuple]:
+    """Drive generators that yield profile batches in lockstep; return their results in order.
+
+    Each round values every pending batch in one ``evaluate_many`` call and
+    sends each generator its own rows.  The evaluator computes every row on
+    its own, so each generator sees exactly the values it would see alone.
+    """
+    results: list[tuple] = [()] * len(ascents)
+    pending: dict[int, np.ndarray] = {}
+
+    def advance(i: int, sent: list[float] | None) -> None:
+        try:
+            pending[i] = ascents[i].send(sent)
+        except StopIteration as stop:
+            results[i] = stop.value
+
+    for i in range(len(ascents)):
+        advance(i, None)
+    while pending:
+        batch = list(pending.items())
+        pending.clear()
+        values = evaluate_many(np.concatenate([rows for _, rows in batch]))
+        offsets = np.cumsum([0] + [len(rows) for _, rows in batch]).tolist()
+        for (i, _), lo, hi in zip(batch, offsets, offsets[1:]):
+            advance(i, values[lo:hi])
+    return results
+
+
 def solve_dro(
     known_state: Sequence[float],
     ball: AmbiguityBall,
@@ -654,12 +839,14 @@ def solve_dro(
     A fixed lattice on the profile polytope (box constraints plus the fixed
     crossing-time sum, ``_profile_lattice``) is evaluated in full; its local
     maxima under one-level pairwise transfers, best first (ties by lattice
-    order), start at most ``n_starts`` runs of pairwise coordinate ascent.
-    Mass transfers between coordinate pairs preserve the sum; each pair is
-    line-searched on a coarse grid and polished.  The result depends only on
-    the problem, so equal problems get equal answers.  Local optimality
-    only; the returned value is a certified lower bound of the restricted
-    sup-inf, and at least the best lattice value.
+    order), start at most ``n_starts`` runs of pairwise coordinate ascent
+    (``_ascent``: a 9-probe grid, then a bounded Brent line search per pair).
+    The ascents run in lockstep: each round values the pending profiles of
+    every live ascent in one batch (``_lockstep``), and each ascent sees the
+    values it would see alone.  The result depends only on the problem, so
+    equal problems get equal answers.  Local optimality only; the returned
+    value is a certified lower bound of the restricted sup-inf, and at least
+    the best lattice value.
     """
     _check_solver_settings(n_t, n_starts)
     n = cfg.n_segments
@@ -669,51 +856,13 @@ def solve_dro(
         return x, evaluate_many(x[None, :])[0]
 
     lattice, neighbors = _profile_lattice(cfg)
-    blocks = range(0, len(lattice), _LATTICE_BLOCK)
-    values = np.concatenate([evaluate_many(lattice[i : i + _LATTICE_BLOCK]) for i in blocks])
+    values = np.array(evaluate_many(lattice))
     local_max = np.all(np.append(values, -np.inf)[neighbors] <= values[:, None], axis=1)
     maxima = np.flatnonzero(local_max)
     starts = maxima[np.argsort(-values[maxima], kind="stable")][:n_starts]
-
+    ascents = [_ascent(lattice[s].copy(), float(values[s]), cfg) for s in starts]
     best_x, best_val = lattice[starts[0]], -math.inf
-    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
-    for s in starts:
-        x, val = lattice[s].copy(), float(values[s])
-        for _sweep in range(30):
-            improved = 0.0
-            for k, l in pairs:
-                lo = max(cfg.v_min - x[k], x[l] - cfg.v_max)
-                hi = min(cfg.v_max - x[k], x[l] - cfg.v_min)
-                if hi - lo <= 1e-12:
-                    continue
-
-                def shifted(t: float) -> np.ndarray:
-                    y = x.copy()
-                    y[k] += t
-                    y[l] -= t
-                    return y
-
-                probes = np.linspace(lo, hi, 9)
-                probe_vals = evaluate_many(np.stack([shifted(t) for t in probes]))
-                j = int(np.argmax(probe_vals))
-                span = probes[1] - probes[0]
-                left = max(lo, probes[j] - span)
-                right = min(hi, probes[j] + span)
-                opt = minimize_scalar(
-                    lambda t: -evaluate_many(shifted(t)[None, :])[0],
-                    bounds=(left, right),
-                    method="bounded",
-                    options={"xatol": 1e-6},
-                )
-                cand_t, cand_val = float(opt.x), -float(opt.fun)
-                if probe_vals[j] > cand_val:
-                    cand_t, cand_val = float(probes[j]), float(probe_vals[j])
-                if cand_val > val + 1e-15:
-                    improved += cand_val - val
-                    x = shifted(cand_t)
-                    val = cand_val
-            if improved < _SWEEP_TOL:
-                break
+    for x, val in _lockstep(ascents, evaluate_many):
         if val > best_val:
             best_val = val
             best_x = x

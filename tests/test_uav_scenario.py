@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
+from scipy.optimize import linprog, minimize_scalar
 
 import ambiflow.uav_scenario as uav
 from ambiflow.distribution import DiscreteDistribution
@@ -30,9 +30,11 @@ from ambiflow.uav_scenario import (
     _clearance_kernel,
     _inner_evaluator,
     _intruder_x,
+    _bounded_brent,
     _merged_center,
     _profile_lattice,
     _segment_coverage,
+    _sorted_sources,
     blue_path,
     candidate_support,
     constrained_min_expectation,
@@ -334,6 +336,25 @@ def test_blue_path_rejects_infeasible_profiles():
         blue_path(np.full(3, 1.0), cfg, tau)  # wrong length
 
 
+@pytest.mark.parametrize("entry", [0, 3])
+@pytest.mark.parametrize("call", ["blue_path", "dro_objective", "solve_inner_inf"])
+def test_nan_profile_is_rejected(call, entry):
+    # A NaN speed fails the bound and sum checks instead of slipping past them.
+    cfg = default_config()
+    x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
+    x[entry] = math.nan
+    atoms = np.array([initial_red_state(THETAS[1])])
+    ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.1)
+    known = initial_red_state(THETAS[0])
+    calls = {
+        "blue_path": lambda: blue_path(x, cfg, np.linspace(0.0, TWO_PI, 5)),
+        "dro_objective": lambda: dro_objective(x, atoms[0], known, cfg),
+        "solve_inner_inf": lambda: solve_inner_inf(ball, x, candidate_support(ball), known, cfg),
+    }
+    with pytest.raises(ValueError, match="profile infeasible"):
+        calls[call]()
+
+
 def test_dro_objective_zero_when_paths_touch():
     cfg = default_config()
     # A watcher sitting exactly at the intruder's start at the grid's t = 0.
@@ -453,6 +474,31 @@ def test_constrained_expectation_matches_linprog():
         assert mine == pytest.approx(ref.fun, rel=1e-8, abs=1e-10), f"trial {trial}"
 
 
+def test_constrained_expectation_charges_tiny_costs():
+    # A candidate 1e-16 away is not the atom itself: moving there spends budget.
+    # With none, the optimum is the atom's own value; 1e-17 moves a tenth of the mass.
+    w, costs, f = np.array([1.0]), np.array([[0.0, 1e-16]]), np.array([1.0, 0.0])
+    assert constrained_min_expectation(w, costs, f, 0.0) == 1.0
+    assert constrained_min_expectation(w, costs, f, 1e-17) == pytest.approx(0.9, rel=1e-12)
+    assert constrained_min_expectation(w, costs, f, 1e-16) == pytest.approx(0.0, abs=1e-12)
+    # Exactly equal costs do merge: the atom moves for free to its best twin.
+    assert constrained_min_expectation(w, np.array([[0.0, 0.0]]), f, 0.0) == 0.0
+
+
+@pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["weights", "costs"])
+def test_constrained_expectation_rejects_bad_weights_and_costs(name, bad):
+    # A negative or non-finite entry fails loudly instead of returning 0.0 or nan.
+    w = np.array([0.5, 0.5])
+    costs = np.array([[0.0, 3.0, 1.0], [3.0, 0.0, 2.0]])
+    if name == "weights":
+        w[1] = bad
+    else:
+        costs[1, 2] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+        constrained_min_expectation(w, costs, np.array([4.0, 3.0, 1.0]), 1.0)
+
+
 def test_constrained_expectation_budget_extremes():
     rng = np.random.default_rng(3)
     pts = rng.normal(size=(3, 2))
@@ -526,6 +572,80 @@ def test_constrained_expectation_matches_lp_dual(data):
     budget = data.draw(st.floats(0.0, 1.5 * float(costs.max()) + 1.0))
     got = constrained_min_expectation(w, costs, f, budget)
     assert got == pytest.approx(lp_dual(w, costs, f, budget), rel=1e-9, abs=1e-12)
+
+
+def per_profile_lp(weights, costs, values, budget):
+    """The LP one profile at a time: every live atom's hull and the greedy in Python.
+
+    Each atom walks all its candidates in cost order; a point no better than the
+    hull's last is dominated, and only exactly equal costs merge.
+    """
+    total, segments = 0.0, []
+    for wi, row in zip(weights.tolist(), costs):
+        if wi == 0.0:
+            continue
+        order = np.argsort(row, kind="stable")
+        hull = []
+        for pt in zip(row[order].tolist(), values[order].tolist()):
+            if hull and pt[1] >= hull[-1][1]:
+                continue
+            while len(hull) >= 2:
+                (c1, f1), (c2, f2) = hull[-2], hull[-1]
+                if (f2 - f1) * (pt[0] - c1) >= (pt[1] - f1) * (c2 - c1):
+                    hull.pop()
+                else:
+                    break
+            if hull and pt[0] == hull[-1][0]:
+                hull.pop()
+            hull.append(pt)
+        total += wi * hull[0][1]
+        for (c1, f1), (c2, f2) in zip(hull, hull[1:]):
+            segments.append(((f2 - f1) / (c2 - c1), wi * (c2 - c1)))
+    remaining = budget
+    for slope, length in sorted(segments, key=lambda s: s[0]):
+        if remaining <= 0.0 or slope >= 0.0:
+            break
+        used = min(length, remaining)
+        total += slope * used
+        remaining -= used
+    return total
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batched_lp_equals_the_per_profile_loop(data):
+    # The batched solve (staircase and base per atom for all rows, hulls only where the
+    # staircase steps) gives every row the per-profile loop's bits.  Values drawn from a
+    # small set tie often; duplicated points tie costs; zero weights drop atoms.
+    grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    n_src = data.draw(st.integers(1, 4))
+    pts = data.draw(st.lists(grid, min_size=n_src, max_size=n_src + 6))
+    pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    cand = np.array(pts, dtype=float)
+    order = data.draw(st.sampled_from([1.0, 2.0]))
+    costs = np.linalg.norm(cand[:n_src, None, :] - cand[None, :, :], axis=2) ** order
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    w = np.array(data.draw(st.lists(weight, min_size=n_src, max_size=n_src)))
+    value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 5.0))
+    n_rows = data.draw(st.integers(1, 6))
+    rows = st.lists(value, min_size=len(pts), max_size=len(pts))
+    values = np.array(data.draw(st.lists(rows, min_size=n_rows, max_size=n_rows)))
+    budget = data.draw(st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 20.0)))
+    got = _sorted_sources(w, costs)(values, budget)
+    assert got == [per_profile_lp(w, costs, f, budget) for f in values]
+
+
+def test_batched_lp_on_the_wide_ball_equals_the_per_profile_loop():
+    # The 808-candidate, 8-atom ball, on clearance rows of lattice profiles.
+    known, ball, cfg = wide_problem()
+    cand = candidate_support(ball)
+    points, weights = _merged_center(ball.center)
+    costs = np.linalg.norm(points[:, None, :] - cand[None, :, :], axis=2)
+    lattice, _ = _profile_lattice(cfg)
+    rows = _clearance_kernel(known, cand, cfg, 200)(lattice[::80])
+    for budget in (0.0, ball.radius, 10.0 * ball.radius):
+        got = _sorted_sources(weights, costs)(rows, budget)
+        assert got == [per_profile_lp(weights, costs, f, budget) for f in rows]
 
 
 # --- group 6: candidate supports and inner infimum -----------------------------------
@@ -855,6 +975,210 @@ def test_solver_settings_rejected(n_t, n_starts):
         x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
         with pytest.raises(ValueError, match=name):
             dro_objective(x, atoms[0], known, cfg, n_t=n_t)
+
+
+def drive(search, f):
+    """Run a Brent generator on f; return its result and the points it asked for."""
+    points = [next(search)]
+    while True:
+        try:
+            points.append(search.send(f(points[-1])))
+        except StopIteration as stop:
+            return stop.value, points
+
+
+SCALAR_FUNCTIONS = {
+    "smooth": lambda a, c, t: a * (t - c) ** 2 + math.sin(3.0 * t),
+    "kinked": lambda a, c, t: a * abs(t - c) - 0.3 * t,
+    "flat": lambda a, c, t: a,
+    "ties": lambda a, c, t: float(math.floor(4.0 * a * (t - c) ** 2)),
+}
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SCALAR_FUNCTIONS)),
+    a=st.floats(-3.0, 3.0),
+    c=st.floats(-5.0, 5.0),
+    lo=st.floats(-5.0, 5.0),
+    width=st.one_of(st.floats(0.0, 1e-5), st.floats(1e-5, 10.0)),
+    maxfun=st.sampled_from([500, 1, 2, 7]),
+)
+def test_bounded_brent_matches_scipy(kind, a, c, lo, width, maxfun):
+    # The port visits scipy's points and returns its x, fun and nfev to the bit.
+    def f(t):
+        return SCALAR_FUNCTIONS[kind](a, c, t)
+
+    seen = []
+    ref = minimize_scalar(
+        lambda t: seen.append(t) or f(t),
+        bounds=(lo, lo + width),
+        method="bounded",
+        options={"xatol": 1e-6, "maxiter": maxfun},
+    )
+    with patch.object(uav, "_BRENT_MAXFUN", maxfun):
+        (x, fun, nfev), points = drive(_bounded_brent(lo, lo + width), f)
+
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    assert [bits(t) for t in points] == [bits(t) for t in seen]
+    assert (bits(x), bits(fun), nfev) == (bits(ref.x), bits(ref.fun), ref.nfev)
+
+
+def wide_problem():
+    """The 8-atom, 808-candidate ball of the wide benchmark, with its known watcher."""
+    thetas = np.linspace(2.6 * math.pi / 4.0, 4.8 * math.pi / 4.0, 8)
+    cfg = default_config(seed=7)
+    states = np.array([reconstruct_red_state(*observe(float(t), cfg), cfg) for t in thetas])
+    ball = AmbiguityBall(center=DiscreteDistribution.empirical(states), radius=0.05)
+    return states[3], ball, cfg
+
+
+def lattice_starts(evaluate_many, cfg, n_starts):
+    """``solve_dro``'s starts: the lattice, its values and its best local maxima."""
+    lattice, neighbors = _profile_lattice(cfg)
+    values = np.array(evaluate_many(lattice))
+    local_max = np.all(np.append(values, -np.inf)[neighbors] <= values[:, None], axis=1)
+    maxima = np.flatnonzero(local_max)
+    return lattice, values, maxima[np.argsort(-values[maxima], kind="stable")][:n_starts]
+
+
+def sequential_ascent(x, val, cfg, evaluate_many):
+    """One start's pairwise ascent as a plain loop with scipy's bounded line search.
+
+    Every probe grid and every Brent value is its own evaluator call.  Returns
+    the final profile, its value, and the evaluator calls and profiles taken.
+    """
+    load = [0, 0]
+
+    def evaluate(xs):
+        load[0] += 1
+        load[1] += len(xs)
+        return evaluate_many(xs)
+
+    n = cfg.n_segments
+    pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
+    for _sweep in range(30):
+        improved = 0.0
+        for k, l in pairs:
+            lo = max(cfg.v_min - x[k], x[l] - cfg.v_max)
+            hi = min(cfg.v_max - x[k], x[l] - cfg.v_min)
+            if hi - lo <= 1e-12:
+                continue
+
+            def shifted(t):
+                y = x.copy()
+                y[k] += t
+                y[l] -= t
+                return y
+
+            probes = np.linspace(lo, hi, 9)
+            probe_vals = evaluate(np.stack([shifted(t) for t in probes]))
+            j = int(np.argmax(probe_vals))
+            span = probes[1] - probes[0]
+            opt = minimize_scalar(
+                lambda t: -evaluate(shifted(t)[None, :])[0],
+                bounds=(max(lo, probes[j] - span), min(hi, probes[j] + span)),
+                method="bounded",
+                options={"xatol": 1e-6},
+            )
+            cand_t, cand_val = float(opt.x), -float(opt.fun)
+            if probe_vals[j] > cand_val:
+                cand_t, cand_val = float(probes[j]), float(probe_vals[j])
+            if cand_val > val + 1e-15:
+                improved += cand_val - val
+                x = shifted(cand_t)
+                val = cand_val
+        if improved < uav._SWEEP_TOL:
+            break
+    return x, val, *load
+
+
+def bumpy(xs):
+    """A smooth objective on profiles with many local maxima, row by row.
+
+    A Chebyshev polynomial T_5 per speed plus one cross term: only + and * on
+    columns, so a row rounds the same in any batch.
+    """
+    cfg = default_config()
+    u = 2.0 * (xs - cfg.v_min) / (cfg.v_max - cfg.v_min) - 1.0
+    out = 0.1 * u[:, 0] * u[:, 2]
+    for k in range(xs.shape[1]):
+        y = u[:, k]
+        y2 = y * y
+        out = out + (16.0 * y2 * y2 * y - 20.0 * y2 * y + 5.0 * y) * (1.0 + 0.1 * k)
+    return out.tolist()
+
+
+@pytest.fixture(scope="module")
+def wide_sequential():
+    known, ball, cfg = wide_problem()
+    evaluate_many = _inner_evaluator(ball, candidate_support(ball), known, cfg, 200)
+    lattice, values, starts = lattice_starts(evaluate_many, cfg, 20)
+    runs = [sequential_ascent(lattice[s].copy(), values[s], cfg, evaluate_many) for s in starts]
+    return lattice, starts, runs
+
+
+@pytest.mark.parametrize("n_starts", [1, 3, 20])
+def test_lockstep_solve_equals_the_sequential_reference(wide_sequential, n_starts):
+    # solve_dro returns the best of the first n_starts sequential ascents bit for bit.
+    known, ball, cfg = wide_problem()
+    lattice, starts, runs = wide_sequential
+    assert len(starts) == 6  # the ball's local maxima: n_starts = 3 takes a strict prefix
+    best_x, best_val = lattice[starts[0]], -math.inf
+    for x, val, *_ in runs[:n_starts]:
+        if val > best_val:
+            best_x, best_val = x, val
+    x, value = solve_dro(known, ball, cfg, n_starts=n_starts)
+    assert x.tobytes() == best_x.tobytes() and value == best_val
+
+
+def test_lockstep_ascents_each_equal_their_sequential_run():
+    # On a smooth objective every ascent moves off the lattice, and the ascents stop
+    # after different numbers of rounds; in lockstep each still ends where it ends alone.
+    cfg = default_config()
+    lattice, values, starts = lattice_starts(bumpy, cfg, 20)
+    runs = [sequential_ascent(lattice[s].copy(), values[s], cfg, bumpy) for s in starts]
+    assert len(starts) == 20
+    assert all(np.any(x != lattice[s]) for s, (x, *_) in zip(starts, runs))
+    assert len({calls for *_, calls, _ in runs}) > 1
+    calls = []
+
+    def counted(xs):
+        calls.append(len(xs))
+        return bumpy(xs)
+
+    ascents = [uav._ascent(lattice[s].copy(), float(values[s]), cfg) for s in starts]
+    for (x, val), (ref_x, ref_val, *_) in zip(uav._lockstep(ascents, counted), runs):
+        assert x.tobytes() == ref_x.tobytes() and val == ref_val
+    assert len(calls) == max(r[2] for r in runs)
+    assert sum(calls) == sum(r[3] for r in runs)
+
+
+def test_solve_dro_values_each_lockstep_round_in_one_call(wide_sequential, monkeypatch):
+    # A count, not a timing: the lattice is one evaluator call and every lockstep
+    # round one more, so the calls follow the longest ascent, not the sum over starts.
+    known, ball, cfg = wide_problem()
+    lattice, _, runs = wide_sequential
+    calls = []
+    make_evaluator = uav._inner_evaluator
+
+    def counting_evaluator(*args):
+        evaluate_many = make_evaluator(*args)
+
+        def counted(xs):
+            calls.append(len(xs))
+            return evaluate_many(xs)
+
+        return counted
+
+    monkeypatch.setattr(uav, "_inner_evaluator", counting_evaluator)
+    solve_dro(known, ball, cfg, n_starts=20)
+    rounds = [r[2] for r in runs]
+    assert len(calls) == 1 + max(rounds) < 1 + sum(rounds)
+    assert calls[0] == len(lattice)
+    assert sum(calls) == len(lattice) + sum(r[3] for r in runs)
 
 
 # --- group 8: the experiment ---------------------------------------------------------
