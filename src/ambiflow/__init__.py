@@ -29,7 +29,6 @@ from ambiflow.distribution import (
     TransportPlan,
     coupling_upper_bound,
     optimal_plan,
-    pushforward,
     wasserstein_exact,
 )
 from ambiflow.dynamics import (
@@ -40,7 +39,6 @@ from ambiflow.dynamics import (
     calibrate_flow_error,
     growth_bound,
     integrate_flow,
-    support_radius,
 )
 from ambiflow.observability import (
     EigenStructure,
@@ -104,7 +102,6 @@ __all__ = [
     "invert_critical_rate",
     "observability_gramian",
     "optimal_plan",
-    "pushforward",
     "pushforward_error",
     "pushforward_error_noisy",
     "reconstruct_red_state",
@@ -114,7 +111,6 @@ __all__ = [
     "run_experiment",
     "sample_observability_matrix",
     "solve_dro",
-    "support_radius",
     "total_radius",
     "wasserstein_exact",
     "weight_matrix",

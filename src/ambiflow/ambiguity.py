@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
@@ -49,7 +49,6 @@ __all__ = [
     "pushforward_error_noisy",
     "total_radius",
     "effective_horizon",
-    "horizon_margin",
 ]
 
 _TIME_TOL = 1e-12
@@ -194,6 +193,15 @@ def _envelope_power_integral(n: float, a: float, p: float) -> float:
     return max(val, 0.0)
 
 
+def _check_push(n_samples: int, delta: float, p: float) -> None:
+    if n_samples < 1:
+        raise ValueError(f"need at least one sample, got {n_samples}")
+    if delta < 0.0:
+        raise ValueError(f"delta must be >= 0, got {delta}")
+    if not p >= 1.0:
+        raise ValueError(f"order p must be >= 1, got {p}")
+
+
 def pushforward_error(
     n_samples: int, delta: float, p: float, model: FlowErrorModel
 ) -> float:
@@ -203,12 +211,7 @@ def pushforward_error(
     window), when the envelope magnitude vanishes, or when delta = 0.
     Strictly increasing in n_samples otherwise.
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not p >= 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _check_push(n_samples, delta, p)
     a = model.rate * delta
     integral = _envelope_power_integral(float(n_samples), a, p)
     if integral == 0.0:
@@ -237,12 +240,7 @@ def pushforward_error_noisy(
     """
     if recon_error < 0.0:
         raise ValueError(f"recon_error must be >= 0, got {recon_error}")
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not p >= 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    _check_push(n_samples, delta, p)
     a = model.rate * delta
     n = float(n_samples)
     if a == 0.0:
@@ -283,7 +281,8 @@ class HorizonResult:
       'capped'          every count up to the cap improves; n_star is None
 
     margins holds the (statistical gain, pushforward growth) of the steps
-    kappa = 1..n_star, as ``horizon_margin`` gives them; it is empty when capped.
+    kappa -> kappa + 1, kappa = 1..n_star: differences of the two parts of
+    ``total_radius``.  It is empty when capped.
     """
 
     status: str
@@ -291,27 +290,6 @@ class HorizonResult:
     delta: float
     checked: int
     margins: tuple[tuple[float, float], ...] = ()
-
-
-def horizon_margin(
-    kappa: int, delta: float, cfg: RadiusConfig, rho_horizon: float, model: FlowErrorModel
-) -> tuple[float, float]:
-    """(statistical gain, pushforward growth) of the step kappa -> kappa + 1.
-
-    Both are differences of the two parts of ``total_radius`` between kappa
-    and kappa + 1 samples, in every regime of the concentration radius.
-    Growing the sample keeps shrinking the total radius exactly while
-    gain > growth.
-    """
-    if kappa < 1:
-        raise ValueError(f"kappa must be >= 1, got {kappa}")
-    gain = ambiguity_radius(kappa, cfg, rho_horizon) - ambiguity_radius(
-        kappa + 1, cfg, rho_horizon
-    )
-    growth = pushforward_error(kappa + 1, delta, cfg.p, model) - pushforward_error(
-        kappa, delta, cfg.p, model
-    )
-    return gain, growth
 
 
 def effective_horizon(
@@ -332,18 +310,12 @@ def effective_horizon(
     """
     if cap < 1:
         raise ValueError(f"cap must be >= 1, got {cap}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
     # With an exact flow the pushforward part is identically zero, so a
     # positive statistical gain at the first step wins forever.
-    if model.magnitude == 0.0 or model.rate * delta == 0.0:
-        gain, growth = horizon_margin(1, delta, cfg, rho_horizon, model)
-        if gain > 0.0:
-            return HorizonResult("capped", None, delta, cap)
-        return HorizonResult("no-improvement", 1, delta, 1, ((gain, growth),))
-    # ``horizon_margin``'s differences, each radius computed once, in compact arrays.
+    exact = model.magnitude == 0.0 or model.rate * delta == 0.0
     gains, growths = array("d"), array("d")
-    stat, push = ambiguity_radius(1, cfg, rho_horizon), pushforward_error(1, delta, cfg.p, model)
+    # Each part of ``total_radius`` is computed once per count.
+    push, stat = pushforward_error(1, delta, cfg.p, model), ambiguity_radius(1, cfg, rho_horizon)
     for kappa in range(1, cap + 1):
         stat_next = ambiguity_radius(kappa + 1, cfg, rho_horizon)
         push_next = pushforward_error(kappa + 1, delta, cfg.p, model)
@@ -352,5 +324,7 @@ def effective_horizon(
         if not gains[-1] > growths[-1]:
             status = "no-improvement" if kappa == 1 else "found"
             return HorizonResult(status, kappa, delta, kappa, tuple(zip(gains, growths)))
+        if exact:
+            break
         stat, push = stat_next, push_next
     return HorizonResult("capped", None, delta, cap)

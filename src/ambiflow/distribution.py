@@ -2,8 +2,8 @@
 
 Everything downstream manipulates empirical measures, so this module keeps the
 representation deliberately plain: a point matrix, a weight vector, and a
-handful of exact operations on top (optimal transport distance, the trivial
-pairwise-coupling upper bound, pushforward by an arbitrary map).
+handful of exact operations on top (optimal transport distance and the trivial
+pairwise-coupling upper bound).
 
 Costs are Euclidean: moving unit mass from x to y costs ||x - y||_2^p.  The
 order-p distance between two supported-on-finitely-many-points measures is
@@ -16,9 +16,7 @@ two weight vectors.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -30,7 +28,6 @@ __all__ = [
     "wasserstein_exact",
     "optimal_plan",
     "coupling_upper_bound",
-    "pushforward",
 ]
 
 _WEIGHT_TOL = 1e-9
@@ -86,34 +83,6 @@ class DiscreteDistribution:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         n = pts.shape[0]
         return cls(pts, np.full(n, 1.0 / n))
-
-    @classmethod
-    def dirac(cls, point: np.ndarray) -> "DiscreteDistribution":
-        return cls(np.atleast_2d(np.asarray(point, dtype=float)), np.array([1.0]))
-
-    def to_json(self) -> str:
-        payload = {
-            "dim": self.dim,
-            "points": self.points.tolist(),
-            "weights": self.weights.tolist(),
-        }
-        return json.dumps(payload, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "DiscreteDistribution":
-        payload = json.loads(text)
-        try:
-            dim = int(payload["dim"])
-            pts = np.asarray(payload["points"], dtype=float)
-            w = np.asarray(payload["weights"], dtype=float)
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"malformed distribution payload: {exc}") from exc
-        pts = np.atleast_2d(pts)
-        if pts.shape[1] != dim:
-            raise ValueError(
-                f"declared dim {dim} but points have dimension {pts.shape[1]}"
-            )
-        return cls(pts, w)
 
 
 @dataclass(frozen=True)
@@ -246,25 +215,3 @@ def coupling_upper_bound(x: np.ndarray, y: np.ndarray, p: float = 1.0) -> float:
         raise ValueError(f"sample arrays differ in shape: {xa.shape} vs {ya.shape}")
     norms = np.linalg.norm(xa - ya, axis=1)
     return float(np.mean(norms**p) ** (1.0 / p))
-
-
-def pushforward(
-    dist: DiscreteDistribution, mapping: Callable[[np.ndarray], np.ndarray]
-) -> DiscreteDistribution:
-    """Image measure: apply ``mapping`` to every support point, keep weights.
-
-    Points that collide under the map are kept as distinct atoms.
-    """
-    images = []
-    for idx, pt in enumerate(dist.points):
-        try:
-            out = np.asarray(mapping(pt), dtype=float).ravel()
-        except Exception as exc:
-            raise ValueError(f"map failed on support point {idx}: {exc}") from exc
-        if not np.all(np.isfinite(out)):
-            raise ValueError(f"map produced non-finite image for point {idx}")
-        images.append(out)
-    lengths = {img.shape[0] for img in images}
-    if len(lengths) != 1:
-        raise ValueError(f"map produced inconsistent output dims: {sorted(lengths)}")
-    return DiscreteDistribution(np.vstack(images), dist.weights.copy())

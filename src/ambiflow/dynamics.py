@@ -5,7 +5,7 @@ budget:
 
 * ``integrate_flow`` pushes a state through a vector field with classical
   fixed-step RK4 (final partial step shortened to land exactly on t).  The
-  sample-set consumers (``calibrate_flow_error``, ``support_radius`` and
+  sample-set consumers (``calibrate_flow_error`` and
   ``ambiguity.cumulative_empirical``) push all their points in one
   state-major sweep of the same loop, each point on its own step grid.
 
@@ -22,8 +22,8 @@ budget:
   derivative of V along the field is at most drift(t) * V + gain * V^exp
   with power > 1 and exp < 1, then the state norm admits an explicit
   envelope (exponential when gain = 0, polynomial-in-time otherwise).
-  ``growth_bound`` evaluates that envelope and ``support_radius`` turns a
-  compact set of initial conditions into a half-diameter at horizon T.
+  ``growth_bound`` evaluates that envelope; applied to the largest initial
+  norm it bounds the support radius at a horizon T on the exact flow.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ __all__ = [
     "flow_error_bound",
     "calibrate_flow_error",
     "growth_bound",
-    "support_radius",
     "builtin_field",
 ]
 
@@ -332,26 +331,6 @@ def growth_bound(cert: GrowthCertificate, initial_norm: float, t: float) -> floa
     ) ** (1.0 / r)
     slope = cert.forcing_gain * one_minus_q
     return base * (1.0 + slope * t) ** (1.0 / (r * one_minus_q))
-
-
-def support_radius(
-    initial_points: np.ndarray,
-    field: VectorField,
-    horizon: float,
-    step: float = 1e-3,
-) -> float:
-    """Half the infinity-norm diameter of the initial set pushed to ``horizon``.
-
-    The initial set is represented by a finite point cloud; each point is
-    integrated to the horizon and the box half-width of the images is
-    returned.  A singleton cloud gives 0.
-    """
-    pts = np.atleast_2d(np.asarray(initial_points, dtype=float))
-    if pts.shape[0] < 1:
-        raise ValueError("need at least one initial point")
-    images = _push(field, np.zeros(len(pts)), horizon, pts, step)
-    spread = images.max(axis=0) - images.min(axis=0)
-    return float(spread.max() / 2.0)
 
 
 # --- built-in vector fields ---------------------------------------------------

@@ -46,7 +46,6 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from ambiflow.ambiguity import SamplingSchedule
 from ambiflow.dynamics import _rk4
 
 __all__ = [
@@ -432,7 +431,6 @@ def _sampling_bound_and_floor(
         raise ValueError(f"retention must be in (0, 1), got {retention}")
     if grid_step is None:
         grid_step = window_low / 100.0
-    _check_grid_step(grid_step)
     floor = gramian_floor(sys, window_low, horizon, grid_step)
     if floor <= 0.0:
         raise ArithmeticError(
@@ -595,10 +593,14 @@ def _is_observable_pair(a: np.ndarray, c: np.ndarray) -> bool:
 
 def check_schedule_observability(
     sys: LinearTimeVaryingSystem,
-    schedule: SamplingSchedule,
+    schedules: Sequence[Sequence[float]],
     criterion: str = "equidistant",
 ) -> ScheduleDiagnostics:
     """Sufficient observability criteria for sampled stationary systems.
+
+    ``schedules`` holds one row of sample times per member, each non-empty
+    and strictly increasing; rows may differ in length and come in any order,
+    since each member is judged on its own.
 
     criterion = 'equidistant':  every member's samples share one gap g,
         at least d samples, and no pair of distinct eigenvalues differs by
@@ -627,10 +629,18 @@ def check_schedule_observability(
         raise ValueError(
             f"unknown criterion {criterion!r}; pick one of {sorted(handlers)}"
         )
+    rows = [tuple(float(t) for t in row) for row in schedules]
+    if not rows:
+        raise ValueError("need at least one member's sample times")
+    for i, row in enumerate(rows):
+        if not row or any(b <= a for a, b in zip(row, row[1:])):
+            raise ValueError(
+                f"member {i + 1}: sample times must be non-empty and strictly increasing"
+            )
     struct = EigenStructure.from_matrix(sys.a_const)
     messages: list[str] = []
     ok = True
-    for i, row in enumerate(schedule.times):
+    for i, row in enumerate(rows):
         good, msgs = handlers[criterion](sys, struct, row)
         ok = ok and good
         messages.extend(f"member {i + 1}: {m}" for m in msgs)

@@ -61,7 +61,6 @@ from ambiflow.observability import (
     weight_matrix,
 )
 from ambiflow.uav_scenario import default_config, run_experiment, run_single_realization
-from ambiflow.ambiguity import SamplingSchedule
 
 
 def run_criterion(num, label, budget_s, body):
@@ -366,7 +365,7 @@ def test_criterion_08_oscillator_aliasing():
             np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0, 0.0]])
         )
         pi = math.pi
-        aliased = SamplingSchedule(((0.0, pi, 2.0 * pi),))
+        aliased = ((0.0, pi, 2.0 * pi),)
         verdict = check_schedule_observability(osc, aliased, "equidistant")
         assert not verdict.passed
         obs = sample_observability_matrix(osc, [0.0, pi, 2.0 * pi])
@@ -374,7 +373,7 @@ def test_criterion_08_oscillator_aliasing():
         assert np.linalg.matrix_rank(weight @ obs) == 1
         assert eigenvalue_margin(obs, weight) < 1e-12
 
-        fine = SamplingSchedule(((0.0, pi / 2.0, pi),))
+        fine = ((0.0, pi / 2.0, pi),)
         verdict = check_schedule_observability(osc, fine, "equidistant")
         assert verdict.passed, f"messages: {verdict.messages}"
         obs = sample_observability_matrix(osc, [0.0, pi / 2.0, pi])

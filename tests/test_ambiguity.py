@@ -22,7 +22,6 @@ from ambiflow.ambiguity import (
     SamplingSchedule,
     cumulative_empirical,
     effective_horizon,
-    horizon_margin,
     pushforward_error,
     pushforward_error_noisy,
     total_radius,
@@ -311,14 +310,22 @@ CFG = RadiusConfig(p=1.0, d=1, beta=0.05)
 MODEL = FlowErrorModel(magnitude=1.0, rate=0.1)
 
 
+def radius_differences(n_star, delta, cfg, rho, model):
+    """Oracle margins: the (statistical gain, pushforward growth) of the steps
+    kappa -> kappa + 1, kappa = 1..n_star, differenced here from the parts."""
+    stat = [ambiguity_radius(n, cfg, rho) for n in range(1, n_star + 2)]
+    push = [pushforward_error(n, delta, cfg.p, model) for n in range(1, n_star + 2)]
+    return tuple((stat[k] - stat[k + 1], push[k + 1] - push[k]) for k in range(n_star))
+
+
 def test_margin_gain_matches_radius_difference():
-    for cfg in (CFG, RadiusConfig(p=1.0, d=4, beta=0.1)):
-        for kappa in (1, 5, 33):
-            gain, _ = horizon_margin(kappa, 0.05, cfg, 2.0, MODEL)
-            want = ambiguity_radius(kappa, cfg, 2.0) - ambiguity_radius(
-                kappa + 1, cfg, 2.0
-            )
-            assert gain == pytest.approx(want, rel=1e-12)
+    # Supercritical, critical (p = d/2) and subcritical radii alike.
+    for cfg in (CFG, RadiusConfig(p=1.0, d=2, beta=0.05), RadiusConfig(p=1.0, d=4, beta=0.1)):
+        res = effective_horizon(0.05, cfg, 1.0, MODEL)
+        assert res.status == "found"
+        assert res.margins == radius_differences(res.n_star, 0.05, cfg, 1.0, MODEL)
+        gain, growth = res.margins[-1]
+        assert not gain > growth and all(g > w for g, w in res.margins[:-1])
 
 
 @pytest.mark.parametrize(
@@ -352,18 +359,33 @@ def test_horizon_capped_for_exact_flow():
     assert small_cap.status in ("capped", "found")
 
 
+def test_horizon_exact_flow_stops_after_one_step():
+    # No pushforward part: a positive first gain wins for every count up to
+    # the cap, which is reported without scanning to it.
+    res = effective_horizon(0.05, CFG, 1.0, FlowErrorModel(magnitude=0.0, rate=0.1))
+    assert (res.status, res.n_star, res.checked, res.margins) == ("capped", None, 10**6, ())
+
+
+def test_horizon_zero_radius_never_improves():
+    # C < beta: the statistical radius is 0 at every count, so even an exact
+    # flow gains nothing from a second sample.
+    cfg = RadiusConfig(p=1.0, d=1, beta=0.05, big_c=0.01)
+    assert ambiguity_radius(1, cfg, 1.0) == ambiguity_radius(2, cfg, 1.0) == 0.0
+    res = effective_horizon(0.05, cfg, 1.0, FlowErrorModel(magnitude=0.0, rate=0.1))
+    assert (res.status, res.n_star, res.checked) == ("no-improvement", 1, 1)
+    assert res.margins == ((0.0, 0.0),)
+
+
 def test_horizon_scan_inverts_each_radius_once(monkeypatch):
     # Critical regime (p = d/2), N* = 256: one critical-rate inversion per
-    # radius N = 1..257, and the scan's margins are horizon_margin's, exactly.
+    # radius N = 1..257, and the scan's margins are the radius differences.
     cfg = RadiusConfig(p=1.0, d=2, beta=0.05)
     calls = []
     invert = conc.invert_critical_rate
     monkeypatch.setattr(conc, "invert_critical_rate", lambda y: calls.append(y) or invert(y))
     res = effective_horizon(0.01, cfg, 2.0, MODEL)
     assert (res.status, res.n_star, len(calls)) == ("found", 256, 257)
-    assert res.margins == tuple(
-        horizon_margin(kappa, 0.01, cfg, 2.0, MODEL) for kappa in range(1, 257)
-    )
+    assert res.margins == radius_differences(256, 0.01, cfg, 2.0, MODEL)
     capped = effective_horizon(0.01, cfg, 2.0, MODEL, cap=10)
     assert capped.status == "capped" and capped.margins == ()
 

@@ -379,6 +379,42 @@ def test_observe_half_pi_spacing_passes(tmp_path):
     assert data["trajectories"][0]["full_rank"] is True
 
 
+@pytest.mark.parametrize(
+    "schedules",
+    [[[0.0, 0.5, 1.0], [1.5, 2.0, 2.5, 3.0]], [[1.5, 2.0, 2.5], [0.0, 0.5, 1.0]]],
+    ids=["ragged", "unsorted"],
+)
+def test_observe_schedule_check_is_per_member(tmp_path, schedules):
+    # Members of different lengths or in any order: every member is full
+    # rank, and the verdict judges each on its own.
+    payload = observe_payload(
+        system={"name": "harmonic_oscillator"}, schedules=schedules, noise=0.0
+    )
+    code, out = run(tmp_path, "observe", payload)
+    assert code == 0
+    data = json.loads((out / "observe.json").read_text())
+    assert all(traj["full_rank"] for traj in data["trajectories"])
+    assert data["schedule_check"] == {
+        "criterion": "equidistant",
+        "passed": True,
+        "messages": [],
+    }
+
+
+@pytest.mark.parametrize(
+    "row",
+    [[1.5], [], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+    ids=["single", "empty", "repeat", "unsorted"],
+)
+def test_observe_schedule_row_needs_two_increasing_times(tmp_path, capsys, row):
+    payload = observe_payload(schedules=[[0.0, 0.5, 1.0], row])
+    code, out = run(tmp_path, "observe", payload)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'schedules[1]' must hold at least two strictly increasing times" in err
+    assert not out.exists()
+
+
 def test_observe_ltv_skips_schedule_check(tmp_path):
     payload = observe_payload(
         system={"name": "rotating_sensor", "params": {"omega": 1.0}},

@@ -5,12 +5,10 @@ Groups:
   2. wasserstein_exact against a brute-force permutation oracle (small N)
   3. metric axioms on random inputs
   4. coupling_upper_bound dominance and tightness
-  5. pushforward behaviour, including exact scaling under positive affine maps
-  6. JSON round trips
+  5. exact scaling of W_p under positive affine maps
 """
 
 import itertools
-import json
 
 import numpy as np
 import pytest
@@ -22,7 +20,6 @@ from ambiflow.distribution import (
     TransportPlan,
     coupling_upper_bound,
     optimal_plan,
-    pushforward,
     wasserstein_exact,
 )
 
@@ -67,7 +64,7 @@ def test_empirical_and_dirac():
     d = DiscreteDistribution.empirical(np.arange(6.0).reshape(3, 2))
     assert d.n_points == 3 and d.dim == 2
     assert np.allclose(d.weights, 1 / 3)
-    delta = DiscreteDistribution.dirac(np.array([1.0, 2.0]))
+    delta = DiscreteDistribution(np.array([1.0, 2.0]), np.array([1.0]))
     assert delta.n_points == 1 and delta.weights[0] == 1.0
 
 
@@ -246,26 +243,7 @@ def test_coupling_bound_tight_for_identity_pairing():
     )
 
 
-# --- group 5: pushforward ----------------------------------------------------
-
-
-def test_pushforward_keeps_weights_and_collisions():
-    d = DiscreteDistribution.empirical(np.array([[1.0], [2.0], [3.0]]))
-    img = pushforward(d, lambda x: np.zeros(2))
-    assert img.n_points == 3 and img.dim == 2
-    assert np.allclose(img.weights, d.weights)
-
-
-def test_pushforward_map_failure_reports_point():
-    d = DiscreteDistribution.empirical(np.array([[1.0], [-1.0]]))
-
-    def bad(x):
-        if x[0] < 0:
-            raise RuntimeError("boom")
-        return x
-
-    with pytest.raises(ValueError, match="point 1"):
-        pushforward(d, bad)
+# --- group 5: affine images ------------------------------------------------
 
 
 def test_positive_affine_map_scales_distance_exactly():
@@ -276,35 +254,10 @@ def test_positive_affine_map_scales_distance_exactly():
     for scale in (0.25, 1.0, 3.5):
         a = DiscreteDistribution.empirical(rng.normal(size=(4, 2)))
         b = DiscreteDistribution.empirical(rng.normal(size=(4, 2)))
-        ta = pushforward(a, lambda x: shift + scale * x)
-        tb = pushforward(b, lambda x: shift + scale * x)
+        ta = DiscreteDistribution.empirical(shift + scale * a.points)
+        tb = DiscreteDistribution.empirical(shift + scale * b.points)
         for p in (1.0, 2.0):
             assert wasserstein_exact(ta, tb, p) == pytest.approx(
                 scale * wasserstein_exact(a, b, p), rel=1e-9
             )
 
-
-# --- group 6: serialization ---------------------------------------------------
-
-
-def test_json_round_trip():
-    d = DiscreteDistribution(
-        np.array([[0.5, 1.5], [2.0, -1.0]]), np.array([0.25, 0.75])
-    )
-    again = DiscreteDistribution.from_json(d.to_json())
-    assert np.array_equal(again.points, d.points)
-    assert np.array_equal(again.weights, d.weights)
-
-
-def test_json_schema_fields():
-    d = DiscreteDistribution.dirac(np.array([1.0, 2.0, 3.0]))
-    payload = json.loads(d.to_json())
-    assert set(payload) == {"dim", "points", "weights"}
-    assert payload["dim"] == 3
-
-
-def test_json_dim_mismatch_rejected():
-    with pytest.raises(ValueError):
-        DiscreteDistribution.from_json(
-            json.dumps({"dim": 3, "points": [[1.0, 2.0]], "weights": [1.0]})
-        )

@@ -4,7 +4,7 @@ Groups:
   1. integrate_flow accuracy (exact on nilpotent systems, 4th order otherwise)
   2. flow_error_bound / calibrate_flow_error envelopes
   3. growth_bound formulas and domination of true trajectories
-  4. support_radius geometry
+  4. the orbit tracker's closed lap
   5. built-in field registry behaviour
   6. state-major batches: one RK4 sweep for a whole sample set
 """
@@ -25,7 +25,6 @@ from ambiflow.dynamics import (
     flow_error_bound,
     growth_bound,
     integrate_flow,
-    support_radius,
 )
 from ambiflow.observability import (
     fundamental_matrix,
@@ -95,8 +94,6 @@ def test_bad_inputs():
     # A NaN step must not pass the check and leave the states where they are.
     with pytest.raises(ValueError, match="step must be positive and finite, got nan"):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=math.nan)
-    with pytest.raises(ValueError, match="step must be positive and finite, got nan"):
-        support_radius(np.ones((2, 2)), ROTATION, 1.0, step=math.nan)
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0, 3.0]))
 
@@ -110,7 +107,6 @@ STEP_USERS = {
     "cumulative_empirical": lambda step: cumulative_empirical(
         TWO_SAMPLES, 1.0, ROTATION, step=step
     ),
-    "support_radius": lambda step: support_radius(np.eye(2), ROTATION, 1.0, step=step),
     "calibrate_flow_error": lambda step: calibrate_flow_error(
         ROTATION, TWO_SAMPLES, 2.0, step, rate=1.0
     ),
@@ -270,21 +266,7 @@ def test_certificate_validation():
         )
 
 
-# --- group 4: support radius -----------------------------------------------------
-
-
-def test_support_radius_double_integrator():
-    field = builtin_field("double_integrator")
-    cloud = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-    # Images at T=1: (0.5, 1), (1.5, 1), (1.5, 2); box widths (1, 1).
-    assert support_radius(cloud, field, 1.0, step=0.1) == pytest.approx(
-        0.5, abs=1e-12
-    )
-
-
-def test_support_radius_singleton_is_zero():
-    field = builtin_field("double_integrator")
-    assert support_radius(np.array([[2.0, 3.0]]), field, 5.0, step=0.1) == 0.0
+# --- group 4: orbit tracker -----------------------------------------------------
 
 
 def test_orbit_tracker_period():
@@ -298,9 +280,8 @@ def test_orbit_tracker_period():
     for x0 in cloud:
         lap = integrate_flow(field, 0.0, 2.0 * math.pi, x0, step=1e-3)
         assert lap == pytest.approx(x0, abs=1e-8)
-    r_start = (cloud.max(axis=0) - cloud.min(axis=0)).max() / 2.0
-    r_lap = support_radius(cloud, field, 2.0 * math.pi, step=1e-3)
-    assert r_lap == pytest.approx(r_start, abs=1e-8)
+    pushed = cumulative_empirical([(0.0, x0) for x0 in cloud], 2.0 * math.pi, field, 1e-3)
+    assert pushed.points == pytest.approx(cloud, abs=1e-8)
 
 
 # --- group 5: registry and misc ---------------------------------------------------
@@ -339,12 +320,12 @@ def test_batched_rk4_matches_per_column_loop(field):
         assert np.array_equal(got[:, i], _rk4(field, float(t0), t_end, x[:, i], 0.05))
 
 
-def test_support_radius_matches_per_point_flows():
+def test_batched_push_matches_per_point_flows():
     field = builtin_field("forced_norm_growth", gain=1.0, exponent=0.5, dim=3)
     cloud = np.random.default_rng(8).normal(size=(6, 3))
     images = np.array([integrate_flow(field, 0.0, 1.5, p, 0.01) for p in cloud])
-    want = float((images.max(axis=0) - images.min(axis=0)).max() / 2.0)
-    assert support_radius(cloud, field, 1.5, step=0.01) == want
+    pushed = cumulative_empirical([(0.0, p) for p in cloud], 1.5, field, step=0.01)
+    assert np.array_equal(pushed.points, images)
 
 
 def test_field_must_return_the_state_shape():
@@ -355,4 +336,4 @@ def test_field_must_return_the_state_shape():
     with pytest.raises(ValueError, match=r"returned shape \(2,\) for states of shape \(2, 2\)"):
         field(np.zeros(2), np.zeros((2, 2)))
     with pytest.raises(ValueError, match="returned shape"):
-        support_radius(np.zeros((2, 2)), field, 1.0, step=0.1)
+        cumulative_empirical([(0.0, np.zeros(2)), (0.5, np.zeros(2))], 1.0, field, step=0.1)

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from ambiflow.ambiguity import SamplingSchedule
 from ambiflow.observability import (
     EigenStructure,
     LinearTimeVaryingSystem,
@@ -534,7 +533,7 @@ def test_eigenstructure_complex_pair():
 
 
 def schedule_of(times_row):
-    return SamplingSchedule(times=(tuple(times_row),), effective_start=1)
+    return (tuple(times_row),)
 
 
 def test_equidistant_criterion_aliasing_gap_fails():
@@ -615,6 +614,20 @@ def test_schedule_criteria_preconditions():
         check_schedule_observability(
             double_integrator(), schedule_of([0.0, 1.0]), "nonsense"
         )
+
+
+def test_schedule_criteria_judge_each_member_on_its_own():
+    # Rows may differ in length and come in any order; each member must hold
+    # non-empty, strictly increasing times, and a bad one is named.
+    sys = harmonic_oscillator()
+    for rows in ([[0.0, 0.5, 1.0], [1.5, 2.0, 2.5, 3.0]], [[1.5, 2.0, 2.5], [0.0, 0.5, 1.0]]):
+        diag = check_schedule_observability(sys, rows, "equidistant")
+        assert diag.passed and diag.messages == ()
+    for bad in ([0.0, 0.5], [1.0, 1.0]), ([0.0, 0.5], []), ([0.0, 0.5], [2.0, 1.0]):
+        with pytest.raises(ValueError, match="member 2: sample times must be non-empty"):
+            check_schedule_observability(sys, bad, "equidistant")
+    with pytest.raises(ValueError, match="at least one member"):
+        check_schedule_observability(sys, [], "equidistant")
 
 
 # --- group 7: reconstruction --------------------------------------------------------
