@@ -315,13 +315,18 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 def _schedule_rows(raw: Any) -> list[list[float]]:
     if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
         raise ConfigError("field 'schedules' must be a non-empty list of time lists")
-    rows = [[float(t) for t in row] for row in raw]
-    for i, row in enumerate(rows):
-        if len(row) < 2 or any(b <= a for a, b in zip(row, row[1:])):
+    rows = []
+    for i, row in enumerate(raw):
+        for j, t in enumerate(row):
+            if isinstance(t, bool) or not isinstance(t, (int, float)):
+                raise ConfigError(f"field 'schedules[{i}][{j}]' must be a number, got {t!r}")
+        times = [float(t) for t in row]
+        if len(times) < 2 or times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError(
                 f"field 'schedules[{i}]' must hold at least two strictly increasing "
-                f"times, got {row}"
+                f"times >= 0, got {times}"
             )
+        rows.append(times)
     return rows
 
 
@@ -401,26 +406,23 @@ def cmd_observe(args: argparse.Namespace) -> int:
         "noise": noise,
     }
 
-    # The certificate's windows lie in [0, horizon]; schedules that end by
-    # t = 0 skip it.
     err_bound = None
-    if horizon > 0.0:
-        try:
-            # The certificate keeps a fraction of the floor over the shortest window.
-            bound, floor = _sampling_bound_and_floor(
-                sys_model, min(spans), max(spans), horizon, retention
-            )
-            err_bound = estimation_error_bound(max(spans), floor, retention, noise)
-            payload["gap_bound"] = None if math.isinf(bound) else bound
-            payload["max_gap"] = float(max(gaps))
-            payload["gap_bound_satisfied"] = bool(max(gaps) <= bound)
-            payload["error_bound"] = err_bound
-        except OverflowError:
-            raise  # a diverging flow is a numerical failure, not an unobservable pair
-        except ArithmeticError as exc:
-            payload["gap_bound"] = None
-            payload["error_bound"] = None
-            payload["unobservable"] = str(exc)
+    try:
+        # The certificate keeps a fraction of the floor over the shortest window.
+        bound, floor = _sampling_bound_and_floor(
+            sys_model, min(spans), max(spans), horizon, retention
+        )
+        err_bound = estimation_error_bound(max(spans), floor, retention, noise)
+        payload["gap_bound"] = None if math.isinf(bound) else bound
+        payload["max_gap"] = float(max(gaps))
+        payload["gap_bound_satisfied"] = bool(max(gaps) <= bound)
+        payload["error_bound"] = err_bound
+    except OverflowError:
+        raise  # a diverging flow is a numerical failure, not an unobservable pair
+    except ArithmeticError as exc:
+        payload["gap_bound"] = None
+        payload["error_bound"] = None
+        payload["unobservable"] = str(exc)
 
     # Noiseless runs have a zero error bound; grade the (tiny) floating-point
     # residual against a fixed exactness threshold instead.

@@ -164,13 +164,15 @@ def _rk4(
     """Fixed-step RK4 for x' = f(t, x), stepping as ``integrate_flow`` describes.
 
     With a number ``t_start``, x may have any shape: flows and fundamental
-    matrices share this loop.  With a vector of N start times, x is a
-    state-major batch of shape (dim, N) and column i starts at t_start[i].
-    Each column steps on its own grid t_start[i] + k h, with its own
-    shortened last step, so it ends bit for bit where it would alone; f sees
-    only the columns still stepping, x of shape (dim, n) with t of shape (n,).
+    matrices share this loop.  With a vector of N start times, x is a batch
+    with one column per start on its last axis, states of shape (dim, N) or
+    matrices of shape (d, d, N), and column i starts at t_start[i]; t_end
+    and step are then numbers or hold one value per column too.  Each column
+    steps on its own grid t_start[i] + k h[i], with its own shortened last
+    step, so it ends bit for bit where it would alone; f sees only the
+    columns still stepping, x[..., live] with t of shape (n,).
     """
-    if not (step > 0.0 and math.isfinite(step)):
+    if not np.all((step > 0.0) & np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     span = t_end - t_start
     if isinstance(t_start, np.ndarray):
@@ -187,7 +189,7 @@ def _rk4(
         t = t_start + (i + 1) * h
     t = t_start + n_full * h
     rem = t_end - t
-    return _advance(f, t, x, rem, abs(rem) > 1e-15 * max(1.0, abs(t_end)))
+    return _advance(f, t, x, rem, abs(rem) > 1e-15 * np.maximum(1.0, np.abs(t_end)))
 
 
 def _advance(
@@ -202,7 +204,7 @@ def _advance(
     if not isinstance(live, np.ndarray):
         return _rk4_step(f, t, x, h) if live else x
     if live.any():
-        x[:, live] = _rk4_step(f, t[live], x[:, live], h[live])
+        x[..., live] = _rk4_step(f, t[live], x[..., live], h[live])
     return x
 
 

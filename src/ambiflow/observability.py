@@ -21,12 +21,13 @@ under which a chosen fraction of the Gramian's smallest eigenvalue survives
 discretization, and ``estimation_error_bound`` converts that fraction plus a
 per-output noise level into a state error bound.
 
-The Gramian, the kernel-derivative scan and the stationary gap bound all
+The Gramian floor, the kernel-derivative scan and the stationary gap bound
 read Phi(tau, t) at uniformly spaced tau on one backward sweep
-(``_backward_sweep``): one matrix exponential stepped node to node for
-stationary systems, RK4 between nodes otherwise.  The two kernel scans take
-the spectral norms of a whole sweep's terms in one stacked call.  Where the
-flow overflows, each of them, ``fundamental_matrix`` and
+(``_backward_sweep``) that steps every window or anchor together: a product
+with expm(-A h) per node for stationary systems, one batched RK4 call per
+node otherwise, with A, C and C' built once per distinct tau.  Each takes
+its eigenvalues or spectral norms in one stacked call.  Where the flow
+overflows, each of them, ``fundamental_matrix`` and
 ``sample_observability_matrix`` raise OverflowError (an ArithmeticError)
 instead of returning NaN or inf.  Their ``grid_step`` must be positive and
 finite, as must the RK4 ``step`` of time-varying flows.
@@ -167,41 +168,63 @@ def fundamental_matrix(
     if sys.is_lti:
         m = expm(sys.a_const * (t - s))
     else:
-        m = _rk4(_matrix_field(sys), s, t, np.eye(sys.dim), step)
+        m = _rk4(_matrix_field(functools.cache(sys.a_at)), s, t, np.eye(sys.dim), step)
     if not np.isfinite(m).all():
         raise OverflowError(f"fundamental matrix is not finite between {s:.6g} and {t:.6g}")
     return m
 
 
-def _matrix_field(
-    sys: LinearTimeVaryingSystem,
-) -> Callable[[float, np.ndarray], np.ndarray]:
+def _stacked(fn: Callable[[float], np.ndarray], taus: np.ndarray) -> np.ndarray:
+    """fn at every tau of an array, stacked in its shape."""
+    values = [fn(tau) for tau in taus.ravel().tolist()]
+    return np.array(values).reshape(*taus.shape, *values[0].shape)
+
+
+def _matrix_field(a_at: Callable[[float], np.ndarray]) -> Callable[..., np.ndarray]:
     """M' = A(tau) M, whose flow from the identity is the fundamental matrix.
 
-    A(tau) is kept for the last tau asked for, so RK4's two midpoint stages
-    (and a last stage landing on the next step's first) build it once.
+    M is one matrix at a number tau, or a batched ``_rk4``'s (d, d, N) stack
+    with matrix i in M[..., i] at tau[i], each multiplied on its own.
     """
-    a_at = functools.lru_cache(maxsize=1)(sys.a_at)
-    return lambda tau, m: a_at(tau) @ m
+
+    def field(tau, m):
+        if m.ndim == 2:
+            return a_at(tau) @ m
+        stack = np.ascontiguousarray(m.transpose(2, 0, 1))
+        return (_stacked(a_at, tau) @ stack).transpose(1, 2, 0)
+
+    return field
 
 
 def _backward_sweep(
-    sys: LinearTimeVaryingSystem, t: float, h: float, n: int
-) -> Iterator[tuple[float, np.ndarray]]:
-    """Yield (tau, Phi(tau, t)) at tau = t - k h for k = 0..n, on one sweep.
+    sys: LinearTimeVaryingSystem, t: np.ndarray, h: np.ndarray, n: np.ndarray, a_at: Callable
+) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield (tau, Phi, live) at tau = t - k h for k = 0..max(n), all columns at once.
 
-    Stationary systems step with one exponential, Phi <- Phi expm(-A h);
-    otherwise M' = A(tau) M is integrated by RK4 at step h between nodes.
+    Column i sweeps back from t[i] in n[i] cells of width h[i] > 0.  Phi
+    stacks Phi(tau[i], t[i]) as (B, d, d); ``live`` masks the columns with
+    k <= n[i], and Phi means nothing past them.  Stationary systems step
+    Phi <- Phi expm(-A h); otherwise one batched RK4 call per node steps the
+    live columns, with A from the sweep's cache ``a_at``, so RK4's two
+    midpoint stages, columns that meet at one tau and the kernel terms at a
+    node build each A(tau) once.
     """
-    m = np.eye(sys.dim)
-    yield t, m
+    taus = t - np.arange(int(n.max()) + 1)[:, None] * h
+    lives = np.arange(len(taus))[:, None] <= n
+    m = np.tile(np.eye(sys.dim), (len(t), 1, 1))
+    yield taus[0], m, lives[0]
+    field = _matrix_field(a_at)
     if sys.is_lti:
-        back = expm(-sys.a_const * h)
-    field = _matrix_field(sys)
-    for k in range(1, n + 1):
-        tau = t - k * h
-        m = m @ back if sys.is_lti else _rk4(field, t - (k - 1) * h, tau, m, h)
-        yield tau, m
+        back = np.stack([expm(-sys.a_const * step) for step in h.tolist()])
+    for k in range(1, len(taus)):
+        if sys.is_lti:
+            m = m @ back
+        else:
+            # Columns that have ended take a zero-length span: no step.
+            end = np.where(lives[k], taus[k], taus[k - 1])
+            x = _rk4(field, taus[k - 1], end, m.transpose(1, 2, 0), h)
+            m = np.ascontiguousarray(x.transpose(2, 0, 1))
+        yield taus[k], m, lives[k]
 
 
 # --- sampled observability ------------------------------------------------------
@@ -221,22 +244,18 @@ def sample_observability_matrix(
     if any(b - a <= 0.0 for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be strictly increasing")
     anchor = ts[-1]
-    blocks = []
     if sys.is_lti:
-        for t in ts:
-            blocks.append(sys.c_const @ expm(sys.a_const * (t - anchor)))
+        blocks = [sys.c_const @ expm(sys.a_const * (t - anchor)) for t in ts]
     else:
         # One backward sweep: carry Phi(tau, anchor) from the anchor down
         # through every sample time.
-        field = _matrix_field(sys)
+        field = _matrix_field(functools.cache(sys.a_at))
         m = np.eye(sys.dim)
-        blocks_rev = [sys.c_at(anchor) @ m]
-        tau = anchor
-        for t in reversed(ts[:-1]):
+        blocks = [sys.c_at(anchor) @ m]
+        for tau, t in zip(ts[:0:-1], ts[-2::-1]):
             m = _rk4(field, tau, t, m, step)
-            blocks_rev.append(sys.c_at(t) @ m)
-            tau = t
-        blocks = list(reversed(blocks_rev))
+            blocks.append(sys.c_at(t) @ m)
+        blocks.reverse()
     obs = np.vstack(blocks)
     if not np.isfinite(obs).all():
         raise OverflowError(
@@ -279,13 +298,39 @@ def eigenvalue_margin(obs_matrix: np.ndarray, weight: np.ndarray) -> float:
 # --- Gramians and kernel derivative ---------------------------------------------
 
 
-def _kernel_mid(sys: LinearTimeVaryingSystem, s: float) -> np.ndarray:
-    """d/ds of C^T C along the flow: A^T C^T C + C'^T C + C^T C' + C^T C A."""
-    a = sys.a_at(s)
-    c = sys.c_at(s)
-    cd = sys.c_dot_at(s)
-    ctc = c.T @ c
-    return a.T @ ctc + cd.T @ c + c.T @ cd + ctc @ a
+def _kernel_mid(a: np.ndarray, c: np.ndarray, cd: np.ndarray) -> np.ndarray:
+    """d/ds of C^T C along the flow, A^T C^T C + C'^T C + C^T C' + C^T C A,
+    for stacks of A(s), C(s) and C'(s)."""
+    ct = c.transpose(0, 2, 1)
+    ctc = ct @ c
+    return a.transpose(0, 2, 1) @ ctc + cd.transpose(0, 2, 1) @ c + ct @ cd + ctc @ a
+
+
+def _gramians(
+    sys: LinearTimeVaryingSystem, starts: np.ndarray, varsigma: float, quad_step: float
+) -> np.ndarray:
+    """Anchored Gramians over [s, s + varsigma] for every s in ``starts``, on
+    one sweep: a (len(starts), d, d) stack.  OverflowError names the first
+    window in start order that is not finite."""
+    n_cells = max(2, math.ceil(varsigma / quad_step))
+    h = varsigma / n_cells
+    count, a_at = len(starts), functools.cache(sys.a_at)
+    sweep = _backward_sweep(
+        sys, starts + varsigma, np.full(count, h), np.full(count, n_cells), a_at
+    )
+    taus, ms, _ = zip(*sweep)
+    c = sys.c_const if sys.is_lti else _stacked(functools.cache(sys.c_at), np.stack(taus))
+    cm = c @ np.stack(ms)
+    terms = cm.transpose(0, 1, 3, 2) @ cm
+    gram = np.zeros((count, sys.dim, sys.dim))
+    for k, term in enumerate(terms):
+        gram += (0.5 if k in (0, n_cells) else 1.0) * term
+    gram *= h
+    bad = np.flatnonzero(~np.isfinite(gram).all(axis=(1, 2)))
+    if bad.size:
+        t = float(starts[bad[0]])
+        raise OverflowError(f"Gramian over [{t:.6g}, {t + varsigma:.6g}] is not finite")
+    return 0.5 * (gram + gram.transpose(0, 2, 1))
 
 
 def observability_gramian(
@@ -306,17 +351,7 @@ def observability_gramian(
         quad_step = varsigma / 200.0
     if quad_step <= 0.0:
         raise ValueError(f"quad_step must be positive, got {quad_step}")
-    n_cells = max(2, math.ceil(varsigma / quad_step))
-    h = varsigma / n_cells
-    gram = np.zeros((sys.dim, sys.dim))
-    for k, (tau, m) in enumerate(_backward_sweep(sys, t + varsigma, h, n_cells)):
-        cm = sys.c_at(tau) @ m
-        coeff = 0.5 if k in (0, n_cells) else 1.0
-        gram += coeff * (cm.T @ cm)
-    gram *= h
-    if not np.isfinite(gram).all():
-        raise OverflowError(f"Gramian over [{t:.6g}, {t + varsigma:.6g}] is not finite")
-    return 0.5 * (gram + gram.T)
+    return _gramians(sys, np.array([t], dtype=float), varsigma, quad_step)[0]
 
 
 def gramian_floor(
@@ -329,24 +364,17 @@ def gramian_floor(
 
     Minimizes lambda_min of the anchored Gramian over window start times in
     [0, horizon - window], approximated on a uniform grid (stationary
-    systems need a single evaluation).
+    systems need a single evaluation).  All windows share one sweep.
     """
     if not 0.0 < window <= horizon:
         raise ValueError(f"need 0 < window <= horizon, got ({window}, {horizon})")
     if grid_step is None:
         grid_step = window / 100.0
     _check_grid_step(grid_step)
-    if sys.is_lti:
-        g = observability_gramian(sys, 0.0, window, quad_step=grid_step)
-        return float(np.linalg.eigvalsh(g)[0])
-    span = horizon - window
-    n_pts = max(1, math.ceil(span / grid_step) + 1)
-    starts = np.linspace(0.0, span, n_pts)
-    worst = math.inf
-    for t0 in starts:
-        g = observability_gramian(sys, float(t0), window, quad_step=grid_step)
-        worst = min(worst, float(np.linalg.eigvalsh(g)[0]))
-    return worst
+    span = 0.0 if sys.is_lti else horizon - window
+    starts = np.linspace(0.0, span, max(1, math.ceil(span / grid_step) + 1))
+    grams = _gramians(sys, starts, window, grid_step)
+    return float(np.linalg.eigvalsh(grams)[:, 0].min())
 
 
 def max_kernel_derivative(
@@ -363,21 +391,32 @@ def max_kernel_derivative(
     _check_grid_step(grid_step)
     if s_low > t:
         raise ValueError(f"need s_low <= t, got ({s_low}, {t})")
+    return _kernel_scan(sys, np.array([t], dtype=float), np.array([s_low], dtype=float), grid_step)
+
+
+def _kernel_scan(
+    sys: LinearTimeVaryingSystem, t: np.ndarray, s_low: np.ndarray, grid_step: float
+) -> float:
+    """``max_kernel_derivative`` maximized over anchors t[i] with their own
+    s_low[i], every anchor on one sweep."""
     span = t - s_low
-    n_cells = max(1, math.ceil(span / grid_step)) if span > 0.0 else 0
-    h = span / n_cells if n_cells else 0.0
-    return _max_norm(
-        [m.T @ _kernel_mid(sys, tau) @ m for tau, m in _backward_sweep(sys, t, h, n_cells)]
-    )
+    n_cells = np.where(span > 0.0, np.maximum(1.0, np.ceil(span / grid_step)), 0.0).astype(int)
+    h = np.where(n_cells > 0, span / np.maximum(n_cells, 1), grid_step)  # RK4 wants h > 0
+    a_at = functools.cache(sys.a_at)
+    sweep = _backward_sweep(sys, t, h, n_cells, a_at)
+    taus, ms = zip(*[(tau[live], m[live]) for tau, m, live in sweep])
+    tau, m = np.concatenate(taus), np.concatenate(ms)
+    c_at, c_dot_at = functools.cache(sys.c_at), functools.cache(sys.c_dot_at)
+    mid = _kernel_mid(_stacked(a_at, tau), _stacked(c_at, tau), _stacked(c_dot_at, tau))
+    return _max_norm(m.transpose(0, 2, 1) @ mid @ m)
 
 
-def _max_norm(kernels: list[np.ndarray]) -> float:
-    """Largest spectral norm over one sweep's kernel terms, in one stacked SVD;
+def _max_norm(kernels: np.ndarray) -> float:
+    """Largest spectral norm in a stack of kernel terms, in one stacked SVD;
     OverflowError once the flow has overflowed any of them."""
-    stack = np.stack(kernels)
-    if not np.isfinite(stack).all():
+    if not np.isfinite(kernels).all():
         raise OverflowError("kernel derivative is not finite: the flow diverges on the window")
-    return float(np.linalg.norm(stack, 2, axis=(-2, -1)).max())
+    return float(np.linalg.norm(kernels, 2, axis=(-2, -1)).max())
 
 
 def _check_grid_step(grid_step: float) -> None:
@@ -440,16 +479,16 @@ def _sampling_bound_and_floor(
     if sys.is_lti:
         factor = 2.0
         n_cells = max(1, math.ceil(window_up / grid_step))
-        sweep = _backward_sweep(sys, 0.0, window_up / n_cells, n_cells)
-        cms = [sys.c_const @ m for _, m in sweep]
-        worst = _max_norm([cm.T @ cm @ sys.a_const for cm in cms])
+        sweep = _backward_sweep(
+            sys, np.zeros(1), np.array([window_up / n_cells]), np.array([n_cells]), sys.a_at
+        )
+        cm = sys.c_const @ np.concatenate([m for _, m, _ in sweep])
+        worst = _max_norm(cm.transpose(0, 2, 1) @ cm @ sys.a_const)
     else:
         factor = 4.0
         n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
-        worst = max(
-            max_kernel_derivative(sys, float(t), max(0.0, float(t) - window_up), grid_step)
-            for t in np.linspace(window_low, horizon, n_anchor)
-        )
+        anchors = np.linspace(window_low, horizon, n_anchor)
+        worst = _kernel_scan(sys, anchors, np.maximum(0.0, anchors - window_up), grid_step)
     if worst == 0.0:
         return math.inf, floor
     return factor * (1.0 - retention) * floor / (window_up * worst), floor

@@ -55,3 +55,17 @@ def test_verify_tracer_names_exist(perfbench):
     _, _, verify_tracer = perfbench
     for name in (*verify_tracer.SPANS, "default_config"):
         assert callable(getattr(uav, name, None)), name
+
+
+@pytest.mark.parametrize("kind", ["lti", "ltv"])
+def test_ball_certificate_holds(perfbench, kind):
+    # The benchmark's per-system certificate path, checked as ``check_ball``
+    # checks it, on the first system of each kind that the workload does not
+    # screen out (at seed 1 the first LTI system's gap bound is below the
+    # workload's cut-off).
+    _, workloads, _ = perfbench
+    specs = [s for s in workloads.make_ball_inputs(1).systems if s.kind == kind]
+    cert = next(c for c in (workloads._certificate(s, None) for s in specs) if "bound" in c)
+    assert cert["kind"] == kind
+    assert cert["margin"] >= workloads.RETENTION * cert["floor"]
+    assert cert["error"] <= cert["error_bound"]

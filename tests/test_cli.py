@@ -415,6 +415,34 @@ def test_observe_schedule_row_needs_two_increasing_times(tmp_path, capsys, row):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "schedules",
+    [[[0.0, 0.5], [-1.0, 0.5]], [[0.0, 0.5], [-2.0, -1.0]]],
+    ids=["starts-before-zero", "ends-before-zero"],
+)
+def test_observe_rejects_negative_sample_times(tmp_path, capsys, schedules):
+    # The certificate's windows lie in [0, horizon]: a negative time is a
+    # config error naming its row, before any output is written.
+    code, out = run(tmp_path, "observe", observe_payload(schedules=schedules))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'schedules[1]' must hold at least two strictly increasing times >= 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "row, shown",
+    [([0.0, "a"], "'a'"), ([0.0, True, 2.0], "True"), ([0.0, None], "None")],
+    ids=["string", "bool", "null"],
+)
+def test_observe_rejects_non_numeric_sample_times(tmp_path, capsys, row, shown):
+    code, out = run(tmp_path, "observe", observe_payload(schedules=[[0.0, 0.5, 1.0], row]))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"'schedules[1][1]' must be a number, got {shown}" in err
+    assert not out.exists()
+
+
 def test_observe_ltv_skips_schedule_check(tmp_path):
     payload = observe_payload(
         system={"name": "rotating_sensor", "params": {"omega": 1.0}},

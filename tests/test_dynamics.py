@@ -318,6 +318,34 @@ def test_batched_rk4_matches_per_column_loop(field):
     assert np.array_equal(got[:, 3], x[:, 3])
     for i, t0 in enumerate(starts):
         assert np.array_equal(got[:, i], _rk4(field, float(t0), t_end, x[:, i], 0.05))
+    # Per-column ends and steps: spans that are whole steps, a step and a
+    # sliver, under one step, zero, and backward, each at its own step.
+    ends = np.array([1.0, 0.37 + 0.1 + 1e-13, 1.25, t_end, 1.0, 0.75, 2.31])
+    steps = np.array([0.05, 0.1, 0.3, 0.01, 0.2, 0.0625, 0.07])
+    got = _rk4(field, starts, ends, x, steps)
+    assert np.array_equal(x, before)
+    for i, (t0, t1, step) in enumerate(zip(starts, ends, steps)):
+        assert np.array_equal(got[:, i], _rk4(field, float(t0), float(t1), x[:, i], float(step)))
+
+
+def test_batched_rk4_steps_matrix_stacks():
+    # A (d, d, N) stack of matrices steps like each matrix alone.
+    a = np.array([[0.0, 1.0], [-2.0, -0.3]])
+
+    def field(t, m):
+        if m.ndim == 2:
+            return math.cos(t) * (a @ m)
+        return np.cos(t) * (a @ m.transpose(2, 0, 1)).transpose(1, 2, 0)
+
+    rng = np.random.default_rng(5)
+    starts = np.array([0.0, 0.4, 1.1])
+    ends = np.array([0.3, -0.2, 1.35])
+    steps = np.array([0.07, 0.05, 0.1])
+    m = rng.normal(size=(2, 2, 3))
+    got = _rk4(field, starts, ends, m, steps)
+    for i in range(3):
+        want = _rk4(field, float(starts[i]), float(ends[i]), m[..., i], float(steps[i]))
+        assert np.array_equal(got[..., i], want)
 
 
 def test_batched_push_matches_per_point_flows():

@@ -14,7 +14,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
+
+from ambiflow.dynamics import _rk4
 
 from ambiflow.observability import (
     EigenStructure,
@@ -32,7 +36,6 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
-from ambiflow.observability import _backward_sweep, _kernel_mid
 
 # Closed-form anchors for the double integrator observed in position.
 # Gramian over a unit window, anchored at the right end, is
@@ -329,32 +332,108 @@ def test_robust_sampling_bound_lti_takes_two_exponentials(monkeypatch, grid_step
     assert len(calls) == 2
 
 
-def per_node_kernel_scan(sys, t, s_low, grid_step):
-    """Reference scan: one spectral norm per sweep node, as a running max."""
-    span = t - s_low
-    n_cells = max(1, math.ceil(span / grid_step)) if span > 0.0 else 0
-    h = span / n_cells if n_cells else 0.0
+# The per-window and per-anchor loops that the batched sweep replaced, kept as
+# its bit-for-bit reference: each window or anchor sweeps alone, each node is
+# one product with expm(-A h) or one scalar ``_rk4`` call, and each Gramian or
+# kernel term is one product of 2-D matrices.
+
+
+def scalar_sweep(sys, t, h, n):
+    """(tau, Phi(tau, t)) at tau = t - k h for k = 0..n, one anchor alone."""
+    m = np.eye(sys.dim)
+    yield t, m
+    if sys.is_lti:
+        back = expm(-sys.a_const * h)
+    for k in range(1, n + 1):
+        tau = t - k * h
+        if sys.is_lti:
+            m = m @ back
+        else:
+            m = _rk4(lambda s, x: sys.a_at(s) @ x, t - (k - 1) * h, tau, m, h)
+        yield tau, m
+
+
+def scalar_gramian(sys, t, varsigma, quad_step):
+    n_cells = max(2, math.ceil(varsigma / quad_step))
+    h = varsigma / n_cells
+    gram = np.zeros((sys.dim, sys.dim))
+    for k, (tau, m) in enumerate(scalar_sweep(sys, t + varsigma, h, n_cells)):
+        cm = sys.c_at(tau) @ m
+        gram += (0.5 if k in (0, n_cells) else 1.0) * (cm.T @ cm)
+    gram *= h
+    if not np.isfinite(gram).all():
+        raise OverflowError(f"Gramian over [{t:.6g}, {t + varsigma:.6g}] is not finite")
+    return 0.5 * (gram + gram.T)
+
+
+def scalar_floor(sys, window, horizon, grid_step):
+    """Window by window in start order, so the first overflow raises."""
+    if sys.is_lti:
+        starts = [0.0]
+    else:
+        span = horizon - window
+        starts = np.linspace(0.0, span, max(1, math.ceil(span / grid_step) + 1))
+    return min(
+        float(np.linalg.eigvalsh(scalar_gramian(sys, float(t0), window, grid_step))[0])
+        for t0 in starts
+    )
+
+
+def scalar_max_norm(terms):
+    """Running max of per-node spectral norms."""
     worst = 0.0
-    for tau, m in _backward_sweep(sys, t, h, n_cells):
-        worst = max(worst, float(np.linalg.norm(m.T @ _kernel_mid(sys, tau) @ m, 2)))
+    for term in terms:
+        if not np.isfinite(term).all():
+            raise OverflowError("kernel derivative is not finite: the flow diverges on the window")
+        worst = max(worst, float(np.linalg.norm(term, 2)))
     return worst
 
 
-def per_node_sampling_bound(sys, window_low, window_up, horizon, retention, grid_step):
-    """Reference gap bound with every kernel norm taken node by node."""
-    floor = gramian_floor(sys, window_low, horizon, grid_step)
-    worst = 0.0
+def scalar_kernel_scan(sys, t, s_low, grid_step):
+    span = t - s_low
+    n_cells = max(1, math.ceil(span / grid_step)) if span > 0.0 else 0
+    h = span / n_cells if n_cells else 0.0
+    terms = []
+    for tau, m in scalar_sweep(sys, t, h, n_cells):
+        a, c, cd = sys.a_at(tau), sys.c_at(tau), sys.c_dot_at(tau)
+        ctc = c.T @ c
+        terms.append(m.T @ (a.T @ ctc + cd.T @ c + c.T @ cd + ctc @ a) @ m)
+    return scalar_max_norm(terms)
+
+
+def scalar_sampling_bound(sys, window_low, window_up, horizon, retention, grid_step):
+    floor = scalar_floor(sys, window_low, horizon, grid_step)
+    if floor <= 0.0:
+        raise ArithmeticError(
+            f"Gramian floor is not positive ({floor:.3e}); the pair is not "
+            "observable on some window"
+        )
     if sys.is_lti:
+        factor = 2.0
         n_cells = max(1, math.ceil(window_up / grid_step))
-        for _, m in _backward_sweep(sys, 0.0, window_up / n_cells, n_cells):
+        terms = []
+        for _, m in scalar_sweep(sys, 0.0, window_up / n_cells, n_cells):
             cm = sys.c_const @ m
-            worst = max(worst, float(np.linalg.norm(cm.T @ cm @ sys.a_const, 2)))
-        return 2.0 * (1.0 - retention) * floor / (window_up * worst)
-    n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
-    for t in np.linspace(window_low, horizon, n_anchor):
-        s_low = max(0.0, float(t) - window_up)
-        worst = max(worst, per_node_kernel_scan(sys, float(t), s_low, grid_step))
-    return 4.0 * (1.0 - retention) * floor / (window_up * worst)
+            terms.append(cm.T @ cm @ sys.a_const)
+        worst = scalar_max_norm(terms)
+    else:
+        factor = 4.0
+        n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
+        worst = max(
+            scalar_kernel_scan(sys, float(t), max(0.0, float(t) - window_up), grid_step)
+            for t in np.linspace(window_low, horizon, n_anchor)
+        )
+    if worst == 0.0:
+        return math.inf
+    return factor * (1.0 - retention) * floor / (window_up * worst)
+
+
+def outcome(fn, *args):
+    """fn's value, or the type and message of the ArithmeticError it raises."""
+    try:
+        return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
 
 
 @pytest.mark.parametrize("kind", ["lti2", "lti3", "ltv"])
@@ -373,11 +452,115 @@ def test_stacked_kernel_norms_match_per_node_loop(kind):
         ]
     for sys in systems:
         for t, s_low, grid in ((1.3, 0.4, 0.05), (0.75, 0.0, 0.01), (0.5, 0.5, 0.1)):
-            assert max_kernel_derivative(sys, t, s_low, grid) == per_node_kernel_scan(
+            assert max_kernel_derivative(sys, t, s_low, grid) == scalar_kernel_scan(
                 sys, t, s_low, grid
             )
         args = (sys, 0.5, 0.75, 1.5, 0.5, 0.05 if kind == "ltv" else 0.01)
-        assert robust_sampling_bound(*args) == per_node_sampling_bound(*args)
+        assert robust_sampling_bound(*args) == scalar_sampling_bound(*args)
+
+
+def oracle_systems(kind):
+    rng = np.random.default_rng(31)
+    if kind in ("lti2", "lti3"):
+        d = int(kind[-1])
+        return [
+            LinearTimeVaryingSystem.lti(
+                rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, (1, d))
+            )
+            for _ in range(3)
+        ]
+    if kind == "ltv":
+        rotating = system_from_json({"name": "rotating_sensor", "params": {"omega": 2.0}})
+        return [wobbly_system(), rotating]
+    # Two outputs, C' by central differences, and a third state.
+    return [
+        LinearTimeVaryingSystem.time_varying(
+            a_fn=lambda t: np.array(
+                [
+                    [0.0, 1.0, 0.0],
+                    [-1.0, -0.1 * math.sin(t), 0.3],
+                    [0.0, 0.0, -0.2 * math.cos(2 * t)],
+                ]
+            ),
+            c_fn=lambda t: np.array([[1.0, 0.0, 0.2 * math.sin(t)], [0.0, math.cos(t), 1.0]]),
+        )
+    ]
+
+
+@pytest.mark.parametrize("kind", ["lti2", "lti3", "ltv", "ltv3-fd"])
+def test_batched_sweep_matches_scalar_reference(kind):
+    # All windows and anchors of a sweep step together, and every value
+    # equals the one-window, one-anchor loop bit for bit, with grids that do
+    # not divide the spans and anchors below window_up.
+    for sys in oracle_systems(kind):
+        for window, horizon, grid in ((0.5, 1.5, 0.05), (0.3, 1.2, 0.07), (0.45, 0.45, 0.02)):
+            assert gramian_floor(sys, window, horizon, grid) == scalar_floor(
+                sys, window, horizon, grid
+            )
+        for t, varsigma, quad in ((0.2, 0.6, 0.03), (0.0, 1.0, None), (1.1, 0.35, 0.1)):
+            got = observability_gramian(sys, t, varsigma, quad_step=quad)
+            want = scalar_gramian(sys, t, varsigma, varsigma / 200.0 if quad is None else quad)
+            assert got.tobytes() == want.tobytes()
+        for t, s_low, grid in ((1.3, 0.4, 0.05), (1.0, 0.13, 0.07), (0.5, 0.5, 0.1)):
+            assert max_kernel_derivative(sys, t, s_low, grid) == scalar_kernel_scan(
+                sys, t, s_low, grid
+            )
+        for args in ((0.5, 0.75, 1.5, 0.5, 0.05), (0.4, 0.9, 1.3, 0.3, 0.06)):
+            assert outcome(robust_sampling_bound, sys, *args) == outcome(
+                scalar_sampling_bound, sys, *args
+            )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    window_low=st.floats(0.1, 0.8),
+    extra=st.floats(0.0, 0.5),
+    tail=st.floats(0.0, 0.6),
+    grid_step=st.floats(0.05, 0.3),
+)
+def test_batched_sweep_matches_scalar_reference_on_any_grid(window_low, extra, tail, grid_step):
+    sys = wobbly_system()
+    window_up = window_low + extra
+    horizon = window_up + tail
+    assert gramian_floor(sys, window_low, horizon, grid_step) == scalar_floor(
+        sys, window_low, horizon, grid_step
+    )
+    args = (sys, window_low, window_up, horizon, 0.5, grid_step)
+    assert outcome(robust_sampling_bound, *args) == outcome(scalar_sampling_bound, *args)
+
+
+@pytest.mark.parametrize("with_c_dot", [True, False])
+def test_sweep_builds_each_matrix_once_per_tau(with_c_dot):
+    calls = {"A": [], "C": [], "C'": []}
+
+    def recorded(name, fn):
+        def inner(t):
+            calls[name].append(t)
+            return fn(t)
+
+        return inner
+
+    base = wobbly_system()
+    sys = LinearTimeVaryingSystem.time_varying(
+        a_fn=recorded("A", base.a_fn),
+        c_fn=recorded("C", base.c_fn),
+        c_dot_fn=recorded("C'", base.c_dot_fn) if with_c_dot else None,
+    )
+    runs = {
+        "floor": lambda: gramian_floor(sys, 0.5, 1.5, 0.05),
+        "gramian": lambda: observability_gramian(sys, 0.3, 0.5, 0.05),
+        "scan": lambda: max_kernel_derivative(sys, 1.3, 0.4, 0.05),
+    }
+    for name, run in runs.items():
+        for record in calls.values():
+            record.clear()
+        run()
+        built = ("A", "C", "C'") if name == "scan" and with_c_dot else ("A", "C")
+        for key in built:
+            assert calls[key], (name, key)
+            assert len(calls[key]) == len(set(calls[key])), (name, key)
+        if name != "scan":
+            assert not calls["C'"]
 
 
 @pytest.mark.parametrize("grid_step", [0.0, -0.05, math.inf, math.nan])
@@ -413,6 +596,40 @@ def test_overflowing_flow_raises_instead_of_nan(lti):
         sample_observability_matrix(sys, [0.0, 0.25, 0.5])
     with pytest.raises(OverflowError):
         fundamental_matrix(sys, 0.0, 0.5)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "gain, knee, floor_error",
+    [
+        (1e6, 0.6, "Gramian over [0.75, 1.25] is not finite"),
+        (1e7, 0.6, "Gramian over [0.55, 1.05] is not finite"),
+        (1e6, 0.9, None),  # the floor is finite, the kernel scan is not
+    ],
+)
+def test_batched_overflow_matches_scalar_reference(gain, knee, floor_error):
+    # The first mode stiffens only after the knee, so its backward RK4 flow
+    # overflows on later windows alone: the batched floor names the first of
+    # them in start order, as the window-by-window loop does.
+    sys = LinearTimeVaryingSystem.time_varying(
+        lambda t: np.diag([-gain * max(0.0, t - knee), -1.0]), lambda t: np.array([[1.0, 1.0]])
+    )
+    floor = outcome(gramian_floor, sys, 0.5, 1.5, 0.05)
+    assert floor == outcome(scalar_floor, sys, 0.5, 1.5, 0.05)
+    if floor_error is None:
+        assert math.isfinite(floor)
+    else:
+        assert floor == (OverflowError, floor_error)
+    scan_error = (
+        OverflowError,
+        "kernel derivative is not finite: the flow diverges on the window",
+    )
+    assert outcome(max_kernel_derivative, sys, 1.5, 0.75, 0.05) == scan_error
+    assert outcome(scalar_kernel_scan, sys, 1.5, 0.75, 0.05) == scan_error
+    args = (sys, 0.5, 0.75, 1.5, 0.5, 0.05)
+    bound = outcome(robust_sampling_bound, *args)
+    assert bound == outcome(scalar_sampling_bound, *args)
+    assert bound == (scan_error if floor_error is None else floor)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
