@@ -36,6 +36,7 @@ from ambiflow.ambiguity import effective_horizon, total_radius
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.dynamics import FlowErrorModel
 from ambiflow.observability import (
+    _SCHEDULE_CRITERIA,
     _sampling_bound_and_floor,
     check_schedule_observability,
     eigenvalue_margin,
@@ -70,12 +71,14 @@ def _load_config(path: str) -> dict:
 
 
 def _reject_non_finite(value: Any, where: str) -> None:
-    """Name the first non-finite number in a parsed config.
+    """Name the first boolean or non-finite number in a parsed config.
 
-    ``json`` accepts NaN, Infinity and overflowing literals such as 1e999;
-    none of them is a meaningful setting anywhere in a config.
+    ``json`` accepts NaN, Infinity, overflowing literals such as 1e999 and integers
+    too large for a float; none is a meaningful setting, and no field takes a boolean.
     """
-    if isinstance(value, float) and not math.isfinite(value):
+    if isinstance(value, bool):
+        raise ConfigError(f"field '{where}' must be a number, got {value!r}")
+    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
         raise ConfigError(f"field '{where}' must be a finite number, got {value}")
     if isinstance(value, dict):
         for key, item in value.items():
@@ -85,21 +88,38 @@ def _reject_non_finite(value: Any, where: str) -> None:
             _reject_non_finite(item, f"{where}[{i}]")
 
 
+# Readers take a raw value and its dotted path.  Every config number goes
+# through ``_number`` or ``_integer``; booleans never reach them.
+
+
+def _number(value: Any, where: str) -> float:
+    if not isinstance(value, (int, float)):
+        raise ConfigError(f"field '{where}' must be a number, got {value!r}")
+    return float(value)
+
+
+def _integer(value: Any, where: str) -> int:
+    """Every integer a command reads is a count, so it must be >= 1."""
+    if not isinstance(value, int) or value < 1:
+        raise ConfigError(f"field '{where}' must be an integer >= 1, got {value!r}")
+    return value
+
+
+def _each(values: Any, where: str, read) -> list:
+    if not isinstance(values, list):
+        raise ConfigError(f"field '{where}' must be a list, got {values!r}")
+    return [read(v, f"{where}[{i}]") for i, v in enumerate(values)]
+
+
 _REQUIRED = object()
 
 
-def _field(section: dict, key: str, where: str, cast=None, default=_REQUIRED):
+def _field(section: dict, key: str, where: str, read=None, default=_REQUIRED):
     if key not in section:
         if default is not _REQUIRED:
             return default
         raise ConfigError(f"missing field '{where}{key}'")
-    value = section[key]
-    if cast is None:
-        return value
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field '{where}{key}': {exc}") from exc
+    return section[key] if read is None else read(section[key], where + key)
 
 
 def _subsection(cfg: dict, key: str) -> dict:
@@ -109,41 +129,33 @@ def _subsection(cfg: dict, key: str) -> dict:
     return section
 
 
-def _radius_config(section: dict) -> RadiusConfig:
+def _radius_and_flow(raw: dict) -> tuple[RadiusConfig, FlowErrorModel]:
+    radius, flow = _subsection(raw, "radius"), _subsection(raw, "flow_error")
     try:
-        return RadiusConfig(
-            p=_field(section, "p", "radius.", cast=float),
-            d=_field(section, "dimension", "radius.", cast=int),
-            beta=_field(section, "beta", "radius.", cast=float),
-            big_c=_field(section, "big_c", "radius.", cast=float, default=1.0),
-            small_c=_field(section, "small_c", "radius.", cast=float, default=1.0),
+        cfg = RadiusConfig(
+            p=_field(radius, "p", "radius.", _number),
+            d=_field(radius, "dimension", "radius.", _integer),
+            beta=_field(radius, "beta", "radius.", _number),
+            big_c=_field(radius, "big_c", "radius.", _number, default=1.0),
+            small_c=_field(radius, "small_c", "radius.", _number, default=1.0),
         )
     except ValueError as exc:
         raise ConfigError(f"radius config: {exc}") from exc
-
-
-def _flow_error_model(section: dict) -> FlowErrorModel:
     try:
-        return FlowErrorModel(
-            magnitude=_field(section, "magnitude", "flow_error.", cast=float),
-            rate=_field(section, "rate", "flow_error.", cast=float),
+        model = FlowErrorModel(
+            magnitude=_field(flow, "magnitude", "flow_error.", _number),
+            rate=_field(flow, "rate", "flow_error.", _number),
         )
     except ValueError as exc:
         raise ConfigError(f"flow_error config: {exc}") from exc
+    return cfg, model
 
 
 def _n_range(cfg: dict) -> tuple[int, int]:
-    raw = _field(cfg, "n_range", "")
-    if (
-        not isinstance(raw, (list, tuple))
-        or len(raw) != 2
-        or not all(isinstance(v, int) for v in raw)
-    ):
-        raise ConfigError("field 'n_range' must be a pair of integers [lo, hi]")
-    lo, hi = raw
-    if not 1 <= lo <= hi:
-        raise ConfigError(f"field 'n_range' needs 1 <= lo <= hi, got {raw}")
-    return lo, hi
+    bounds = _each(_field(cfg, "n_range", ""), "n_range", _integer)
+    if len(bounds) != 2 or bounds[0] > bounds[1]:
+        raise ConfigError(f"field 'n_range' must be a pair [lo, hi] with lo <= hi, got {bounds}")
+    return bounds[0], bounds[1]
 
 
 # --- manifest and writers --------------------------------------------------------
@@ -206,13 +218,12 @@ def _radius_table(
 
 def cmd_radius(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
-    cfg = _radius_config(_subsection(raw, "radius"))
-    model = _flow_error_model(_subsection(raw, "flow_error"))
-    rho_horizon = _field(raw, "rho_horizon", "", cast=float)
-    delta = _field(raw, "delta", "", cast=float)
+    cfg, model = _radius_and_flow(raw)
+    rho_horizon = _field(raw, "rho_horizon", "", _number)
+    delta = _field(raw, "delta", "", _number)
     lo, hi = _n_range(raw)
     recon = _field(raw, "recon_error", "", default=None)
-    recon_error = None if recon is None else _field(raw, "recon_error", "", cast=float)
+    recon_error = None if recon is None else _number(recon, "recon_error")
 
     resolved = {
         "radius": asdict(cfg),
@@ -264,18 +275,14 @@ def _horizon_entry(
 
 def cmd_horizon(args: argparse.Namespace) -> int:
     raw = _load_config(args.config)
-    cfg = _radius_config(_subsection(raw, "radius"))
-    model = _flow_error_model(_subsection(raw, "flow_error"))
-    delta = _field(raw, "delta", "", cast=float)
-    cap = _field(raw, "cap", "", cast=int, default=10**6)
+    cfg, model = _radius_and_flow(raw)
+    delta = _field(raw, "delta", "", _number)
+    cap = _field(raw, "cap", "", _integer, default=10**6)
     rho_raw = _field(raw, "rho_horizon", "")
-    try:
-        if isinstance(rho_raw, list):
-            rho_values = [float(r) for r in rho_raw]
-        else:
-            rho_values = [float(rho_raw)]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'rho_horizon': {exc}") from exc
+    if isinstance(rho_raw, list):
+        rho_values = _each(rho_raw, "rho_horizon", _number)
+    else:
+        rho_values = [_number(rho_raw, "rho_horizon")]
     if not rho_values:
         raise ConfigError("field 'rho_horizon' must not be an empty list")
     lo, hi = _n_range(raw) if "n_range" in raw else (1, 20)
@@ -300,9 +307,7 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 
     # Companion table of the radius decomposition at the first rho value,
     # with the horizon as a trailing summary row.
-    rows: list[tuple] = list(
-        _radius_table(cfg, model, rho_values[0], delta, lo, hi, None)
-    )
+    rows: list[tuple] = list(_radius_table(cfg, model, rho_values[0], delta, lo, hi, None))
     n_star = entries[0]["N_star"]
     rows.append(("N_star", "" if n_star is None else str(n_star), "", ""))
     _write_csv(out / "horizon.csv", ["N", "eps_N", "bar_eps_N", "psi_N"], rows)
@@ -313,20 +318,15 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 
 
 def _schedule_rows(raw: Any) -> list[list[float]]:
-    if not isinstance(raw, list) or not raw or not all(isinstance(row, list) for row in raw):
+    if not isinstance(raw, list) or not raw:
         raise ConfigError("field 'schedules' must be a non-empty list of time lists")
-    rows = []
-    for i, row in enumerate(raw):
-        for j, t in enumerate(row):
-            if isinstance(t, bool) or not isinstance(t, (int, float)):
-                raise ConfigError(f"field 'schedules[{i}][{j}]' must be a number, got {t!r}")
-        times = [float(t) for t in row]
+    rows = [_each(row, f"schedules[{i}]", _number) for i, row in enumerate(raw)]
+    for i, times in enumerate(rows):
         if len(times) < 2 or times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
             raise ConfigError(
                 f"field 'schedules[{i}]' must hold at least two strictly increasing "
                 f"times >= 0, got {times}"
             )
-        rows.append(times)
     return rows
 
 
@@ -372,10 +372,18 @@ def cmd_observe(args: argparse.Namespace) -> int:
     except (ValueError, TypeError, KeyError) as exc:
         raise ConfigError(f"system config: {exc}") from exc
     schedules = _schedule_rows(_field(raw, "schedules", ""))
-    noise = _field(raw, "noise", "", cast=float, default=0.0)
-    retention = _field(raw, "retention", "", cast=float, default=0.5)
+    noise = _field(raw, "noise", "", _number, default=0.0)
+    retention = _field(raw, "retention", "", _number, default=0.5)
     criterion = _field(raw, "criterion", "", default="equidistant")
+    if not isinstance(criterion, str) or criterion not in _SCHEDULE_CRITERIA:
+        raise ConfigError(
+            f"field 'criterion' must be one of {sorted(_SCHEDULE_CRITERIA)}, got {criterion!r}"
+        )
     state_raw = _field(raw, "true_state", "", default=None)
+    if state_raw is not None:
+        state = _each(state_raw, "true_state", _number)
+        if len(state) != sys_model.dim:
+            raise ConfigError(f"field 'true_state' must have length {sys_model.dim}, got {state}")
     seed = args.seed if args.seed is not None else 0
 
     resolved = {
@@ -389,14 +397,7 @@ def cmd_observe(args: argparse.Namespace) -> int:
     out = _start_run(args, "observe", resolved, seed, ("observe.json",))
 
     rng = np.random.default_rng(seed)
-    if state_raw is None:
-        true_state = rng.standard_normal(sys_model.dim)
-    else:
-        true_state = np.asarray(state_raw, dtype=float)
-        if true_state.shape != (sys_model.dim,):
-            raise ConfigError(
-                f"field 'true_state' must have length {sys_model.dim}, got {true_state.shape}"
-            )
+    true_state = rng.standard_normal(sys_model.dim) if state_raw is None else np.array(state)
 
     spans = [row[-1] - row[0] for row in schedules]
     horizon = max(row[-1] for row in schedules)
@@ -441,8 +442,8 @@ def cmd_observe(args: argparse.Namespace) -> int:
                 "messages": list(check.messages),
             }
         except ValueError as exc:
-            # An unobservable pair or an unknown criterion: flag, don't crash.
-            # The per-trajectory numbers above still stand on their own.
+            # An unobservable (A, C) pair: flag, don't crash.  The
+            # per-trajectory numbers above still stand on their own.
             payload["schedule_check"] = {
                 "criterion": criterion,
                 "passed": False,
@@ -465,20 +466,14 @@ def cmd_uav(args: argparse.Namespace) -> int:
         scenario = ScenarioConfig.from_json(scenario_raw)
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"scenario config: {exc}") from exc
-    n_realizations = _field(raw, "realizations", "", cast=int)
-    checkpoints_raw = _field(raw, "checkpoints", "")
-    if not isinstance(checkpoints_raw, list) or not checkpoints_raw:
+    n_realizations = _field(raw, "realizations", "", _integer)
+    checkpoints = _each(_field(raw, "checkpoints", ""), "checkpoints", _integer)
+    if not checkpoints:
         raise ConfigError("field 'checkpoints' must be a non-empty list of integers")
-    try:
-        checkpoints = [int(c) for c in checkpoints_raw]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"field 'checkpoints': {exc}") from exc
-    n_t = _field(raw, "time_grid", "", cast=int, default=200)
-    n_starts = _field(raw, "solver_starts", "", cast=int, default=20)
+    n_t = _field(raw, "time_grid", "", _integer, default=200)
+    n_starts = _field(raw, "solver_starts", "", _integer, default=20)
     if n_t < 2:
         raise ConfigError(f"field 'time_grid' must be >= 2 time nodes, got {n_t}")
-    if n_starts < 1:
-        raise ConfigError(f"field 'solver_starts' must be >= 1, got {n_starts}")
 
     resolved = {
         "scenario": scenario.to_json(),

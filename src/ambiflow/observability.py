@@ -41,6 +41,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
@@ -345,12 +346,11 @@ def observability_gramian(
     ``quad_step`` (default varsigma/200).  The integrand is evaluated on one
     backward flow sweep from the anchor.
     """
-    if varsigma <= 0.0:
-        raise ValueError(f"window length must be positive, got {varsigma}")
+    if not (varsigma > 0.0 and math.isfinite(varsigma)):
+        raise ValueError(f"window length must be positive and finite, got {varsigma}")
     if quad_step is None:
         quad_step = varsigma / 200.0
-    if quad_step <= 0.0:
-        raise ValueError(f"quad_step must be positive, got {quad_step}")
+    _check_grid_step(quad_step)
     return _gramians(sys, np.array([t], dtype=float), varsigma, quad_step)[0]
 
 
@@ -659,14 +659,9 @@ def check_schedule_observability(
         raise ValueError("schedule criteria apply to stationary systems only")
     if not _is_observable_pair(sys.a_const, sys.c_const):
         raise ValueError("the (A, C) pair is not observable; no schedule can help")
-    handlers = {
-        "equidistant": _check_equidistant,
-        "periodic": _check_periodic,
-        "count": _check_count,
-    }
-    if criterion not in handlers:
+    if criterion not in _SCHEDULE_CRITERIA:
         raise ValueError(
-            f"unknown criterion {criterion!r}; pick one of {sorted(handlers)}"
+            f"unknown criterion {criterion!r}; pick one of {sorted(_SCHEDULE_CRITERIA)}"
         )
     rows = [tuple(float(t) for t in row) for row in schedules]
     if not rows:
@@ -680,7 +675,7 @@ def check_schedule_observability(
     messages: list[str] = []
     ok = True
     for i, row in enumerate(rows):
-        good, msgs = handlers[criterion](sys, struct, row)
+        good, msgs = _SCHEDULE_CRITERIA[criterion](sys, struct, row)
         ok = ok and good
         messages.extend(f"member {i + 1}: {m}" for m in msgs)
     return ScheduleDiagnostics(passed=ok, criterion=criterion, messages=tuple(messages))
@@ -761,10 +756,22 @@ def _check_count(
     return False, [f"{len(row)} samples do not exceed the threshold {needed:.6g}"]
 
 
+# The criterion names ``check_schedule_observability`` and the CLI accept.
+_SCHEDULE_CRITERIA = {
+    "equidistant": _check_equidistant, "periodic": _check_periodic, "count": _check_count
+}
+
+
 # --- serialization -----------------------------------------------------------------
 
 
 def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
+    takes = {"double_integrator": (), "harmonic_oscillator": (), "rotating_sensor": ("omega",)}
+    if name not in takes:
+        raise KeyError(f"unknown built-in system {name!r}")
+    extra = sorted(set(params) - set(takes[name]))
+    if extra:
+        raise ValueError(f"{name} takes no params {extra}")
     if name == "double_integrator":
         return LinearTimeVaryingSystem.lti(
             np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0]]), name=name
@@ -774,7 +781,9 @@ def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
             np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0, 0.0]]), name=name
         )
     if name == "rotating_sensor":
-        omega = float(params.get("omega", 1.0))
+        omega = params.get("omega", 1.0)
+        if isinstance(omega, bool) or not isinstance(omega, numbers.Real):
+            raise ValueError(f"params.omega must be a real number, got {omega!r}")
         a = np.array([[0.0, 1.0], [-1.0, 0.0]])
         return LinearTimeVaryingSystem.time_varying(
             a_fn=lambda t: a,
@@ -783,7 +792,6 @@ def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
             * np.array([[-math.sin(omega * t), math.cos(omega * t)]]),
             name=name,
         )
-    raise KeyError(f"unknown built-in system {name!r}")
 
 
 def system_from_json(payload: dict) -> LinearTimeVaryingSystem:
@@ -795,7 +803,8 @@ def system_from_json(payload: dict) -> LinearTimeVaryingSystem:
     if "name" in payload:
         return _builtin_system(payload["name"], **payload.get("params", {}))
     if "A" in payload and "C" in payload:
-        return LinearTimeVaryingSystem.lti(
-            np.asarray(payload["A"], dtype=float), np.asarray(payload["C"], dtype=float)
-        )
+        a, c = np.asarray(payload["A"]), np.asarray(payload["C"])
+        if a.dtype.kind not in "iuf" or c.dtype.kind not in "iuf":  # e.g. strings or nulls
+            raise ValueError(f"A and C must be matrices of numbers, got {payload}")
+        return LinearTimeVaryingSystem.lti(a, c)
     raise ValueError("system config needs either 'name' or both 'A' and 'C'")

@@ -39,8 +39,9 @@ problem once.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -91,13 +92,17 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):  # postponed annotations: f.type is the annotation's text
+            kind = numbers.Integral if f.type == "int" else numbers.Real
+            value = getattr(self, f.name)
+            for x in value if f.name.startswith("theta_") else [value]:
+                # A comparison, not math.isfinite: seeds may be too large for a float.
+                if isinstance(x, bool) or not isinstance(x, kind) or not -math.inf < x < math.inf:
+                    raise ValueError(f"{f.name} must be finite and {kind.__name__}, got {value!r}")
         object.__setattr__(self, "theta_support", tuple(float(t) for t in self.theta_support))
         object.__setattr__(
             self, "theta_probabilities", tuple(float(p) for p in self.theta_probabilities)
         )
-        for name, value in asdict(self).items():  # ints are finite; seeds may be huge
-            if not isinstance(value, int) and not np.all(np.isfinite(value)):
-                raise ValueError(f"{name} must be finite, got {value}")
         if self.orbit_radius <= 0.0:
             raise ValueError(f"orbit_radius must be positive, got {self.orbit_radius}")
         if self.square_side <= 0.0:

@@ -144,6 +144,24 @@ def _with_literal(payload, dotted, literal):
     return json.dumps(payload).replace('"@LITERAL@"', literal)
 
 
+def run_with_literal(tmp_path, command, field, literal):
+    """Run a command's base config with one field set to a raw JSON literal.
+
+    ``observe-ltv`` runs ``observe`` on a time-varying system.
+    """
+    base = {
+        "radius": BASE_RADIUS_CONFIG,
+        "horizon": BASE_RADIUS_CONFIG,
+        "observe": observe_payload(),
+        "observe-ltv": observe_payload(system={"name": "rotating_sensor"}),
+        "uav": uav_payload(),
+    }[command]
+    path = tmp_path / "config.json"
+    path.write_text(_with_literal(base, field, literal))
+    out = tmp_path / "out"
+    return main([command.split("-")[0], "--config", str(path), "--out", str(out)]), out
+
+
 @pytest.mark.parametrize(
     "command, field, literal",
     [
@@ -162,18 +180,75 @@ def _with_literal(payload, dotted, literal):
 def test_non_finite_config_value_exit_2(tmp_path, capsys, command, field, literal):
     # Python's json reads NaN, Infinity and overflowing literals as floats;
     # each must fail as a config error naming its field, not run on.
-    base = {
-        "radius": BASE_RADIUS_CONFIG,
-        "horizon": BASE_RADIUS_CONFIG,
-        "observe": observe_payload(),
-        "uav": uav_payload(),
-    }[command]
-    path = tmp_path / "config.json"
-    path.write_text(_with_literal(base, field, literal))
-    out = tmp_path / "out"
-    code = main([command, "--config", str(path), "--out", str(out)])
+    code, out = run_with_literal(tmp_path, command, field, literal)
     assert code == 2
     assert f"'{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "command, field, literal, named",
+    [
+        ("radius", "radius.dimension", "2.7", None),
+        ("radius", "flow_error.magnitude", "true", None),
+        ("radius", "flow_error.rate", '"0.1"', None),
+        ("radius", "n_range", "[true, 3]", "'n_range[0]'"),
+        ("horizon", "cap", "3.9", None),
+        ("horizon", "cap", "0", None),
+        ("horizon", "rho_horizon", '[1.0, "2"]', "'rho_horizon[1]'"),
+        ("observe", "noise", "true", None),
+        ("observe", "noise", BIG_INT, None),
+        ("observe", "schedules", f"[[0, {BIG_INT}]]", "'schedules[0][1]'"),
+        ("observe", "true_state", '[0.5, "a"]', "'true_state[1]'"),
+        ("observe", "criterion", '"bogus"', None),
+        ("observe-ltv", "criterion", '"bogus"', None),
+        (
+            "observe",
+            "system",
+            '{"A": [["0", 1.0], [0.0, 1.0]], "C": [[1.0, 0.0]]}',
+            "system config: A and C must be matrices of numbers",
+        ),
+        (
+            "observe",
+            "system",
+            '{"name": "rotating_sensor", "params": {"omega": "2"}}',
+            "system config: params.omega",
+        ),
+        (
+            "observe",
+            "system",
+            '{"name": "double_integrator", "params": {"omega": 2}}',
+            "system config: double_integrator takes no params ['omega']",
+        ),
+        (
+            "observe",
+            "system",
+            '{"name": "rotating_sensor", "params": {"omega": 2, "phase": 1}}',
+            "system config: rotating_sensor takes no params ['phase']",
+        ),
+        ("uav", "realizations", "1.9", None),
+        ("uav", "realizations", "0", None),
+        ("uav", "checkpoints", "[1.7]", "'checkpoints[0]'"),
+        ("uav", "checkpoints", "[0]", "'checkpoints[0]'"),
+        ("uav", "time_grid", '"40"', None),
+        ("uav", "solver_starts", "true", None),
+        ("uav", "scenario.eps_ref", BIG_INT, None),
+        ("uav", "scenario.n_segments", "2.5", "scenario config: n_segments"),
+        ("uav", "scenario.seed", "1.5", "scenario config: seed"),
+        ("uav", "scenario.theta_support", '[2.0, "3.0", 4.0]', "scenario config: theta_support"),
+    ],
+    ids=lambda v: v[:40] if isinstance(v, str) else None,
+)
+def test_bad_config_number_exit_2(tmp_path, capsys, command, field, literal, named):
+    # Every config number is a JSON int or float of the right kind, read
+    # before the manifest: a bad one exits 2 naming its field and writes
+    # nothing, never runs on truncated, cast or ignored.
+    code, out = run_with_literal(tmp_path, command, field, literal)
+    assert code == 2
+    assert (named or f"'{field}'") in capsys.readouterr().err
     assert not out.exists()
 
 

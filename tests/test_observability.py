@@ -238,6 +238,24 @@ def test_gramian_rejects_bad_window():
         gramian_floor(double_integrator(), 2.0, 1.0)
 
 
+@pytest.mark.parametrize("quad_step", [0.0, -0.05, math.inf, math.nan])
+def test_gramian_quad_step_must_be_positive_and_finite(quad_step):
+    # An infinite step would give a 2-cell Gramian; NaN failed converting to a cell count.
+    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+        observability_gramian(double_integrator(), 0.0, 1.0, quad_step=quad_step)
+
+
+@pytest.mark.parametrize("varsigma", [0.0, -1.0, math.inf, math.nan])
+def test_gramian_window_must_be_positive_and_finite(varsigma):
+    with pytest.raises(ValueError, match="window length must be positive and finite"):
+        observability_gramian(double_integrator(), 0.0, varsigma)
+
+
+def test_unknown_schedule_criterion_named():
+    with pytest.raises(ValueError, match=r"unknown criterion 'bogus'; pick one of \['count'"):
+        check_schedule_observability(harmonic_oscillator(), [[0.0, 0.5, 1.0]], "bogus")
+
+
 # --- group 4: kernel derivative and sampling bound ----------------------------------
 
 
@@ -913,3 +931,27 @@ def test_system_from_json_matrices_and_builtins():
         system_from_json({"name": "no_such_system"})
     with pytest.raises(ValueError):
         system_from_json({"A": [[1.0]]})
+
+
+@pytest.mark.parametrize(
+    "payload, message",
+    [
+        ({"A": [["0", 1.0], [0.0, 1.0]], "C": [[1.0, 0.0]]}, "matrices of numbers"),
+        ({"A": [[0.0, 1.0], [0.0, 0.0]], "C": [[None, 0.0]]}, "matrices of numbers"),
+        ({"name": "rotating_sensor", "params": {"omega": "2"}}, "params.omega"),
+        ({"name": "rotating_sensor", "params": {"omega": True}}, "params.omega"),
+        ({"name": "double_integrator", "params": {"omega": 2}}, r"no params \['omega'\]"),
+        ({"name": "rotating_sensor", "params": {"omega": 2, "phase": 1}}, "phase"),
+    ],
+)
+def test_system_from_json_rejects_strings_and_unused_params(payload, message):
+    with pytest.raises(ValueError, match=message):
+        system_from_json(payload)
+
+
+def test_system_from_json_takes_integer_entries():
+    sys = system_from_json({"A": [[0, 1], [0, 0]], "C": [[1, 0]]})
+    assert sys.a_const.dtype == float
+    assert np.array_equal(sys.a_const, [[0.0, 1.0], [0.0, 0.0]])
+    rot = system_from_json({"name": "rotating_sensor", "params": {"omega": 2}})
+    assert np.array_equal(rot.c_at(0.3), [[math.cos(0.6), math.sin(0.6)]])

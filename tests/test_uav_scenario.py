@@ -114,6 +114,32 @@ def test_config_rejects_non_finite_numbers(name, value):
 
 
 @pytest.mark.parametrize(
+    "name, value",
+    [
+        ("n_segments", 2.5),
+        ("n_ref", True),
+        ("seed", 1.5),
+        ("eps_ref", "0.17"),
+        ("orbit_radius", True),
+        ("theta_support", (2.0, "3.0", 4.0)),
+        ("theta_probabilities", (0.5, 0.25, None)),
+    ],
+)
+def test_config_rejects_wrong_types(name, value):
+    # A float count or a string number fails by name instead of crashing deep
+    # in the lattice or the seed sequence, or being parsed as a number.
+    with pytest.raises(ValueError, match=name):
+        ScenarioConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        run_experiment(ScenarioConfig.from_json({name: value}), 1, [1])
+
+
+def test_config_accepts_any_integer_seed():
+    assert ScenarioConfig(seed=np.int64(5)).seed == 5
+    assert ScenarioConfig(seed=10**400).seed == 10**400  # beyond float range
+
+
+@pytest.mark.parametrize(
     "name, value", [("radius", math.nan), ("radius", math.inf), ("order", math.inf)]
 )
 def test_ball_rejects_non_finite_numbers(name, value):
