@@ -37,9 +37,7 @@ from scipy.integrate import quad
 
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.distribution import DiscreteDistribution
-# ``integrate_flow`` stays importable from here for perfbench, which traces
-# ``ambiguity.integrate_flow``; the pushforward below goes through ``_push``.
-from ambiflow.dynamics import FlowErrorModel, VectorField, _push, integrate_flow  # noqa: F401
+from ambiflow.dynamics import FlowErrorModel, VectorField, integrate_flow
 
 __all__ = [
     "SamplingSchedule",
@@ -157,7 +155,7 @@ def cumulative_empirical(
                 f"sample {idx} taken at t={t}, after the horizon {horizon}"
             )
     times, states = zip(*samples)
-    return DiscreteDistribution.empirical(_push(field, times, horizon, states, step))
+    return DiscreteDistribution.empirical(integrate_flow(field, times, horizon, states, step))
 
 
 def _envelope_power_integral(n: float, a: float, p: float) -> float:

@@ -59,7 +59,7 @@ class ConfigError(Exception):
 def _load_config(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
-            payload = json.load(fh)
+            payload = json.load(fh, parse_int=_parse_int)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -68,6 +68,15 @@ def _load_config(path: str) -> dict:
         raise ConfigError(f"config {path} must be a JSON object")
     _reject_non_finite(payload, "")
     return payload
+
+
+def _parse_int(literal: str) -> int | float:
+    """A JSON integer literal.  One longer than Python converts (4,300 digits)
+    reads as inf, so that ``_reject_non_finite`` names its field."""
+    try:
+        return int(literal)
+    except ValueError:
+        return math.inf
 
 
 def _reject_non_finite(value: Any, where: str) -> None:

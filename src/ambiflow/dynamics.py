@@ -4,10 +4,10 @@ Three separate concerns live here because they feed the same downstream
 budget:
 
 * ``integrate_flow`` pushes a state through a vector field with classical
-  fixed-step RK4 (final partial step shortened to land exactly on t).  The
-  sample-set consumers (``calibrate_flow_error`` and
-  ``ambiguity.cumulative_empirical``) push all their points in one
-  state-major sweep of the same loop, each point on its own step grid.
+  fixed-step RK4 (final partial step shortened to land exactly on t).  Given
+  one start time per state, it pushes a whole sample set in one state-major
+  sweep of the same loop, each point on its own step grid, as
+  ``calibrate_flow_error`` and ``ambiguity.cumulative_empirical`` do.
 
 * ``FlowErrorModel`` captures the usual one-sided bound on the gap between a
   numerical flow and the exact one over a window [s, t]:
@@ -29,6 +29,7 @@ budget:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -97,9 +98,9 @@ class FlowErrorModel:
 
 def integrate_flow(
     field: VectorField,
-    t_start: float,
+    t_start: float | Sequence[float],
     t_end: float,
-    state: np.ndarray,
+    state: np.ndarray | Iterable[np.ndarray],
     step: float = 1e-3,
 ) -> np.ndarray:
     """Propagate ``state`` from t_start to t_end by fixed-step RK4.
@@ -107,51 +108,31 @@ def integrate_flow(
     Steps are taken at the requested size with the last one shortened so the
     trajectory lands exactly on t_end.  Integration backward in time is
     allowed.  Raises ArithmeticError if the state stops being finite.
+
+    With a sequence of start times, ``state`` holds one state per start and
+    the images come back one per row.  All of them go through one
+    state-major RK4 sweep, each on its own step grid, so each lands exactly
+    where it would alone; errors name the first sample at fault.
     """
-    x = np.asarray(state, dtype=float).copy()
-    if x.shape != (field.dim,):
-        raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
-    x = _rk4(field, t_start, t_end, x, step)
-    _check_finite(field, [t_start], t_end, x[:, None])
-    return x
-
-
-def _push(
-    field: VectorField,
-    times: Sequence[float],
-    t_end: float,
-    states: Iterable[np.ndarray],
-    step: float,
-) -> np.ndarray:
-    """Images at t_end of states[i] taken at times[i], one per row.
-
-    All states go through one state-major RK4 sweep; each lands exactly where
-    ``integrate_flow`` would put it, and fails with the same errors, naming
-    the first sample at fault.
-    """
-    cols = []
-    for state in states:
-        x = np.asarray(state, dtype=float)
+    one = np.ndim(t_start) == 0
+    cols = [np.asarray(x, dtype=float) for x in ([state] if one else state)]
+    for x in cols:
         if x.shape != (field.dim,):
             raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
-        cols.append(x)
-    t0 = np.array(times, dtype=float)
-    x = _rk4(field, t0, t_end, np.column_stack(cols), step)
-    _check_finite(field, t0, t_end, x)
-    return np.ascontiguousarray(x.T)
-
-
-def _check_finite(
-    field: VectorField, t_start: Sequence[float], t_end: float, x: np.ndarray
-) -> None:
-    """ArithmeticError naming the first column of x, pushed from t_start[i]
-    to t_end, that is not finite."""
-    bad = np.flatnonzero(~np.isfinite(x).all(axis=0))
+    t0 = np.array([t_start] if one else t_start, dtype=float)
+    if t0.shape != (len(cols),):
+        raise ValueError(f"{t0.size} start times for {len(cols)} states")
+    if one:
+        x = _rk4(field, t_start, t_end, cols[0].copy(), step)
+    else:
+        x = _rk4(field, t0, t_end, np.column_stack(cols), step)
+    bad = np.flatnonzero(~np.isfinite(x.reshape(field.dim, -1)).all(axis=0))
     if bad.size:
         raise ArithmeticError(
-            f"integration from t={t_start[bad[0]]:.6g} to t={t_end:.6g} blew up "
+            f"integration from t={t0[bad[0]]:.6g} to t={t_end:.6g} blew up "
             f"(field {field.name or 'anonymous'})"
         )
+    return x if one else np.ascontiguousarray(x.T)
 
 
 def _rk4(
@@ -251,8 +232,8 @@ def calibrate_flow_error(
         if t > horizon:
             raise ValueError(f"sample time {t} beyond horizon {horizon}")
     times, states = zip(*samples)
-    coarse = _push(field, times, horizon, states, step)
-    fine = _push(field, times, horizon, states, step / 10.0)
+    coarse = integrate_flow(field, times, horizon, states, step)
+    fine = integrate_flow(field, times, horizon, states, step / 10.0)
     worst = 0.0
     for t, a, b in zip(times, coarse, fine):
         gap = float(np.linalg.norm(a - b))
@@ -370,6 +351,28 @@ def _make_orbit_tracker(orbit_radius: float, gain: float):
     return f
 
 
+def _read_params(name: str, params: dict, defaults: dict) -> dict:
+    """The params of built-in ``name``: ``defaults`` with ``params`` in place.
+
+    A param with an int default is a count and must be an int >= 1; every
+    other param must be a finite real number.  ValueError names a param the
+    built-in does not take, a bool, a string or a non-finite value.
+    """
+    extra = sorted(set(params) - set(defaults))
+    if extra:
+        raise ValueError(f"{name} takes no params {extra}")
+    out = dict(defaults)
+    for key, value in params.items():
+        count = isinstance(defaults[key], int)
+        kind = numbers.Integral if count else numbers.Real
+        ok = isinstance(value, kind) and not isinstance(value, bool)
+        if not (ok and (value >= 1 if count else math.isfinite(value))):
+            what = "an integer >= 1" if count else "a finite real number"
+            raise ValueError(f"params.{key} must be {what}, got {value!r}")
+        out[key] = int(value) if count else float(value)
+    return out
+
+
 def builtin_field(name: str, **params) -> VectorField:
     """Registry of vector fields used by tests and the command line.
 
@@ -378,16 +381,20 @@ def builtin_field(name: str, **params) -> VectorField:
                            equality; params: gain, exponent, dim
     orbit_tracker          5-d oscillator chasing a circling target; params:
                            orbit_radius, gain
+
+    ValueError names a param the field does not take, a bool, a string or a
+    non-finite value; dim must be an int >= 1.
     """
+    takes = {
+        "double_integrator": {},
+        "forced_norm_growth": {"gain": 1.0, "exponent": 0.5, "dim": 2},
+        "orbit_tracker": {"orbit_radius": 1.0, "gain": 4.0},
+    }
+    if name not in takes:
+        raise KeyError(f"unknown vector field {name!r}")
+    p = _read_params(name, params, takes[name])
     if name == "double_integrator":
         return VectorField(_double_integrator, dim=2, name=name)
     if name == "forced_norm_growth":
-        gain = float(params.get("gain", 1.0))
-        exponent = float(params.get("exponent", 0.5))
-        dim = int(params.get("dim", 2))
-        return VectorField(_make_forced_norm_growth(gain, exponent), dim=dim, name=name)
-    if name == "orbit_tracker":
-        orbit_radius = float(params.get("orbit_radius", 1.0))
-        gain = float(params.get("gain", 4.0))
-        return VectorField(_make_orbit_tracker(orbit_radius, gain), dim=5, name=name)
-    raise KeyError(f"unknown vector field {name!r}")
+        return VectorField(_make_forced_norm_growth(p["gain"], p["exponent"]), p["dim"], name)
+    return VectorField(_make_orbit_tracker(p["orbit_radius"], p["gain"]), dim=5, name=name)

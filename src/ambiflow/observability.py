@@ -41,14 +41,13 @@ from __future__ import annotations
 
 import functools
 import math
-import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from ambiflow.dynamics import _rk4
+from ambiflow.dynamics import _read_params, _rk4
 
 __all__ = [
     "LinearTimeVaryingSystem",
@@ -89,32 +88,22 @@ class LinearTimeVaryingSystem:
     c_fn: Callable[[float], np.ndarray]
     dim: int
     n_outputs: int
-    is_lti: bool = False
     c_dot_fn: Callable[[float], np.ndarray] | None = None
     a_const: np.ndarray | None = None
     c_const: np.ndarray | None = None
     name: str = ""
 
+    @property
+    def is_lti(self) -> bool:
+        """Constant matrices, ``a_const`` and ``c_const``, were given."""
+        return self.a_const is not None
+
     @classmethod
     def lti(cls, a: np.ndarray, c: np.ndarray, name: str = "") -> "LinearTimeVaryingSystem":
-        a = np.atleast_2d(np.asarray(a, dtype=float))
-        c = np.atleast_2d(np.asarray(c, dtype=float))
-        if a.shape[0] != a.shape[1]:
-            raise ValueError(f"A must be square, got {a.shape}")
-        if c.shape[1] != a.shape[0]:
-            raise ValueError(f"C has {c.shape[1]} columns, expected {a.shape[0]}")
+        a, c = np.atleast_2d(np.asarray(a, dtype=float)), np.atleast_2d(np.asarray(c, dtype=float))
         zero = np.zeros_like(c)
-        return cls(
-            a_fn=lambda t: a,
-            c_fn=lambda t: c,
-            dim=a.shape[0],
-            n_outputs=c.shape[0],
-            is_lti=True,
-            c_dot_fn=lambda t: zero,
-            a_const=a,
-            c_const=c,
-            name=name,
-        )
+        sys = cls.time_varying(lambda t: a, lambda t: c, lambda t: zero, name)
+        return replace(sys, a_const=a, c_const=c)
 
     @classmethod
     def time_varying(
@@ -135,7 +124,6 @@ class LinearTimeVaryingSystem:
             c_fn=c_fn,
             dim=a0.shape[0],
             n_outputs=c0.shape[0],
-            is_lti=False,
             c_dot_fn=c_dot_fn,
             name=name,
         )
@@ -307,12 +295,27 @@ def _kernel_mid(a: np.ndarray, c: np.ndarray, cd: np.ndarray) -> np.ndarray:
     return a.transpose(0, 2, 1) @ ctc + cd.transpose(0, 2, 1) @ c + ct @ cd + ctc @ a
 
 
-def _gramians(
-    sys: LinearTimeVaryingSystem, starts: np.ndarray, varsigma: float, quad_step: float
+def observability_gramian(
+    sys: LinearTimeVaryingSystem,
+    t: float | np.ndarray,
+    varsigma: float,
+    quad_step: float | None = None,
 ) -> np.ndarray:
-    """Anchored Gramians over [s, s + varsigma] for every s in ``starts``, on
-    one sweep: a (len(starts), d, d) stack.  OverflowError names the first
-    window in start order that is not finite."""
+    """Constructability Gramian over [t, t + varsigma], anchored at the right end.
+
+    Composite trapezoid quadrature with a uniform node spacing at most
+    ``quad_step`` (default varsigma/200).  The integrand is evaluated on one
+    backward flow sweep from the anchor.  A number ``t`` gives one (d, d)
+    Gramian; an array of window starts gives a (len(t), d, d) stack, every
+    window on the same sweep.  OverflowError names the first window in start
+    order that is not finite.
+    """
+    if not (varsigma > 0.0 and math.isfinite(varsigma)):
+        raise ValueError(f"window length must be positive and finite, got {varsigma}")
+    if quad_step is None:
+        quad_step = varsigma / 200.0
+    _check_grid_step(quad_step)
+    starts = np.atleast_1d(np.asarray(t, dtype=float))
     n_cells = max(2, math.ceil(varsigma / quad_step))
     h = varsigma / n_cells
     count, a_at = len(starts), functools.cache(sys.a_at)
@@ -329,29 +332,10 @@ def _gramians(
     gram *= h
     bad = np.flatnonzero(~np.isfinite(gram).all(axis=(1, 2)))
     if bad.size:
-        t = float(starts[bad[0]])
-        raise OverflowError(f"Gramian over [{t:.6g}, {t + varsigma:.6g}] is not finite")
-    return 0.5 * (gram + gram.transpose(0, 2, 1))
-
-
-def observability_gramian(
-    sys: LinearTimeVaryingSystem,
-    t: float,
-    varsigma: float,
-    quad_step: float | None = None,
-) -> np.ndarray:
-    """Constructability Gramian over [t, t + varsigma], anchored at the right end.
-
-    Composite trapezoid quadrature with a uniform node spacing at most
-    ``quad_step`` (default varsigma/200).  The integrand is evaluated on one
-    backward flow sweep from the anchor.
-    """
-    if not (varsigma > 0.0 and math.isfinite(varsigma)):
-        raise ValueError(f"window length must be positive and finite, got {varsigma}")
-    if quad_step is None:
-        quad_step = varsigma / 200.0
-    _check_grid_step(quad_step)
-    return _gramians(sys, np.array([t], dtype=float), varsigma, quad_step)[0]
+        t0 = float(starts[bad[0]])
+        raise OverflowError(f"Gramian over [{t0:.6g}, {t0 + varsigma:.6g}] is not finite")
+    gram = 0.5 * (gram + gram.transpose(0, 2, 1))
+    return gram if np.ndim(t) else gram[0]
 
 
 def gramian_floor(
@@ -373,32 +357,30 @@ def gramian_floor(
     _check_grid_step(grid_step)
     span = 0.0 if sys.is_lti else horizon - window
     starts = np.linspace(0.0, span, max(1, math.ceil(span / grid_step) + 1))
-    grams = _gramians(sys, starts, window, grid_step)
+    grams = observability_gramian(sys, starts, window, grid_step)
     return float(np.linalg.eigvalsh(grams)[:, 0].min())
 
 
 def max_kernel_derivative(
     sys: LinearTimeVaryingSystem,
-    t: float,
-    s_low: float,
+    t: float | np.ndarray,
+    s_low: float | np.ndarray,
     grid_step: float,
 ) -> float:
     """max over s in [s_low, t] of the spectral norm of d/ds K(s, t),
 
     where K(s, t) = Phi(s, t)^T C(s)^T C(s) Phi(s, t).  Evaluated on one
     backward sweep from s = t with uniform node spacing at most grid_step.
+    ``t`` and ``s_low`` may also be arrays of anchors and their lower ends,
+    broadcast together: the result is then the maximum over every anchor,
+    all of them on the same sweep.
     """
     _check_grid_step(grid_step)
-    if s_low > t:
-        raise ValueError(f"need s_low <= t, got ({s_low}, {t})")
-    return _kernel_scan(sys, np.array([t], dtype=float), np.array([s_low], dtype=float), grid_step)
-
-
-def _kernel_scan(
-    sys: LinearTimeVaryingSystem, t: np.ndarray, s_low: np.ndarray, grid_step: float
-) -> float:
-    """``max_kernel_derivative`` maximized over anchors t[i] with their own
-    s_low[i], every anchor on one sweep."""
+    t, s_low = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s_low, dtype=float))
+    t, s_low = t.ravel(), s_low.ravel()
+    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(s_low) & (s_low <= t)))
+    if bad.size:
+        raise ValueError(f"need s_low <= t, both finite, got ({s_low[bad[0]]}, {t[bad[0]]})")
     span = t - s_low
     n_cells = np.where(span > 0.0, np.maximum(1.0, np.ceil(span / grid_step)), 0.0).astype(int)
     h = np.where(n_cells > 0, span / np.maximum(n_cells, 1), grid_step)  # RK4 wants h > 0
@@ -488,7 +470,8 @@ def _sampling_bound_and_floor(
         factor = 4.0
         n_anchor = max(2, math.ceil((horizon - window_low) / grid_step) + 1)
         anchors = np.linspace(window_low, horizon, n_anchor)
-        worst = _kernel_scan(sys, anchors, np.maximum(0.0, anchors - window_up), grid_step)
+        lows = np.maximum(0.0, anchors - window_up)
+        worst = max_kernel_derivative(sys, anchors, lows, grid_step)
     if worst == 0.0:
         return math.inf, floor
     return factor * (1.0 - retention) * floor / (window_up * worst), floor
@@ -766,12 +749,10 @@ _SCHEDULE_CRITERIA = {
 
 
 def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
-    takes = {"double_integrator": (), "harmonic_oscillator": (), "rotating_sensor": ("omega",)}
+    takes = {"double_integrator": {}, "harmonic_oscillator": {}, "rotating_sensor": {"omega": 1.0}}
     if name not in takes:
         raise KeyError(f"unknown built-in system {name!r}")
-    extra = sorted(set(params) - set(takes[name]))
-    if extra:
-        raise ValueError(f"{name} takes no params {extra}")
+    p = _read_params(name, params, takes[name])
     if name == "double_integrator":
         return LinearTimeVaryingSystem.lti(
             np.array([[0.0, 1.0], [0.0, 0.0]]), np.array([[1.0, 0.0]]), name=name
@@ -780,18 +761,14 @@ def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
         return LinearTimeVaryingSystem.lti(
             np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0, 0.0]]), name=name
         )
-    if name == "rotating_sensor":
-        omega = params.get("omega", 1.0)
-        if isinstance(omega, bool) or not isinstance(omega, numbers.Real):
-            raise ValueError(f"params.omega must be a real number, got {omega!r}")
-        a = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        return LinearTimeVaryingSystem.time_varying(
-            a_fn=lambda t: a,
-            c_fn=lambda t: np.array([[math.cos(omega * t), math.sin(omega * t)]]),
-            c_dot_fn=lambda t: omega
-            * np.array([[-math.sin(omega * t), math.cos(omega * t)]]),
-            name=name,
-        )
+    omega = p["omega"]
+    a = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    return LinearTimeVaryingSystem.time_varying(
+        a_fn=lambda t: a,
+        c_fn=lambda t: np.array([[math.cos(omega * t), math.sin(omega * t)]]),
+        c_dot_fn=lambda t: omega * np.array([[-math.sin(omega * t), math.cos(omega * t)]]),
+        name=name,
+    )
 
 
 def system_from_json(payload: dict) -> LinearTimeVaryingSystem:

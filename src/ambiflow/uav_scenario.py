@@ -944,10 +944,21 @@ def _realization_problems(cfg: ScenarioConfig, realization: int, cps: list[int])
     return problems
 
 
+def _checkpoints(checkpoints: Sequence[int]) -> list[int]:
+    """The checkpoints in increasing order; ValueError names an entry that is not
+    an int >= 1 (a bool or a float is not)."""
+    for c in checkpoints:
+        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
+            raise ValueError(f"checkpoints must be positive integers, got {c!r} in {checkpoints}")
+    if not checkpoints:
+        raise ValueError("checkpoints must be positive integers, got none")
+    return sorted(int(c) for c in checkpoints)
+
+
 def _experiment_rows(
     cfg: ScenarioConfig,
     realizations: Sequence[int],
-    checkpoints: Sequence[int],
+    cps: list[int],
     n_t: int,
     n_starts: int,
     jobs: int,
@@ -960,9 +971,6 @@ def _experiment_rows(
     distinct problems are solved in separate processes.
     """
     _check_solver_settings(n_t, n_starts)
-    cps = sorted(int(c) for c in checkpoints)
-    if not cps or cps[0] < 1:
-        raise ValueError(f"checkpoints must be positive integers, got {checkpoints}")
     problems = [p for r in realizations for p in _realization_problems(cfg, r, cps)]
     keys = []
     distinct: dict[tuple, tuple] = {}
@@ -992,7 +1000,7 @@ def run_single_realization(
     n_starts: int = 20,
 ) -> list[ExperimentRow]:
     """One seeded pass: draw watcher phases, recover states, solve both DROs."""
-    return _experiment_rows(cfg, [realization], checkpoints, n_t, n_starts, jobs=1)
+    return _experiment_rows(cfg, [realization], _checkpoints(checkpoints), n_t, n_starts, jobs=1)
 
 
 def run_experiment(
@@ -1012,6 +1020,6 @@ def run_experiment(
     """
     if n_realizations < 1:
         raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
-    rows = _experiment_rows(cfg, range(1, n_realizations + 1), checkpoints, n_t, n_starts, jobs)
-    cps = tuple(sorted(int(c) for c in checkpoints))
-    return ExperimentReport(rows=tuple(rows), checkpoints=cps)
+    cps = _checkpoints(checkpoints)
+    rows = _experiment_rows(cfg, range(1, n_realizations + 1), cps, n_t, n_starts, jobs)
+    return ExperimentReport(rows=tuple(rows), checkpoints=tuple(cps))

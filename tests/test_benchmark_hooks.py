@@ -8,6 +8,7 @@ renamed or deleted function would break only ``perfbench/run.py --trace 1``.
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import ambiflow.ambiguity as amb
@@ -16,6 +17,7 @@ import ambiflow.concentration as conc
 import ambiflow.distribution as dist
 import ambiflow.observability as obs
 import ambiflow.uav_scenario as uav
+from ambiflow.dynamics import builtin_field
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -69,3 +71,23 @@ def test_ball_certificate_holds(perfbench, kind):
     assert cert["kind"] == kind
     assert cert["margin"] >= workloads.RETENTION * cert["floor"]
     assert cert["error"] <= cert["error_bound"]
+
+
+def test_ball_pass_reaches_every_traced_layer(perfbench):
+    # The ball workload's per-layer metrics read the spans of these public
+    # functions; a package path that went around one of them through a
+    # private copy would leave its metric at zero.
+    tracer, workloads, _ = perfbench
+    specs = [s for s in workloads.make_ball_inputs(1).systems if s.kind == "ltv"]
+    spec = next(s for s in specs if "bound" in workloads._certificate(s, None))
+    samples = [(0.0, np.zeros(2)), (0.5, np.ones(2))]
+    trace = tracer.Tracer("layers")
+    try:
+        workloads.install_ball_wrappers(trace)
+        workloads._certificate(spec, trace)
+        amb.cumulative_empirical(samples, 1.0, builtin_field("double_integrator"))
+    finally:
+        trace.restore()
+    calls = {name: entry["calls"] for name, entry in trace.summary().items()}
+    for name in ("obs.observability_gramian", "obs.max_kernel_derivative", "dyn.integrate_flow"):
+        assert calls.get(name, 0) > 0, name

@@ -175,7 +175,10 @@ def run_with_literal(tmp_path, command, field, literal):
         ("uav", "scenario.eps_ref", "NaN"),
         ("uav", "scenario.tracking_gain", "Infinity"),
         ("observe", "noise", "NaN"),
+        # Past Python's 4,300-digit limit on converting an integer literal.
+        ("radius", "delta", "1" + "0" * 5000),
     ],
+    ids=lambda v: v[:40] if isinstance(v, str) else None,
 )
 def test_non_finite_config_value_exit_2(tmp_path, capsys, command, field, literal):
     # Python's json reads NaN, Infinity and overflowing literals as floats;

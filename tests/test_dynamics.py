@@ -96,6 +96,11 @@ def test_bad_inputs():
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=math.nan)
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0, 3.0]))
+    # A batch: one wrong state, or as many start times as states.
+    with pytest.raises(ValueError, match=r"state shape \(3,\) does not match field dim 2"):
+        integrate_flow(ROTATION, [0.0, 0.5], 1.0, [np.zeros(2), np.zeros(3)])
+    with pytest.raises(ValueError, match="3 start times for 2 states"):
+        integrate_flow(ROTATION, [0.0, 0.5, 0.7], 1.0, [np.zeros(2), np.zeros(2)])
 
 
 SENSOR = system_from_json({"name": "rotating_sensor", "params": {"omega": 2.0}})
@@ -292,6 +297,33 @@ def test_unknown_field_name():
         builtin_field("does_not_exist")
 
 
+@pytest.mark.parametrize(
+    "name, params, message",
+    [
+        ("forced_norm_growth", {"dim": 2.7}, "params.dim must be an integer >= 1, got 2.7"),
+        ("forced_norm_growth", {"dim": 0}, "params.dim must be an integer >= 1, got 0"),
+        ("forced_norm_growth", {"dim": True}, "params.dim must be an integer >= 1, got True"),
+        ("forced_norm_growth", {"gain": "2"}, "params.gain must be a finite real number, got '2'"),
+        ("forced_norm_growth", {"exponent": math.nan}, "params.exponent must be a finite real"),
+        ("double_integrator", {"gain": 5}, r"double_integrator takes no params \['gain'\]"),
+        ("orbit_tracker", {"gain": True}, "params.gain must be a finite real number, got True"),
+        ("orbit_tracker", {"orbit_radius": math.inf}, "params.orbit_radius must be a finite"),
+        ("orbit_tracker", {"gain": 4.0, "phase": 1.0}, r"takes no params \['phase'\]"),
+    ],
+)
+def test_builtin_field_rejects_bad_params(name, params, message):
+    with pytest.raises(ValueError, match=message):
+        builtin_field(name, **params)
+
+
+def test_builtin_field_reads_integer_params_as_numbers():
+    # An int where a real belongs reads as that float; a numpy int is a count.
+    x = np.array([[0.3, -0.2, 0.1, 0.4, 1.1]]).T
+    ints = builtin_field("orbit_tracker", orbit_radius=1, gain=4)
+    assert np.array_equal(ints(0.7, x), builtin_field("orbit_tracker")(0.7, x))
+    assert builtin_field("forced_norm_growth", dim=np.int64(3)).dim == 3
+
+
 def test_forced_field_singular_at_origin():
     field = builtin_field("forced_norm_growth", gain=1.0, exponent=0.5, dim=2)
     with pytest.raises(ArithmeticError):
@@ -354,6 +386,10 @@ def test_batched_push_matches_per_point_flows():
     images = np.array([integrate_flow(field, 0.0, 1.5, p, 0.01) for p in cloud])
     pushed = cumulative_empirical([(0.0, p) for p in cloud], 1.5, field, step=0.01)
     assert np.array_equal(pushed.points, images)
+    # Staggered start times, one per state, through the public batch form.
+    times = [0.0, 0.37, 0.5, 1.2, 1.5, 1.499]
+    staggered = np.array([integrate_flow(field, t, 1.5, p, 0.01) for t, p in zip(times, cloud)])
+    assert np.array_equal(integrate_flow(field, times, 1.5, cloud, 0.01), staggered)
 
 
 def test_field_must_return_the_state_shape():

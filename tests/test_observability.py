@@ -519,10 +519,25 @@ def test_batched_sweep_matches_scalar_reference(kind):
             got = observability_gramian(sys, t, varsigma, quad_step=quad)
             want = scalar_gramian(sys, t, varsigma, varsigma / 200.0 if quad is None else quad)
             assert got.tobytes() == want.tobytes()
+        # An array of window starts gives the stack of the one-window Gramians.
+        starts = np.array([0.2, 0.0, 1.1, 0.2])
+        stack = observability_gramian(sys, starts, 0.6, quad_step=0.03)
+        assert stack.shape == (4, sys.dim, sys.dim)
+        assert np.array_equal(
+            stack, [observability_gramian(sys, t, 0.6, quad_step=0.03) for t in starts]
+        )
         for t, s_low, grid in ((1.3, 0.4, 0.05), (1.0, 0.13, 0.07), (0.5, 0.5, 0.1)):
             assert max_kernel_derivative(sys, t, s_low, grid) == scalar_kernel_scan(
                 sys, t, s_low, grid
             )
+        # Arrays of anchors give the largest of the per-anchor maxima.
+        anchors, lows = np.array([1.3, 1.0, 0.5, 0.9]), np.array([0.4, 0.13, 0.5, 0.0])
+        assert max_kernel_derivative(sys, anchors, lows, 0.07) == max(
+            max_kernel_derivative(sys, t, s_low, 0.07) for t, s_low in zip(anchors, lows)
+        )
+        assert max_kernel_derivative(sys, anchors, 0.0, 0.07) == max(
+            max_kernel_derivative(sys, t, 0.0, 0.07) for t in anchors
+        )
         for args in ((0.5, 0.75, 1.5, 0.5, 0.05), (0.4, 0.9, 1.3, 0.3, 0.06)):
             assert outcome(robust_sampling_bound, sys, *args) == outcome(
                 scalar_sampling_bound, sys, *args
@@ -593,6 +608,23 @@ def test_grid_step_must_be_positive_and_finite(lti, grid_step):
         max_kernel_derivative(sys, 1.0, 0.25, grid_step)
     with pytest.raises(ValueError, match="grid_step must be positive and finite"):
         robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=grid_step)
+
+
+@pytest.mark.parametrize(
+    "t, s_low, shown",
+    [
+        (0.5, 0.75, "0.75, 0.5"),
+        # A NaN end scanned the anchor alone; an infinite one failed on an index.
+        (1.0, math.nan, "nan, 1.0"),
+        (1.0, -math.inf, "-inf, 1.0"),
+        (math.inf, 0.5, "0.5, inf"),
+        # In a batch the message names the first anchor at fault.
+        ([1.0, 0.5, 0.2], [0.2, 0.75, 0.3], "0.75, 0.5"),
+    ],
+)
+def test_kernel_derivative_needs_finite_s_low_at_most_t(t, s_low, shown):
+    with pytest.raises(ValueError, match=rf"need s_low <= t, both finite, got \({shown}\)"):
+        max_kernel_derivative(wobbly_system(), t, s_low, 0.05)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -942,11 +974,21 @@ def test_system_from_json_matrices_and_builtins():
         ({"name": "rotating_sensor", "params": {"omega": True}}, "params.omega"),
         ({"name": "double_integrator", "params": {"omega": 2}}, r"no params \['omega'\]"),
         ({"name": "rotating_sensor", "params": {"omega": 2, "phase": 1}}, "phase"),
+        ({"name": "rotating_sensor", "params": {"omega": math.nan}}, "params.omega"),
     ],
 )
 def test_system_from_json_rejects_strings_and_unused_params(payload, message):
     with pytest.raises(ValueError, match=message):
         system_from_json(payload)
+
+
+def test_is_lti_means_constant_matrices():
+    # Not a setting of its own, so it cannot disagree with ``a_const``.
+    assert double_integrator().is_lti
+    assert not wobbly_system().is_lti
+    a, c = np.eye(2), np.ones((1, 2))
+    with pytest.raises(TypeError):
+        LinearTimeVaryingSystem(lambda t: a, lambda t: c, 2, 1, is_lti=True)
 
 
 def test_system_from_json_takes_integer_entries():

@@ -12,6 +12,7 @@ Grouped as:
 """
 
 import math
+import re
 from unittest.mock import patch
 
 import numpy as np
@@ -1257,6 +1258,28 @@ def test_experiment_validates_arguments():
         run_experiment(cfg, 0, [1])
     with pytest.raises(ValueError):
         run_single_realization(cfg, 1, [0])
+    with pytest.raises(ValueError, match="got none"):
+        run_experiment(cfg, 1, [])
+
+
+@pytest.mark.parametrize(
+    "checkpoints, shown",
+    [([1.7], "1.7"), ([True], "True"), ([2, 1.0], "1.0"), (["3"], "'3'"), ([0], "0")],
+)
+def test_experiment_rejects_checkpoints_that_are_not_counts(checkpoints, shown):
+    # A float or a bool is not read as the int it rounds to.
+    cfg = default_config(1)
+    with pytest.raises(ValueError, match=f"got {re.escape(shown)} in"):
+        run_experiment(cfg, 1, checkpoints)
+    with pytest.raises(ValueError, match=f"got {re.escape(shown)} in"):
+        run_single_realization(cfg, 1, checkpoints)
+
+
+def test_experiment_report_lists_the_checkpoints_in_order():
+    report = run_experiment(default_config(4), 1, [np.int64(3), 1], n_t=100, n_starts=2)
+    assert report.checkpoints == (1, 3)
+    assert all(type(c) is int for c in report.checkpoints)
+    assert [r.checkpoint for r in report.rows] == [1, 1, 3, 3]
 
 
 def test_experiment_rows_independent_of_jobs_and_path():
