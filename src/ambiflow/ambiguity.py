@@ -89,14 +89,6 @@ class SamplingSchedule:
         object.__setattr__(self, "times", norm)
 
     @property
-    def n_trajectories(self) -> int:
-        return len(self.times)
-
-    @property
-    def obs_length(self) -> int:
-        return len(self.times[0])
-
-    @property
     def horizon(self) -> float:
         return self.times[-1][-1]
 

@@ -151,12 +151,19 @@ def _rk4(
     and step are then numbers or hold one value per column too.  Each column
     steps on its own grid t_start[i] + k h[i], with its own shortened last
     step, so it ends bit for bit where it would alone; f sees only the
-    columns still stepping, x[..., live] with t of shape (n,).
+    columns still stepping, x[..., live] with t of shape (n,).  ValueError
+    names a start or end time that is not finite.
     """
     if not np.all((step > 0.0) & np.isfinite(step)):
         raise ValueError(f"step must be positive and finite, got {step}")
     span = t_end - t_start
-    if isinstance(t_start, np.ndarray):
+    batch = isinstance(t_start, np.ndarray)
+    if not (np.isfinite(span).all() if batch else math.isfinite(span)):
+        for t in np.append(t_start, t_end).tolist():
+            if not math.isfinite(t):
+                raise ValueError(f"RK4 start and end times must be finite, got {t}")
+        raise ValueError(f"RK4 span must be finite, got {span}")
+    if batch:
         x = np.array(x, dtype=float)
         h = np.copysign(step, span)
         n_full = (np.abs(span) // step).astype(int)

@@ -26,11 +26,16 @@ read Phi(tau, t) at uniformly spaced tau on one backward sweep
 (``_backward_sweep``) that steps every window or anchor together: a product
 with expm(-A h) per node for stationary systems, one batched RK4 call per
 node otherwise, with A, C and C' built once per distinct tau.  Each takes
-its eigenvalues or spectral norms in one stacked call.  Where the flow
-overflows, each of them, ``fundamental_matrix`` and
+its eigenvalues or spectral norms in one stacked call.
+``sample_observability_matrix`` takes a stationary schedule's exponentials
+in one stacked ``expm``, and steps every gap of a time-varying schedule
+from the identity in one batched RK4 call, each gap on its own step grid,
+then chains the gaps back from the last sample time.  Where the flow
+overflows, the sweep's three users, ``fundamental_matrix`` and
 ``sample_observability_matrix`` raise OverflowError (an ArithmeticError)
 instead of returning NaN or inf.  Their ``grid_step`` must be positive and
-finite, as must the RK4 ``step`` of time-varying flows.
+finite, as must the RK4 ``step`` of time-varying flows and every sample
+time.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -129,17 +134,24 @@ class LinearTimeVaryingSystem:
         )
 
     def a_at(self, t: float) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.a_fn(t), dtype=float))
+        return _as_matrix(self.a_fn(t))
 
     def c_at(self, t: float) -> np.ndarray:
-        return np.atleast_2d(np.asarray(self.c_fn(t), dtype=float))
+        return _as_matrix(self.c_fn(t))
 
     def c_dot_at(self, t: float) -> np.ndarray:
         if self.c_dot_fn is not None:
-            return np.atleast_2d(np.asarray(self.c_dot_fn(t), dtype=float))
+            return _as_matrix(self.c_dot_fn(t))
         hi = self.c_at(t + _FD_STEP)
         lo = self.c_at(t - _FD_STEP)
         return (hi - lo) / (2.0 * _FD_STEP)
+
+
+def _as_matrix(value) -> np.ndarray:
+    """A callable's value as a 2-D float array; one that is already 2-D is
+    returned as it is, without the cost of ``np.atleast_2d``."""
+    m = np.asarray(value, dtype=float)
+    return m if m.ndim == 2 else np.atleast_2d(m)
 
 
 # --- fundamental matrices -------------------------------------------------------
@@ -204,7 +216,7 @@ def _backward_sweep(
     yield taus[0], m, lives[0]
     field = _matrix_field(a_at)
     if sys.is_lti:
-        back = np.stack([expm(-sys.a_const * step) for step in h.tolist()])
+        back = expm(-sys.a_const * h[:, None, None])
     for k in range(1, len(taus)):
         if sys.is_lti:
             m = m @ back
@@ -225,25 +237,31 @@ def sample_observability_matrix(
     """Stack C(t_k) Phi(t_k, t_last) over the sample times.
 
     Shape (l * m, d).  The state being solved for lives at the last sample
-    time; earlier rows reach it through backward flow.
+    time; earlier rows reach it through backward flow.  Stationary systems
+    take every Phi in one stacked ``expm``.  Otherwise one batched RK4 call
+    steps every gap's Phi(t_k, t_(k+1)) from the identity, each gap on the
+    step grid it would have alone, and the gaps chain back from the anchor
+    with one d x d product per sample: RK4 is linear in its starting
+    matrix, so this changes only rounding against stepping one matrix
+    through every gap in turn.
     """
-    ts = [float(t) for t in times]
+    ts = _sample_times(times)
     if len(ts) < 1:
         raise ValueError("need at least one sample time")
-    if any(b - a <= 0.0 for a, b in zip(ts, ts[1:])):
-        raise ValueError("sample times must be strictly increasing")
     anchor = ts[-1]
     if sys.is_lti:
-        blocks = [sys.c_const @ expm(sys.a_const * (t - anchor)) for t in ts]
+        phis = expm(sys.a_const * (np.array(ts) - anchor)[:, None, None])
+        blocks = [sys.c_const @ phi for phi in phis]
     else:
-        # One backward sweep: carry Phi(tau, anchor) from the anchor down
-        # through every sample time.
-        field = _matrix_field(functools.cache(sys.a_at))
         m = np.eye(sys.dim)
         blocks = [sys.c_at(anchor) @ m]
-        for tau, t in zip(ts[:0:-1], ts[-2::-1]):
-            m = _rk4(field, tau, t, m, step)
-            blocks.append(sys.c_at(t) @ m)
+        if len(ts) > 1:
+            field = _matrix_field(functools.cache(sys.a_at))
+            eyes = np.repeat(m[:, :, None], len(ts) - 1, axis=2)
+            gaps = _rk4(field, np.array(ts[1:]), np.array(ts[:-1]), eyes, step)
+            for k in range(len(ts) - 2, -1, -1):
+                m = gaps[..., k] @ m
+                blocks.append(sys.c_at(ts[k]) @ m)
         blocks.reverse()
     obs = np.vstack(blocks)
     if not np.isfinite(obs).all():
@@ -251,6 +269,18 @@ def sample_observability_matrix(
             f"sample observability matrix is not finite over [{ts[0]:.6g}, {anchor:.6g}]"
         )
     return obs
+
+
+def _sample_times(times: Sequence[float]) -> list[float]:
+    """The sample times as floats; ValueError names the first one that is not
+    finite, or says they do not strictly increase."""
+    ts = [float(t) for t in times]
+    for t in ts:
+        if not math.isfinite(t):
+            raise ValueError(f"sample times must be finite, got {t}")
+    if any(b - a <= 0.0 for a, b in zip(ts, ts[1:])):
+        raise ValueError("sample times must be strictly increasing")
+    return ts
 
 
 def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
@@ -261,12 +291,10 @@ def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
     they sum to the window span.  Each weight is repeated for the m output
     channels of its sample, so the result is (l*m) x (l*m).
     """
-    ts = [float(t) for t in times]
+    ts = _sample_times(times)
     if len(ts) < 2:
         raise ValueError("weights need at least two sample times")
     gaps = np.diff(ts)
-    if gaps.min() <= 0.0:
-        raise ValueError("sample times must be strictly increasing")
     sq = np.empty(len(ts))
     sq[0] = gaps[0] / 2.0
     sq[-1] = gaps[-1] / 2.0
@@ -520,6 +548,10 @@ def estimation_error_bound(
         raise ValueError(f"retention must be in (0, 1], got {retention}")
     if output_noise < 0.0:
         raise ValueError(f"output_noise must be >= 0, got {output_noise}")
+    for name, value in (("window_up", window_up), ("gramian_min", gramian_min),
+                        ("output_noise", output_noise)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value}")
     return math.sqrt(window_up / (retention * gramian_min)) * output_noise
 
 

@@ -56,8 +56,8 @@ def test_schedule_derived_quantities():
     sched = SamplingSchedule(
         times=((0.0, 0.4, 1.0), (0.5, 1.0, 1.8), (2.0, 2.5, 2.9)),
     )
-    assert sched.n_trajectories == 3
-    assert sched.obs_length == 3
+    assert len(sched.times) == 3
+    assert len(sched.times[0]) == 3
     assert sched.horizon == 2.9
     assert sched.delta == pytest.approx(1.1)          # 2.9 - 1.8
     assert sched.delta_prime == pytest.approx(0.8)    # 1.0 -> 1.8

@@ -132,6 +132,22 @@ def test_every_rk4_user_rejects_a_bad_step(user, step):
         STEP_USERS[user](step)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_rk4_rejects_non_finite_times(bad):
+    # A NaN or infinite time must neither leave a state unmoved nor fail on
+    # an integer cast: the one RK4 core names it.
+    calls = [
+        lambda: integrate_flow(ROTATION, [0.0, bad], 1.0, [np.zeros(2)] * 2),
+        lambda: integrate_flow(ROTATION, [0.0, 0.5], bad, [np.zeros(2)] * 2),
+        lambda: integrate_flow(ROTATION, bad, 1.0, np.zeros(2)),
+        lambda: integrate_flow(ROTATION, 0.0, bad, np.zeros(2)),
+        lambda: fundamental_matrix(SENSOR, bad, 0.0),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=f"RK4 start and end times must be finite, got {bad}"):
+            call()
+
+
 # --- group 2: error envelopes ---------------------------------------------------
 
 

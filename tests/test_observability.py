@@ -10,6 +10,7 @@ Grouped as:
  7. reconstruction and its error bound
 """
 
+import functools
 import math
 
 import numpy as np
@@ -36,6 +37,7 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
+from ambiflow.observability import _matrix_field
 
 # Closed-form anchors for the double integrator observed in position.
 # Gramian over a unit window, anchored at the right end, is
@@ -164,6 +166,21 @@ def test_weight_matrix_rejects_bad_times():
         weight_matrix([0.0, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("where", [0, 1, 2])
+def test_sample_times_must_be_finite(where, bad):
+    # A NaN or infinite time is a ValueError that names it, not NaN or inf
+    # weights or an overflow, and it is raised before any flow.
+    times = [0.0, 0.5, 1.0]
+    times[where] = bad
+    message = f"sample times must be finite, got {bad}"
+    with pytest.raises(ValueError, match=message):
+        weight_matrix(times)
+    for sys in (harmonic_oscillator(), wobbly_system()):
+        with pytest.raises(ValueError, match=message):
+            sample_observability_matrix(sys, times)
+
+
 def test_normal_matrix_is_weighted_kernel_sum():
     # O^T W^2 O must equal sum_l w_l^2 K(t_l, t_last) exactly, where
     # K(s, t) = Phi(s, t)^T C^T C Phi(s, t).
@@ -186,6 +203,91 @@ def test_eigenvalue_margin_anchor():
     o = sample_observability_matrix(double_integrator(), [0.0, 0.5, 1.0])
     w = weight_matrix([0.0, 0.5, 1.0])
     assert eigenvalue_margin(o, w) == pytest.approx(MARGIN_THREE_SAMPLES, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "a",
+    [
+        np.array([[0.0, 1.0], [0.0, 0.0]]),   # triangular
+        np.diag([-0.5, 0.3, 1.2]),            # diagonal
+        np.array([[0.7]]),                    # scalar
+        np.random.default_rng(3).normal(size=(3, 3)),
+        np.random.default_rng(4).normal(size=(4, 4)),
+    ],
+)
+def test_stationary_rows_equal_one_exponential_per_time(a):
+    # The stacked expm gives each time exactly what its own call gives.
+    c = np.random.default_rng(5).normal(size=(2, len(a)))
+    times = [0.0, 0.13, 0.5, 0.5004, 1.4, 3.0]
+    got = sample_observability_matrix(LinearTimeVaryingSystem.lti(a, c), times)
+    want = np.vstack([c @ expm(a * (t - times[-1])) for t in times])
+    assert np.array_equal(got, want)
+
+
+def sequential_observability_matrix(sys, times, step=1e-3):
+    """The time-varying rows from one matrix stepped down from the anchor
+    through every gap in turn, one scalar RK4 call per gap: the reference
+    for the batched gaps."""
+    ts = [float(t) for t in times]
+    anchor = ts[-1]
+    field = _matrix_field(functools.cache(sys.a_at))
+    m = np.eye(sys.dim)
+    blocks = [sys.c_at(anchor) @ m]
+    for tau, t in zip(ts[:0:-1], ts[-2::-1]):
+        m = _rk4(field, tau, t, m, step)
+        blocks.append(sys.c_at(t) @ m)
+    blocks.reverse()
+    return np.vstack(blocks)
+
+
+def random_ltv(seed, d, record=None):
+    """x' = (A0 + sin(w t) A1) x seen through a pulsing C of 1..d-1 rows."""
+    rng = np.random.default_rng(seed)
+    a0, a1 = rng.normal(size=(2, d, d))
+    c0 = rng.normal(size=(int(rng.integers(1, d)), d))
+    w = rng.uniform(0.5, 3.0)
+
+    def a_fn(t):
+        if record is not None:
+            record.append(t)
+        return a0 + math.sin(w * t) * a1
+
+    return LinearTimeVaryingSystem.time_varying(
+        a_fn=a_fn, c_fn=lambda t: c0 * (1.0 + 0.3 * math.cos(t))
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 4),
+    start=st.floats(0.0, 2.0),
+    gaps=st.lists(st.floats(1e-4, 0.1), min_size=1, max_size=30),
+)
+def test_batched_gaps_match_sequential_sweep(seed, d, start, gaps):
+    # RK4 is linear in its starting matrix, so stepping each gap from the
+    # identity and chaining changes only rounding.
+    sys = random_ltv(seed, d)
+    times = (start + np.cumsum([0.0, *gaps])).tolist()
+    got = sample_observability_matrix(sys, times)
+    want = sequential_observability_matrix(sys, times)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_batched_gaps_keep_the_step_grid():
+    # Every gap keeps its own grid: the same A(tau) at the same taus, so a
+    # speedup that coarsens the step fails here.
+    built = []
+    sys = random_ltv(11, 3, record=built)
+    times = [0.0, 0.0004, 0.3, 0.3015, 0.9, 0.9013, 1.7]
+    built.clear()
+    sample_observability_matrix(sys, times)
+    batched = sorted(built)
+    built.clear()
+    sequential_observability_matrix(sys, times)
+    assert len(batched) == len(built) > 1700
+    assert batched == sorted(built)
 
 
 # --- group 3: Gramians ------------------------------------------------------------
@@ -951,6 +1053,24 @@ def test_estimation_error_bound_anchor():
         estimation_error_bound(1.0, -1.0, 0.5, 0.01)
     with pytest.raises(ValueError):
         estimation_error_bound(1.0, 1.0, 0.0, 0.01)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name, message",
+    [
+        ("window_up", "window_up must be finite"),
+        ("gramian_min", "gramian_min must be finite"),
+        ("retention", r"retention must be in \(0, 1\]"),
+        ("output_noise", "output_noise must be finite"),
+    ],
+)
+def test_estimation_error_bound_needs_finite_numbers(name, message, bad):
+    # A NaN or infinite input must not give a NaN, inf or zero bound.
+    args = dict(window_up=1.0, gramian_min=LAM_MIN_EXACT, retention=0.5, output_noise=0.01)
+    args[name] = bad
+    with pytest.raises(ValueError, match=f"{message}, got {bad}"):
+        estimation_error_bound(**args)
 
 
 def test_system_from_json_matrices_and_builtins():
