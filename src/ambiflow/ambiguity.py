@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from ambiflow._checks import count, finite
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.distribution import DiscreteDistribution
 from ambiflow.dynamics import FlowErrorModel, VectorField, integrate_flow
@@ -82,10 +83,7 @@ class SamplingSchedule:
         last = [row[-1] for row in norm]
         if any(b - a < -_TIME_TOL for a, b in zip(last, last[1:])):
             raise ValueError("last sample times must be nondecreasing across members")
-        if not 1 <= self.effective_start <= len(norm):
-            raise ValueError(
-                f"effective_start {self.effective_start} outside [1, {len(norm)}]"
-            )
+        count("effective_start", self.effective_start, high=len(norm))
         object.__setattr__(self, "times", norm)
 
     @property
@@ -141,6 +139,7 @@ def cumulative_empirical(
     """
     if len(samples) == 0:
         raise ValueError("need at least one sample")
+    finite("horizon", horizon)
     for idx, (t, _) in enumerate(samples):
         if t > horizon + _TIME_TOL:
             raise ValueError(
@@ -183,15 +182,6 @@ def _envelope_power_integral(n: float, a: float, p: float) -> float:
     return max(val, 0.0)
 
 
-def _check_push(n_samples: int, delta: float, p: float) -> None:
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    if delta < 0.0:
-        raise ValueError(f"delta must be >= 0, got {delta}")
-    if not p >= 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
-
-
 def pushforward_error(
     n_samples: int, delta: float, p: float, model: FlowErrorModel
 ) -> float:
@@ -201,7 +191,9 @@ def pushforward_error(
     window), when the envelope magnitude vanishes, or when delta = 0.
     Strictly increasing in n_samples otherwise.
     """
-    _check_push(n_samples, delta, p)
+    count("n_samples", n_samples)
+    finite("delta", delta, ge=0)
+    finite("p", p, ge=1)
     a = model.rate * delta
     integral = _envelope_power_integral(float(n_samples), a, p)
     if integral == 0.0:
@@ -228,9 +220,10 @@ def pushforward_error_noisy(
     with a = rate * delta.  Reduces to the plain bound plus a recon term at
     p = 1, and dominates ``pushforward_error`` for every p >= 1.
     """
-    if recon_error < 0.0:
-        raise ValueError(f"recon_error must be >= 0, got {recon_error}")
-    _check_push(n_samples, delta, p)
+    count("n_samples", n_samples)
+    finite("delta", delta, ge=0)
+    finite("p", p, ge=1)
+    finite("recon_error", recon_error, ge=0)
     a = model.rate * delta
     n = float(n_samples)
     if a == 0.0:
@@ -298,8 +291,7 @@ def effective_horizon(
     as 'no-improvement'.  If no kappa up to ``cap`` fails (for instance with
     an exact integrator, magnitude = 0), the result is 'capped'.
     """
-    if cap < 1:
-        raise ValueError(f"cap must be >= 1, got {cap}")
+    count("cap", cap)
     # With an exact flow the pushforward part is identically zero, so a
     # positive statistical gain at the first step wins forever.
     exact = model.magnitude == 0.0 or model.rate * delta == 0.0

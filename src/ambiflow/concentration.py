@@ -28,6 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from ambiflow._checks import count, finite
+
 __all__ = [
     "RadiusConfig",
     "deviation_bound",
@@ -56,17 +58,11 @@ class RadiusConfig:
     small_c: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("p", "beta", "big_c", "small_c"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not self.p >= 1.0:
-            raise ValueError(f"transport order p must be >= 1, got {self.p}")
-        if not (isinstance(self.d, int) and self.d >= 1):
-            raise ValueError(f"dimension d must be a positive integer, got {self.d}")
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must lie in (0, 1), got {self.beta}")
-        if not self.big_c > 0.0 or not self.small_c > 0.0:
-            raise ValueError("constants C and c must be positive")
+        finite("p", self.p, ge=1)
+        count("d", self.d)
+        finite("beta", self.beta, gt=0, lt=1)
+        finite("big_c", self.big_c, gt=0)
+        finite("small_c", self.small_c, gt=0)
 
     @property
     def regime(self) -> str:
@@ -91,12 +87,9 @@ def deviation_bound(eps: float, rho: float, n_samples: int, cfg: RadiusConfig) -
     ``rho`` is the half-diameter (infinity norm) of the support box and
     ``n_samples`` the number of independent draws.
     """
-    if eps <= 0.0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    if rho <= 0.0:
-        raise ValueError(f"rho must be positive, got {rho}")
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
+    finite("eps", eps, gt=0)
+    finite("rho", rho, gt=0)
+    count("n_samples", n_samples)
     p, d = cfg.p, cfg.d
     n = float(n_samples)
     if cfg.regime == "supercritical":
@@ -110,8 +103,10 @@ def deviation_bound(eps: float, rho: float, n_samples: int, cfg: RadiusConfig) -
 
 def critical_rate(x: float) -> float:
     """g(x) = x^2 / (ln(2 + 1/x))^2, strictly increasing on (0, inf)."""
-    if x <= 0.0:
-        raise ValueError(f"critical_rate needs x > 0, got {x}")
+    return _critical_rate(finite("x", x, gt=0))
+
+
+def _critical_rate(x: float) -> float:
     return x * x / math.log(2.0 + 1.0 / x) ** 2
 
 
@@ -121,10 +116,9 @@ def invert_critical_rate(y: float) -> float:
     The bracket is grown geometrically and then bisected to floating-point
     fixed point, so round trips are accurate to machine precision.
     """
-    if y <= 0.0:
-        raise ValueError(f"invert_critical_rate needs y > 0, got {y}")
+    finite("y", y, gt=0)
     lo, hi = 0.0, 1.0
-    while critical_rate(hi) < y:
+    while _critical_rate(hi) < y:
         hi *= 2.0
         if hi > 1e200:
             raise ArithmeticError(f"bracket growth failed for y={y}")
@@ -132,7 +126,7 @@ def invert_critical_rate(y: float) -> float:
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
             break
-        if (critical_rate(mid) if mid > 0.0 else 0.0) < y:
+        if (_critical_rate(mid) if mid > 0.0 else 0.0) < y:
             lo = mid
         else:
             hi = mid
@@ -146,11 +140,8 @@ def ambiguity_radius(n_samples: int, cfg: RadiusConfig, rho: float) -> float:
     eps^p equals beta.  Scales linearly in rho and decreases in both
     n_samples and beta.  A zero rho (degenerate support) gives radius 0.
     """
-    if n_samples < 1:
-        raise ValueError(f"need at least one sample, got {n_samples}")
-    if rho < 0.0:
-        raise ValueError(f"rho must be nonnegative, got {rho}")
-    if rho == 0.0:
+    count("n_samples", n_samples)
+    if finite("rho", rho, ge=0) == 0.0:
         return 0.0
     # If beta already exceeds the bound's ceiling C, any positive radius
     # works; the infimum is 0.
@@ -170,6 +161,7 @@ def calibrated_radius(eps_ref: float, n_ref: int, n_samples: int) -> float:
     Useful when a radius at one sample count is known (from calibration or
     from published results) and the whole schedule is needed.
     """
-    if eps_ref <= 0.0 or n_ref < 1 or n_samples < 1:
-        raise ValueError("eps_ref must be positive and sample counts >= 1")
+    finite("eps_ref", eps_ref, gt=0)
+    count("n_ref", n_ref)
+    count("n_samples", n_samples)
     return eps_ref * (n_ref / n_samples) ** 0.25

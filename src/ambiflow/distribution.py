@@ -22,6 +22,8 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
+from ambiflow._checks import finite
+
 __all__ = [
     "DiscreteDistribution",
     "TransportPlan",
@@ -59,6 +61,8 @@ class DiscreteDistribution:
             raise ValueError("a distribution needs at least one support point")
         if not np.all(np.isfinite(pts)):
             raise ValueError("support points must be finite")
+        if not np.all(np.isfinite(w)):  # NaN would pass the comparisons below
+            raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
         if np.any(w < -_WEIGHT_TOL):
             raise ValueError(f"negative weight: min is {w.min()}")
         total = float(w.sum())
@@ -99,6 +103,7 @@ class TransportPlan:
     order: float = field(default=1.0)
 
     def __post_init__(self) -> None:
+        finite("order", self.order, ge=1)
         m = np.asarray(self.matrix, dtype=float)
         if m.shape != (self.source.n_points, self.target.n_points):
             raise ValueError(
@@ -127,13 +132,6 @@ def _cost_matrix(x: np.ndarray, y: np.ndarray, p: float) -> np.ndarray:
     return dist**p
 
 
-def _check_pair(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> None:
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} vs {b.dim}")
-    if not p >= 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
-
-
 def optimal_plan(
     source: DiscreteDistribution, target: DiscreteDistribution, p: float = 1.0
 ) -> TransportPlan:
@@ -142,7 +140,9 @@ def optimal_plan(
     Equal-size, equal-weight inputs reduce to a linear assignment problem;
     everything else is solved as a sparse transportation LP.
     """
-    _check_pair(source, target, p)
+    if source.dim != target.dim:
+        raise ValueError(f"dimension mismatch: {source.dim} vs {target.dim}")
+    finite("p", p, ge=1)
     cost = _cost_matrix(source.points, target.points, p)
     n, m = cost.shape
 
@@ -207,8 +207,7 @@ def coupling_upper_bound(x: np.ndarray, y: np.ndarray, p: float = 1.0) -> float:
 
     The bound is tight when the index pairing happens to be optimal.
     """
-    if not p >= 1.0:
-        raise ValueError(f"order p must be >= 1, got {p}")
+    finite("p", p, ge=1)
     xa = np.atleast_2d(np.asarray(x, dtype=float))
     ya = np.atleast_2d(np.asarray(y, dtype=float))
     if xa.shape != ya.shape:

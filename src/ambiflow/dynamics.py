@@ -35,6 +35,8 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
+from ambiflow._checks import finite
+
 __all__ = [
     "VectorField",
     "FlowErrorModel",
@@ -87,13 +89,8 @@ class FlowErrorModel:
     rate: float
 
     def __post_init__(self) -> None:
-        for name in ("magnitude", "rate"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.magnitude < 0.0:
-            raise ValueError(f"magnitude must be >= 0, got {self.magnitude}")
-        if self.rate < 0.0:
-            raise ValueError(f"rate must be >= 0, got {self.rate}")
+        finite("magnitude", self.magnitude, ge=0)
+        finite("rate", self.rate, ge=0)
 
 
 def integrate_flow(
@@ -208,8 +205,8 @@ def _rk4_step(
 
 def flow_error_bound(model: FlowErrorModel, t_start: float, t_end: float) -> float:
     """Worst-case numerical-vs-exact flow gap over [t_start, t_end]."""
-    if t_end < t_start:
-        raise ValueError(f"need t_end >= t_start, got [{t_start}, {t_end}]")
+    finite("t_start", t_start)
+    finite("t_end", t_end, ge=t_start)
     return model.magnitude * math.expm1(model.rate * (t_end - t_start))
 
 
@@ -227,11 +224,12 @@ def calibrate_flow_error(
     working step and once at step/10; the gap between the two is treated as
     the integration error at the working step.  The smallest magnitude that
     covers every observed gap under the given rate is returned, inflated by
-    ``safety``.  At least one sample is needed: none would certify an exact
-    integrator from no evidence.
+    ``safety`` >= 1.  At least one sample is needed: none would certify an
+    exact integrator from no evidence.
     """
-    if rate <= 0.0:
-        raise ValueError(f"rate must be positive, got {rate}")
+    finite("horizon", horizon)
+    finite("rate", rate, gt=0)
+    finite("safety", safety, ge=1)
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
@@ -275,19 +273,12 @@ class GrowthCertificate:
     )
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.scale_low <= self.scale_high:
-            raise ValueError(
-                f"need 0 < scale_low <= scale_high, got "
-                f"({self.scale_low}, {self.scale_high})"
-            )
-        if not self.power > 1.0:
-            raise ValueError(f"power must exceed 1, got {self.power}")
-        if not self.forcing_exponent < 1.0:
-            raise ValueError(
-                f"forcing_exponent must be < 1, got {self.forcing_exponent}"
-            )
-        if self.forcing_gain < 0.0:
-            raise ValueError(f"forcing_gain must be >= 0, got {self.forcing_gain}")
+        finite("scale_low", self.scale_low, gt=0)
+        finite("scale_high", self.scale_high, ge=self.scale_low)
+        finite("power", self.power, gt=1)
+        finite("forcing_exponent", self.forcing_exponent, lt=1)
+        finite("forcing_gain", self.forcing_gain, ge=0)
+        finite("drift_cap", self.drift_cap)
 
 
 def growth_bound(cert: GrowthCertificate, initial_norm: float, t: float) -> float:
@@ -305,10 +296,8 @@ def growth_bound(cert: GrowthCertificate, initial_norm: float, t: float) -> floa
     where base = (e^drift_cap * (1 + scale_high * ||x0||^power)
                   / scale_low)^(1/power).
     """
-    if initial_norm < 0.0:
-        raise ValueError(f"initial_norm must be >= 0, got {initial_norm}")
-    if t < 0.0:
-        raise ValueError(f"t must be >= 0, got {t}")
+    finite("initial_norm", initial_norm, ge=0)
+    finite("t", t, ge=0)
     r = cert.power
     if cert.forcing_gain == 0.0:
         ratio = (cert.scale_high / cert.scale_low) ** (1.0 / r)

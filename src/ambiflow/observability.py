@@ -34,8 +34,8 @@ then chains the gaps back from the last sample time.  Where the flow
 overflows, the sweep's three users, ``fundamental_matrix`` and
 ``sample_observability_matrix`` raise OverflowError (an ArithmeticError)
 instead of returning NaN or inf.  Their ``grid_step`` must be positive and
-finite, as must the RK4 ``step`` of time-varying flows and every sample
-time.
+finite, as must the RK4 ``step`` of time-varying flows, and every time
+must be finite.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -52,6 +52,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from ambiflow._checks import count, finite
 from ambiflow.dynamics import _read_params, _rk4
 
 __all__ = [
@@ -167,7 +168,8 @@ def fundamental_matrix(
     (backward in time when t < s).
     """
     if sys.is_lti:
-        m = expm(sys.a_const * (t - s))
+        # RK4 names a time that is not finite; the exponential would not.
+        m = expm(sys.a_const * (finite("t", t) - finite("s", s)))
     else:
         m = _rk4(_matrix_field(functools.cache(sys.a_at)), s, t, np.eye(sys.dim), step)
     if not np.isfinite(m).all():
@@ -294,6 +296,7 @@ def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
     ts = _sample_times(times)
     if len(ts) < 2:
         raise ValueError("weights need at least two sample times")
+    count("n_outputs", n_outputs)
     gaps = np.diff(ts)
     sq = np.empty(len(ts))
     sq[0] = gaps[0] / 2.0
@@ -335,26 +338,25 @@ def observability_gramian(
     ``quad_step`` (default varsigma/200).  The integrand is evaluated on one
     backward flow sweep from the anchor.  A number ``t`` gives one (d, d)
     Gramian; an array of window starts gives a (len(t), d, d) stack, every
-    window on the same sweep.  OverflowError names the first window in start
-    order that is not finite.
+    window on the same sweep.  A start that is not finite is a ValueError; an
+    OverflowError names the first window in start order whose Gramian is not.
     """
-    if not (varsigma > 0.0 and math.isfinite(varsigma)):
-        raise ValueError(f"window length must be positive and finite, got {varsigma}")
-    if quad_step is None:
-        quad_step = varsigma / 200.0
-    _check_grid_step(quad_step)
+    finite("varsigma", varsigma, gt=0)
+    quad_step = finite("quad_step", varsigma / 200.0 if quad_step is None else quad_step, gt=0)
     starts = np.atleast_1d(np.asarray(t, dtype=float))
+    if not np.isfinite(starts).all():  # a stationary Gramian would not notice
+        raise ValueError(f"t must be finite, got {starts[~np.isfinite(starts)][0]}")
     n_cells = max(2, math.ceil(varsigma / quad_step))
     h = varsigma / n_cells
-    count, a_at = len(starts), functools.cache(sys.a_at)
+    n_windows, a_at = len(starts), functools.cache(sys.a_at)
     sweep = _backward_sweep(
-        sys, starts + varsigma, np.full(count, h), np.full(count, n_cells), a_at
+        sys, starts + varsigma, np.full(n_windows, h), np.full(n_windows, n_cells), a_at
     )
     taus, ms, _ = zip(*sweep)
     c = sys.c_const if sys.is_lti else _stacked(functools.cache(sys.c_at), np.stack(taus))
     cm = c @ np.stack(ms)
     terms = cm.transpose(0, 1, 3, 2) @ cm
-    gram = np.zeros((count, sys.dim, sys.dim))
+    gram = np.zeros((n_windows, sys.dim, sys.dim))
     for k, term in enumerate(terms):
         gram += (0.5 if k in (0, n_cells) else 1.0) * term
     gram *= h
@@ -378,11 +380,9 @@ def gramian_floor(
     [0, horizon - window], approximated on a uniform grid (stationary
     systems need a single evaluation).  All windows share one sweep.
     """
-    if not 0.0 < window <= horizon:
-        raise ValueError(f"need 0 < window <= horizon, got ({window}, {horizon})")
-    if grid_step is None:
-        grid_step = window / 100.0
-    _check_grid_step(grid_step)
+    finite("window", window, gt=0)
+    finite("horizon", horizon, ge=window)
+    grid_step = finite("grid_step", window / 100.0 if grid_step is None else grid_step, gt=0)
     span = 0.0 if sys.is_lti else horizon - window
     starts = np.linspace(0.0, span, max(1, math.ceil(span / grid_step) + 1))
     grams = observability_gramian(sys, starts, window, grid_step)
@@ -403,7 +403,7 @@ def max_kernel_derivative(
     broadcast together: the result is then the maximum over every anchor,
     all of them on the same sweep.
     """
-    _check_grid_step(grid_step)
+    finite("grid_step", grid_step, gt=0)
     t, s_low = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s_low, dtype=float))
     t, s_low = t.ravel(), s_low.ravel()
     bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(s_low) & (s_low <= t)))
@@ -427,11 +427,6 @@ def _max_norm(kernels: np.ndarray) -> float:
     if not np.isfinite(kernels).all():
         raise OverflowError("kernel derivative is not finite: the flow diverges on the window")
     return float(np.linalg.norm(kernels, 2, axis=(-2, -1)).max())
-
-
-def _check_grid_step(grid_step: float) -> None:
-    if not (grid_step > 0.0 and math.isfinite(grid_step)):
-        raise ValueError(f"grid_step must be positive and finite, got {grid_step}")
 
 
 def robust_sampling_bound(
@@ -471,13 +466,10 @@ def _sampling_bound_and_floor(
     grid_step: float | None = None,
 ) -> tuple[float, float]:
     """``robust_sampling_bound`` and the Gramian floor over window_low it keeps a fraction of."""
-    if not 0.0 < window_low <= window_up <= horizon:
-        raise ValueError(
-            f"need 0 < window_low <= window_up <= horizon, got "
-            f"({window_low}, {window_up}, {horizon})"
-        )
-    if not 0.0 < retention < 1.0:
-        raise ValueError(f"retention must be in (0, 1), got {retention}")
+    finite("window_low", window_low, gt=0)
+    finite("window_up", window_up, ge=window_low)
+    finite("horizon", horizon, ge=window_up)
+    finite("retention", retention, gt=0, lt=1)
     if grid_step is None:
         grid_step = window_low / 100.0
     floor = gramian_floor(sys, window_low, horizon, grid_step)
@@ -540,18 +532,10 @@ def estimation_error_bound(
     window_up: float, gramian_min: float, retention: float, output_noise: float
 ) -> float:
     """State error guarantee sqrt(window_up / (retention * gramian_min)) * noise."""
-    if window_up <= 0.0:
-        raise ValueError(f"window_up must be positive, got {window_up}")
-    if gramian_min <= 0.0:
-        raise ValueError(f"gramian_min must be positive, got {gramian_min}")
-    if not 0.0 < retention <= 1.0:
-        raise ValueError(f"retention must be in (0, 1], got {retention}")
-    if output_noise < 0.0:
-        raise ValueError(f"output_noise must be >= 0, got {output_noise}")
-    for name, value in (("window_up", window_up), ("gramian_min", gramian_min),
-                        ("output_noise", output_noise)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value}")
+    finite("window_up", window_up, gt=0)
+    finite("gramian_min", gramian_min, gt=0)
+    finite("retention", retention, gt=0, le=1)
+    finite("output_noise", output_noise, ge=0)
     return math.sqrt(window_up / (retention * gramian_min)) * output_noise
 
 
@@ -738,8 +722,6 @@ def _check_periodic(
     if dbar == len(gaps):
         return False, ["all gaps equal: use the equidistant criterion"]
     g_big = float(gaps[dbar])
-    if abs(g_big - g_small) <= tol:
-        return False, ["second gap indistinguishable from the first"]
     # Pattern: dbar gaps of g_small then one of g_big, repeated.
     for j, g in enumerate(gaps):
         want = g_big if (j + 1) % (dbar + 1) == 0 else g_small

@@ -41,11 +41,12 @@ from __future__ import annotations
 import math
 import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import Callable, Generator, Sequence
 
 import numpy as np
 
+from ambiflow._checks import count, finite
 from ambiflow.concentration import calibrated_radius
 from ambiflow.distribution import DiscreteDistribution
 
@@ -92,35 +93,21 @@ class ScenarioConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for f in fields(self):  # postponed annotations: f.type is the annotation's text
-            kind = numbers.Integral if f.type == "int" else numbers.Real
-            value = getattr(self, f.name)
-            for x in value if f.name.startswith("theta_") else [value]:
-                # A comparison, not math.isfinite: seeds may be too large for a float.
-                if isinstance(x, bool) or not isinstance(x, kind) or not -math.inf < x < math.inf:
-                    raise ValueError(f"{f.name} must be finite and {kind.__name__}, got {value!r}")
-        object.__setattr__(self, "theta_support", tuple(float(t) for t in self.theta_support))
-        object.__setattr__(
-            self, "theta_probabilities", tuple(float(p) for p in self.theta_probabilities)
-        )
-        if self.orbit_radius <= 0.0:
-            raise ValueError(f"orbit_radius must be positive, got {self.orbit_radius}")
-        if self.square_side <= 0.0:
-            raise ValueError(f"square_side must be positive, got {self.square_side}")
-        g = self.tracking_gain
-        if g < 2.0 or g != int(g):
-            raise ValueError(
-                f"tracking_gain must be an integer >= 2 for periodic orbits, got {g}"
-            )
-        if not 0.0 < self.v_min <= self.v_max:
-            raise ValueError(f"need 0 < v_min <= v_max, got ({self.v_min}, {self.v_max})")
-        if self.n_segments < 1:
-            raise ValueError(f"n_segments must be >= 1, got {self.n_segments}")
-        if self.n_segments > _LATTICE_SIZE.bit_length():  # i.e. 2^(n - 1) > _LATTICE_SIZE
-            raise ValueError(
-                f"n_segments must be <= {_LATTICE_SIZE.bit_length()} for a profile lattice "
-                f"of at most {_LATTICE_SIZE} points, got {self.n_segments}"
-            )
+        finite("orbit_radius", self.orbit_radius, gt=0)
+        finite("square_side", self.square_side, gt=0)
+        g = finite("tracking_gain", self.tracking_gain, ge=2)
+        if g != int(g):
+            raise ValueError(f"tracking_gain must be an integer for periodic orbits, got {g}")
+        finite("v_min", self.v_min, gt=0)
+        finite("v_max", self.v_max, ge=self.v_min)
+        # A profile lattice of at most _LATTICE_SIZE points: 2^(n - 1) <= _LATTICE_SIZE.
+        count("n_segments", self.n_segments, high=_LATTICE_SIZE.bit_length())
+        for name in ("theta_support", "theta_probabilities"):
+            values = tuple(float(finite(name, x)) for x in getattr(self, name))
+            object.__setattr__(self, name, values)
+        finite("eps_ref", self.eps_ref, gt=0)
+        count("n_ref", self.n_ref)
+        count("seed", self.seed, low=None)
         mean_speed = self.square_side / TWO_PI
         if not self.v_min <= mean_speed + 1e-12 or not mean_speed <= self.v_max + 1e-12:
             raise ValueError(
@@ -132,8 +119,6 @@ class ScenarioConfig:
         probs = np.asarray(self.theta_probabilities, dtype=float)
         if probs.min() < 0.0 or abs(probs.sum() - 1.0) > 1e-9:
             raise ValueError("theta probabilities must be nonnegative and sum to 1")
-        if self.eps_ref <= 0.0 or self.n_ref < 1:
-            raise ValueError("calibration anchor needs eps_ref > 0 and n_ref >= 1")
 
     @property
     def profile_sum(self) -> float:
@@ -192,6 +177,8 @@ def _lift(states: np.ndarray) -> np.ndarray:
 
 def initial_red_state(theta: float, orbit_radius: float = 1.0) -> np.ndarray:
     """Launch state on the reference circle with zero velocity, phase appended."""
+    finite("theta", theta)
+    finite("orbit_radius", orbit_radius)
     return np.array(
         [orbit_radius * math.cos(theta), orbit_radius * math.sin(theta), 0.0, 0.0, theta]
     )
@@ -206,6 +193,11 @@ def red_uav_flow(
     orbit_radius: float = 1.0,
 ) -> np.ndarray:
     """Closed-form tracker state (pos, vel) at time t, given the state at t_start."""
+    finite("theta", theta)
+    finite("t", t)
+    finite("t_start", t_start)
+    finite("gain", gain)
+    finite("orbit_radius", orbit_radius)
     x0, y0, vx0, vy0 = (float(v) for v in xi0)
     pos, vel = _tracker_basis(np.array([t - t_start]), gain, orbit_radius)
     coef = _lift(np.array([x0, y0, vx0, vy0, t_start + theta]))
@@ -342,7 +334,8 @@ def dro_objective(
     at ``t_start``, orbiting the current square) or the candidate state
     ``xi`` (orbiting the next square, one side over along +x).
     """
-    _check_solver_settings(n_t)
+    count("n_t", n_t, low=2)
+    finite("t_start", t_start)
     x = _validated_profile(profile, cfg)
     # Flow formulas take states at relative time zero, so the reference
     # phase is developed to t_start.
@@ -432,13 +425,8 @@ class AmbiguityBall:
     order: float = 1.0
 
     def __post_init__(self) -> None:
-        for name in ("radius", "order"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.radius < 0.0:
-            raise ValueError(f"radius must be >= 0, got {self.radius}")
-        if self.order < 1.0:
-            raise ValueError(f"order must be >= 1, got {self.order}")
+        finite("radius", self.radius, ge=0)
+        finite("order", self.order, ge=1)
 
 
 def _merged_center(dist: DiscreteDistribution) -> tuple[np.ndarray, np.ndarray]:
@@ -499,8 +487,8 @@ def constrained_min_expectation(
     f = np.asarray(values, dtype=float)
     if c.shape != (len(w), len(f)):
         raise ValueError(f"cost matrix {c.shape} does not match {len(w)}x{len(f)}")
-    if not budget >= 0.0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
+    if budget != math.inf:  # an infinite budget is unconstrained transport
+        finite("budget", budget, ge=0)
     if not np.all(np.isfinite(f)):
         raise ValueError("values must be finite")
     for name, a in (("weights", w), ("costs", c)):
@@ -623,6 +611,7 @@ def solve_inner_inf(
     n_t: int = 200,
 ) -> float:
     """Worst-case expected clearance over the ball, on a finite support."""
+    count("n_t", n_t, low=2)
     evaluate_many = _inner_evaluator(ball, candidates, known_state, cfg, n_t)
     return evaluate_many(_validated_profile(profile, cfg)[None, :])[0]
 
@@ -638,13 +627,6 @@ _LATTICE_SIZE = 13**3
 _EVAL_BLOCK = 64
 _SWEEP_TOL = 1e-6
 _BRENT_XATOL, _BRENT_MAXFUN = 1e-6, 500
-
-
-def _check_solver_settings(n_t: int, n_starts: int = 1) -> None:
-    if n_t < 2:
-        raise ValueError(f"n_t must be >= 2 time nodes, got {n_t}")
-    if n_starts < 1:
-        raise ValueError(f"n_starts must be >= 1, got {n_starts}")
 
 
 def _profile_lattice(cfg: ScenarioConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -853,7 +835,8 @@ def solve_dro(
     value is a certified lower bound of the restricted sup-inf, and at least
     the best lattice value.
     """
-    _check_solver_settings(n_t, n_starts)
+    count("n_t", n_t, low=2)
+    count("n_starts", n_starts)
     n = cfg.n_segments
     evaluate_many = _inner_evaluator(ball, candidate_support(ball), known_state, cfg, n_t)
     if cfg.v_min == cfg.v_max or n == 1:
@@ -970,7 +953,9 @@ def _experiment_rows(
     problem reuses the first solution bit for bit.  With ``jobs`` > 1 the
     distinct problems are solved in separate processes.
     """
-    _check_solver_settings(n_t, n_starts)
+    count("n_t", n_t, low=2)
+    count("n_starts", n_starts)
+    count("jobs", jobs)
     problems = [p for r in realizations for p in _realization_problems(cfg, r, cps)]
     keys = []
     distinct: dict[tuple, tuple] = {}
@@ -1018,8 +1003,7 @@ def run_experiment(
     and content depend only on the config and arguments, never on the
     worker count.
     """
-    if n_realizations < 1:
-        raise ValueError(f"n_realizations must be >= 1, got {n_realizations}")
+    count("n_realizations", n_realizations)
     cps = _checkpoints(checkpoints)
     rows = _experiment_rows(cfg, range(1, n_realizations + 1), cps, n_t, n_starts, jobs)
     return ExperimentReport(rows=tuple(rows), checkpoints=tuple(cps))

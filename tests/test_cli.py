@@ -443,6 +443,28 @@ def test_observe_aliased_oscillator_flagged(tmp_path):
     assert data["schedule_check"]["passed"] is False
 
 
+def test_observe_unobservable_pair_reports_no_bounds(tmp_path):
+    # C sees the velocity only: the Gramian floor is zero on every window.
+    payload = observe_payload(system={"A": [[0, 1], [0, 0]], "C": [[0, 1]]})
+    code, out = run(tmp_path, "observe", payload)
+    assert code == 0
+    data = json.loads((out / "observe.json").read_text())
+    assert "not observable" in data["unobservable"]
+    assert data["gap_bound"] is None and data["error_bound"] is None
+    assert data["schedule_check"]["passed"] is False
+
+
+def test_observe_static_kernel_has_no_gap_bound(tmp_path):
+    # A = 0 with C = I: the kernel never changes, so every gap is certified.
+    payload = observe_payload(system={"A": [[0, 0], [0, 0]], "C": [[1, 0], [0, 1]]})
+    code, out = run(tmp_path, "observe", payload)
+    assert code == 0
+    data = json.loads((out / "observe.json").read_text())
+    assert data["gap_bound"] is None
+    assert data["gap_bound_satisfied"] is True
+    assert data["error_bound"] > 0.0
+
+
 def test_observe_half_pi_spacing_passes(tmp_path):
     pi = float(np.pi)
     payload = observe_payload(

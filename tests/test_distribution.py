@@ -9,6 +9,7 @@ Groups:
 """
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -58,6 +59,14 @@ def test_point_weight_count_mismatch():
 def test_nonfinite_point_rejected():
     with pytest.raises(ValueError):
         DiscreteDistribution(np.array([[np.inf]]), np.array([1.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_nonfinite_weight_rejected(bad):
+    # NaN passes the sign and sum checks, which are comparisons: the weights
+    # came back all NaN.
+    with pytest.raises(ValueError, match=f"weights must be finite, got {bad}"):
+        DiscreteDistribution(np.zeros((2, 1)), np.array([bad, 1.0]))
 
 
 def test_empirical_and_dirac():

@@ -343,13 +343,15 @@ def test_gramian_rejects_bad_window():
 @pytest.mark.parametrize("quad_step", [0.0, -0.05, math.inf, math.nan])
 def test_gramian_quad_step_must_be_positive_and_finite(quad_step):
     # An infinite step would give a 2-cell Gramian; NaN failed converting to a cell count.
-    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+    rule = "positive" if math.isfinite(quad_step) else "finite"
+    with pytest.raises(ValueError, match=f"quad_step must be {rule}, got {quad_step}"):
         observability_gramian(double_integrator(), 0.0, 1.0, quad_step=quad_step)
 
 
 @pytest.mark.parametrize("varsigma", [0.0, -1.0, math.inf, math.nan])
 def test_gramian_window_must_be_positive_and_finite(varsigma):
-    with pytest.raises(ValueError, match="window length must be positive and finite"):
+    rule = "positive" if math.isfinite(varsigma) else "finite"
+    with pytest.raises(ValueError, match=f"varsigma must be {rule}, got {varsigma}"):
         observability_gramian(double_integrator(), 0.0, varsigma)
 
 
@@ -704,11 +706,13 @@ def test_grid_step_must_be_positive_and_finite(lti, grid_step):
     # A negative or infinite step would scan a single cell and return an
     # uncertified bound; zero and NaN would fail with unrelated errors.
     sys = harmonic_oscillator() if lti else wobbly_system()
-    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+    rule = "positive" if math.isfinite(grid_step) else "finite"
+    message = f"grid_step must be {rule}, got {grid_step}"
+    with pytest.raises(ValueError, match=message):
         gramian_floor(sys, 0.5, 1.5, grid_step=grid_step)
-    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+    with pytest.raises(ValueError, match=message):
         max_kernel_derivative(sys, 1.0, 0.25, grid_step)
-    with pytest.raises(ValueError, match="grid_step must be positive and finite"):
+    with pytest.raises(ValueError, match=message):
         robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=grid_step)
 
 
@@ -955,6 +959,29 @@ def test_periodic_criterion_pattern_pass_and_fail():
     assert not diag.passed
 
 
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ([0.0, 0.3], "need at least three samples to exhibit a pattern"),
+        ([0.0, 0.3, 0.6, 0.9], "all gaps equal: use the equidistant criterion"),
+        ([0.0, 0.3, 0.75, 1.05, 1.5], "pattern block 1 shorter than the dimension 2"),
+    ],
+)
+def test_periodic_criterion_failure_messages(row, message):
+    diag = check_schedule_observability(harmonic_oscillator(), schedule_of(row), "periodic")
+    assert not diag.passed
+    assert diag.messages == (f"member 1: {message}",)
+
+
+@pytest.mark.parametrize("sys", [harmonic_oscillator(), wobbly_system()], ids=["lti", "ltv"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_gramian_rejects_non_finite_window_starts(sys, bad):
+    # A stationary Gramian does not depend on its start, so a NaN start once
+    # gave a finite Gramian.
+    with pytest.raises(ValueError, match=f"t must be finite, got {bad}"):
+        observability_gramian(sys, np.array([0.0, bad]), 1.0)
+
+
 def test_count_criterion_thresholds():
     # Nilpotent dynamics: threshold is total index - 1 = 1, two samples pass.
     diag = check_schedule_observability(
@@ -1061,7 +1088,7 @@ def test_estimation_error_bound_anchor():
     [
         ("window_up", "window_up must be finite"),
         ("gramian_min", "gramian_min must be finite"),
-        ("retention", r"retention must be in \(0, 1\]"),
+        ("retention", "retention must be finite"),
         ("output_noise", "output_noise must be finite"),
     ],
 )
