@@ -57,11 +57,11 @@ _TIME_TOL = 1e-12
 class SamplingSchedule:
     """Sample times for a sequence of observed population members.
 
-    ``times`` holds one strictly increasing tuple of sample times per member,
-    all of the same length.  Members are ordered by their last sample time
-    (ties allowed).  ``effective_start`` is the 1-based index of the first
-    member that counts toward the empirical measure; earlier members are
-    kept for context but ignored by the derived quantities.
+    ``times`` holds one strictly increasing tuple of finite sample times per
+    member, all of the same length.  Members are ordered by their last sample
+    time (ties allowed).  ``effective_start`` is the 1-based index of the
+    first member that counts toward the empirical measure; earlier members
+    are kept for context but ignored by the derived quantities.
     """
 
     times: tuple[tuple[float, ...], ...]
@@ -77,6 +77,8 @@ class SamplingSchedule:
         if min(lengths) < 1:
             raise ValueError("each trajectory needs at least one sample time")
         for i, row in enumerate(norm):
+            if not all(map(math.isfinite, row)):
+                raise ValueError(f"times of trajectory {i} must be finite, got {row}")
             gaps = np.diff(row)
             if len(gaps) and gaps.min() <= _TIME_TOL:
                 raise ValueError(f"times of trajectory {i} are not increasing")

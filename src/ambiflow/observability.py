@@ -22,11 +22,11 @@ discretization, and ``estimation_error_bound`` converts that fraction plus a
 per-output noise level into a state error bound.
 
 The Gramian floor, the kernel-derivative scan and the stationary gap bound
-read Phi(tau, t) at uniformly spaced tau on one backward sweep
-(``_backward_sweep``) that steps every window or anchor together: a product
-with expm(-A h) per node for stationary systems, one batched RK4 call per
-node otherwise, with A, C and C' built once per distinct tau.  Each takes
-its eigenvalues or spectral norms in one stacked call.
+read Phi(tau, t) at uniformly spaced tau as whole stacks from one backward
+sweep (``_backward_sweep``) over every window or anchor: a product with
+expm(-A h) per node for stationary systems, otherwise one batched RK4 call
+for every cell and one chained product per node, with A, C and C' built
+once per distinct tau.  Each takes its sums, eigenvalues or norms at once.
 ``sample_observability_matrix`` takes a stationary schedule's exponentials
 in one stacked ``expm``, and steps every gap of a time-varying schedule
 from the identity in one batched RK4 call, each gap on its own step grid,
@@ -47,7 +47,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
@@ -178,9 +178,10 @@ def fundamental_matrix(
 
 
 def _stacked(fn: Callable[[float], np.ndarray], taus: np.ndarray) -> np.ndarray:
-    """fn at every tau of an array, stacked in its shape."""
-    values = [fn(tau) for tau in taus.ravel().tolist()]
-    return np.array(values).reshape(*taus.shape, *values[0].shape)
+    """fn at every tau of an array, stacked in its shape; fn sees each distinct tau once."""
+    distinct, where = np.unique(taus.ravel(), return_inverse=True)
+    values = np.array([fn(tau) for tau in distinct.tolist()])
+    return values[where].reshape(*taus.shape, *values.shape[1:])
 
 
 def _matrix_field(a_at: Callable[[float], np.ndarray]) -> Callable[..., np.ndarray]:
@@ -201,33 +202,35 @@ def _matrix_field(a_at: Callable[[float], np.ndarray]) -> Callable[..., np.ndarr
 
 def _backward_sweep(
     sys: LinearTimeVaryingSystem, t: np.ndarray, h: np.ndarray, n: np.ndarray, a_at: Callable
-) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Yield (tau, Phi, live) at tau = t - k h for k = 0..max(n), all columns at once.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(taus, phis, live) at tau = t - k h for k = 0..K = max(n), all columns at once.
 
-    Column i sweeps back from t[i] in n[i] cells of width h[i] > 0.  Phi
-    stacks Phi(tau[i], t[i]) as (B, d, d); ``live`` masks the columns with
-    k <= n[i], and Phi means nothing past them.  Stationary systems step
-    Phi <- Phi expm(-A h); otherwise one batched RK4 call per node steps the
-    live columns, with A from the sweep's cache ``a_at``, so RK4's two
-    midpoint stages, columns that meet at one tau and the kernel terms at a
-    node build each A(tau) once.
+    Column i sweeps back from t[i] in n[i] cells of width h[i] > 0.  taus and
+    live are (K + 1, B), phis stacks Phi(taus[k, i], t[i]) as (K + 1, B, d, d),
+    and ``live`` masks the nodes with k <= n[i]; phis means nothing past them.
+    Stationary systems take Phi_k = Phi_(k-1) expm(-A h).  Otherwise one batched
+    RK4 call steps every live cell from the identity, with A from the sweep's
+    cache ``a_at``, so a tau shared by stages, cells or kernel terms builds A
+    once, and Phi_k = R_k Phi_(k-1) chains the cells: RK4 is linear in its
+    start, so this changes only rounding against stepping Phi cell by cell.
     """
     taus = t - np.arange(int(n.max()) + 1)[:, None] * h
-    lives = np.arange(len(taus))[:, None] <= n
-    m = np.tile(np.eye(sys.dim), (len(t), 1, 1))
-    yield taus[0], m, lives[0]
-    field = _matrix_field(a_at)
+    live = np.arange(len(taus))[:, None] <= n
+    phis = np.empty((*taus.shape, sys.dim, sys.dim))
+    phis[0] = np.eye(sys.dim)
     if sys.is_lti:
         back = expm(-sys.a_const * h[:, None, None])
-    for k in range(1, len(taus)):
-        if sys.is_lti:
-            m = m @ back
-        else:
-            # Columns that have ended take a zero-length span: no step.
-            end = np.where(lives[k], taus[k], taus[k - 1])
-            x = _rk4(field, taus[k - 1], end, m.transpose(1, 2, 0), h)
-            m = np.ascontiguousarray(x.transpose(2, 0, 1))
-        yield taus[k], m, lives[k]
+        for prev, phi in zip(phis, phis[1:]):
+            np.matmul(prev, back, out=phi)
+    elif len(taus) > 1:
+        cells = np.tile(np.eye(sys.dim), (len(taus) - 1, len(t), 1, 1))
+        ks, cols = np.nonzero(live[1:])
+        eyes = cells[ks, cols].transpose(1, 2, 0)
+        rk = _rk4(_matrix_field(a_at), taus[ks, cols], taus[ks + 1, cols], eyes, h[cols])
+        cells[ks, cols] = rk.transpose(2, 0, 1)
+        for cell, prev, phi in zip(cells, phis, phis[1:]):
+            np.matmul(cell, prev, out=phi)
+    return taus, phis, live
 
 
 # --- sampled observability ------------------------------------------------------
@@ -248,8 +251,6 @@ def sample_observability_matrix(
     through every gap in turn.
     """
     ts = _sample_times(times)
-    if len(ts) < 1:
-        raise ValueError("need at least one sample time")
     anchor = ts[-1]
     if sys.is_lti:
         phis = expm(sys.a_const * (np.array(ts) - anchor)[:, None, None])
@@ -275,13 +276,13 @@ def sample_observability_matrix(
 
 def _sample_times(times: Sequence[float]) -> list[float]:
     """The sample times as floats; ValueError names the first one that is not
-    finite, or says they do not strictly increase."""
+    finite, or says they are empty or do not strictly increase."""
     ts = [float(t) for t in times]
     for t in ts:
         if not math.isfinite(t):
             raise ValueError(f"sample times must be finite, got {t}")
-    if any(b - a <= 0.0 for a, b in zip(ts, ts[1:])):
-        raise ValueError("sample times must be strictly increasing")
+    if not ts or any(b - a <= 0.0 for a, b in zip(ts, ts[1:])):
+        raise ValueError("sample times must be non-empty and strictly increasing")
     return ts
 
 
@@ -349,17 +350,13 @@ def observability_gramian(
     n_cells = max(2, math.ceil(varsigma / quad_step))
     h = varsigma / n_cells
     n_windows, a_at = len(starts), functools.cache(sys.a_at)
-    sweep = _backward_sweep(
+    taus, phis, _ = _backward_sweep(
         sys, starts + varsigma, np.full(n_windows, h), np.full(n_windows, n_cells), a_at
     )
-    taus, ms, _ = zip(*sweep)
-    c = sys.c_const if sys.is_lti else _stacked(functools.cache(sys.c_at), np.stack(taus))
-    cm = c @ np.stack(ms)
-    terms = cm.transpose(0, 1, 3, 2) @ cm
-    gram = np.zeros((n_windows, sys.dim, sys.dim))
-    for k, term in enumerate(terms):
-        gram += (0.5 if k in (0, n_cells) else 1.0) * term
-    gram *= h
+    c = sys.c_const if sys.is_lti else _stacked(functools.cache(sys.c_at), taus)
+    cm = c @ phis
+    weights = np.r_[0.5, np.ones(n_cells - 1), 0.5]
+    gram = (weights[:, None, None, None] * (cm.transpose(0, 1, 3, 2) @ cm)).sum(axis=0) * h
     bad = np.flatnonzero(~np.isfinite(gram).all(axis=(1, 2)))
     if bad.size:
         t0 = float(starts[bad[0]])
@@ -411,11 +408,10 @@ def max_kernel_derivative(
         raise ValueError(f"need s_low <= t, both finite, got ({s_low[bad[0]]}, {t[bad[0]]})")
     span = t - s_low
     n_cells = np.where(span > 0.0, np.maximum(1.0, np.ceil(span / grid_step)), 0.0).astype(int)
-    h = np.where(n_cells > 0, span / np.maximum(n_cells, 1), grid_step)  # RK4 wants h > 0
+    h = span / np.maximum(n_cells, 1)
     a_at = functools.cache(sys.a_at)
-    sweep = _backward_sweep(sys, t, h, n_cells, a_at)
-    taus, ms = zip(*[(tau[live], m[live]) for tau, m, live in sweep])
-    tau, m = np.concatenate(taus), np.concatenate(ms)
+    taus, phis, live = _backward_sweep(sys, t, h, n_cells, a_at)
+    tau, m = taus[live], phis[live]
     c_at, c_dot_at = functools.cache(sys.c_at), functools.cache(sys.c_dot_at)
     mid = _kernel_mid(_stacked(a_at, tau), _stacked(c_at, tau), _stacked(c_dot_at, tau))
     return _max_norm(m.transpose(0, 2, 1) @ mid @ m)
@@ -481,10 +477,10 @@ def _sampling_bound_and_floor(
     if sys.is_lti:
         factor = 2.0
         n_cells = max(1, math.ceil(window_up / grid_step))
-        sweep = _backward_sweep(
+        _, phis, _ = _backward_sweep(
             sys, np.zeros(1), np.array([window_up / n_cells]), np.array([n_cells]), sys.a_at
         )
-        cm = sys.c_const @ np.concatenate([m for _, m, _ in sweep])
+        cm = sys.c_const @ phis[:, 0]
         worst = _max_norm(cm.transpose(0, 2, 1) @ cm @ sys.a_const)
     else:
         factor = 4.0
@@ -636,9 +632,9 @@ def check_schedule_observability(
 ) -> ScheduleDiagnostics:
     """Sufficient observability criteria for sampled stationary systems.
 
-    ``schedules`` holds one row of sample times per member, each non-empty
-    and strictly increasing; rows may differ in length and come in any order,
-    since each member is judged on its own.
+    ``schedules`` holds one row of sample times per member, each finite,
+    non-empty and strictly increasing; rows may differ in length and come in
+    any order, since each member is judged on its own.
 
     criterion = 'equidistant':  every member's samples share one gap g,
         at least d samples, and no pair of distinct eigenvalues differs by
@@ -662,14 +658,14 @@ def check_schedule_observability(
         raise ValueError(
             f"unknown criterion {criterion!r}; pick one of {sorted(_SCHEDULE_CRITERIA)}"
         )
-    rows = [tuple(float(t) for t in row) for row in schedules]
+    rows = []
+    for i, row in enumerate(schedules):
+        try:
+            rows.append(tuple(_sample_times(row)))
+        except ValueError as exc:
+            raise ValueError(f"member {i + 1}: {exc}") from None
     if not rows:
         raise ValueError("need at least one member's sample times")
-    for i, row in enumerate(rows):
-        if not row or any(b <= a for a, b in zip(row, row[1:])):
-            raise ValueError(
-                f"member {i + 1}: sample times must be non-empty and strictly increasing"
-            )
     struct = EigenStructure.from_matrix(sys.a_const)
     messages: list[str] = []
     ok = True

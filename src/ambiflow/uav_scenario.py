@@ -244,6 +244,8 @@ def reconstruct_red_state(
         raise ValueError(f"need at least three sample times, got {len(ts)}")
     if pos.shape != (len(ts), 2):
         raise ValueError(f"positions shape {pos.shape} does not match {len(ts)} times")
+    if not np.isfinite(ts).all():
+        raise ValueError(f"sample times must be finite, got {ts[~np.isfinite(ts)][0]}")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     t_last = float(ts[-1])

@@ -89,6 +89,14 @@ def test_schedule_validation():
         SamplingSchedule(times=((0.0, 1.0),), effective_start=5)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_names_a_trajectory_whose_times_are_not_finite(bad):
+    # A NaN time passed the gap and ordering checks and gave a NaN delta.
+    message = rf"times of trajectory 1 must be finite, got \(0.5, {bad}\)"
+    with pytest.raises(ValueError, match=message):
+        SamplingSchedule(times=((0.0, 1.0), (0.5, bad)))
+
+
 def test_single_sample_member_spans():
     sched = SamplingSchedule(times=((1.0,), (2.0,)))
     assert sched.tau_low == 0.0 and sched.tau_up == 0.0

@@ -75,19 +75,34 @@ def test_ball_certificate_holds(perfbench, kind):
 
 def test_ball_pass_reaches_every_traced_layer(perfbench):
     # The ball workload's per-layer metrics read the spans of these public
-    # functions; a package path that went around one of them through a
-    # private copy would leave its metric at zero.
+    # functions and the A(t) build counter, over one stationary and one
+    # time-varying certificate; a package path that went around one of them
+    # through a private copy, or inlined it, would leave its metric at zero.
     tracer, workloads, _ = perfbench
-    specs = [s for s in workloads.make_ball_inputs(1).systems if s.kind == "ltv"]
-    spec = next(s for s in specs if "bound" in workloads._certificate(s, None))
+    systems = workloads.make_ball_inputs(1).systems
+    certified = [
+        next(s for s in systems if s.kind == kind and "bound" in workloads._certificate(s, None))
+        for kind in ("lti", "ltv")
+    ]
     samples = [(0.0, np.zeros(2)), (0.5, np.ones(2))]
     trace = tracer.Tracer("layers")
     try:
         workloads.install_ball_wrappers(trace)
-        workloads._certificate(spec, trace)
+        for spec in certified:
+            workloads._certificate(spec, trace)
         amb.cumulative_empirical(samples, 1.0, builtin_field("double_integrator"))
     finally:
         trace.restore()
     calls = {name: entry["calls"] for name, entry in trace.summary().items()}
-    for name in ("obs.observability_gramian", "obs.max_kernel_derivative", "dyn.integrate_flow"):
+    for name in (
+        "obs.robust_sampling_bound.lti",
+        "obs.robust_sampling_bound.ltv",
+        "obs.gramian_floor",
+        "obs.observability_gramian",
+        "obs.max_kernel_derivative",
+        "obs.sample_observability_matrix",
+        "obs.expm",
+        "dyn.integrate_flow",
+    ):
         assert calls.get(name, 0) > 0, name
+    assert trace.counters["obs.a_at.calls"] > 0

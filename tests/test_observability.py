@@ -37,7 +37,7 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
-from ambiflow.observability import _matrix_field
+from ambiflow.observability import _backward_sweep, _matrix_field
 
 # Closed-form anchors for the double integrator observed in position.
 # Gramian over a unit window, anchored at the right end, is
@@ -455,13 +455,35 @@ def test_robust_sampling_bound_lti_takes_two_exponentials(monkeypatch, grid_step
 
 
 # The per-window and per-anchor loops that the batched sweep replaced, kept as
-# its bit-for-bit reference: each window or anchor sweeps alone, each node is
-# one product with expm(-A h) or one scalar ``_rk4`` call, and each Gramian or
-# kernel term is one product of 2-D matrices.
+# its reference: each window or anchor sweeps alone, each node is one product
+# with expm(-A h) or one scalar ``_rk4`` call from the last node's Phi, and each
+# Gramian or kernel term is one product of 2-D matrices.  Stationary results
+# must equal them bit for bit.  The time-varying sweep steps every cell from
+# the identity in one RK4 call and chains the cells; RK4 is linear in its
+# starting matrix, so that changes only rounding, and time-varying results
+# must agree within LTV_RTOL of the reference's largest entry.
+
+LTV_RTOL = 1e-12
 
 
-def scalar_sweep(sys, t, h, n):
-    """(tau, Phi(tau, t)) at tau = t - k h for k = 0..n, one anchor alone."""
+def matches(got, want, exact):
+    """``got`` against the reference ``want``: bit for bit when ``exact``,
+    else within LTV_RTOL of want's largest entry.  Errors, as ``outcome``
+    gives them, and infinite values must be the same either way."""
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        return got == want
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    if got.shape != want.shape:
+        return False
+    if exact or not np.isfinite(want).all():
+        return got.tobytes() == want.tobytes()
+    return bool(np.abs(got - want).max() <= LTV_RTOL * np.abs(want).max())
+
+
+def scalar_sweep(sys, t, h, n, a_at=None):
+    """(tau, Phi(tau, t)) at tau = t - k h for k = 0..n, one anchor alone,
+    with A from ``a_at`` (default ``sys.a_at``)."""
+    a_at = sys.a_at if a_at is None else a_at
     m = np.eye(sys.dim)
     yield t, m
     if sys.is_lti:
@@ -471,7 +493,7 @@ def scalar_sweep(sys, t, h, n):
         if sys.is_lti:
             m = m @ back
         else:
-            m = _rk4(lambda s, x: sys.a_at(s) @ x, t - (k - 1) * h, tau, m, h)
+            m = _rk4(lambda s, x: a_at(s) @ x, t - (k - 1) * h, tau, m, h)
         yield tau, m
 
 
@@ -560,7 +582,8 @@ def outcome(fn, *args):
 
 @pytest.mark.parametrize("kind", ["lti2", "lti3", "ltv"])
 def test_stacked_kernel_norms_match_per_node_loop(kind):
-    # One stacked SVD per sweep gives each node's norm bit for bit.
+    # One stacked SVD per sweep gives each node's norm bit for bit
+    # (within LTV_RTOL for the time-varying sweep).
     rng = np.random.default_rng(29)
     if kind == "ltv":
         systems = [wobbly_system()]
@@ -574,11 +597,10 @@ def test_stacked_kernel_norms_match_per_node_loop(kind):
         ]
     for sys in systems:
         for t, s_low, grid in ((1.3, 0.4, 0.05), (0.75, 0.0, 0.01), (0.5, 0.5, 0.1)):
-            assert max_kernel_derivative(sys, t, s_low, grid) == scalar_kernel_scan(
-                sys, t, s_low, grid
-            )
+            got = max_kernel_derivative(sys, t, s_low, grid)
+            assert matches(got, scalar_kernel_scan(sys, t, s_low, grid), sys.is_lti)
         args = (sys, 0.5, 0.75, 1.5, 0.5, 0.05 if kind == "ltv" else 0.01)
-        assert robust_sampling_bound(*args) == scalar_sampling_bound(*args)
+        assert matches(robust_sampling_bound(*args), scalar_sampling_bound(*args), sys.is_lti)
 
 
 def oracle_systems(kind):
@@ -612,17 +634,16 @@ def oracle_systems(kind):
 @pytest.mark.parametrize("kind", ["lti2", "lti3", "ltv", "ltv3-fd"])
 def test_batched_sweep_matches_scalar_reference(kind):
     # All windows and anchors of a sweep step together, and every value
-    # equals the one-window, one-anchor loop bit for bit, with grids that do
-    # not divide the spans and anchors below window_up.
+    # equals the one-window, one-anchor loop (bit for bit when stationary),
+    # with grids that do not divide the spans and anchors below window_up.
     for sys in oracle_systems(kind):
         for window, horizon, grid in ((0.5, 1.5, 0.05), (0.3, 1.2, 0.07), (0.45, 0.45, 0.02)):
-            assert gramian_floor(sys, window, horizon, grid) == scalar_floor(
-                sys, window, horizon, grid
-            )
+            got = gramian_floor(sys, window, horizon, grid)
+            assert matches(got, scalar_floor(sys, window, horizon, grid), sys.is_lti)
         for t, varsigma, quad in ((0.2, 0.6, 0.03), (0.0, 1.0, None), (1.1, 0.35, 0.1)):
             got = observability_gramian(sys, t, varsigma, quad_step=quad)
             want = scalar_gramian(sys, t, varsigma, varsigma / 200.0 if quad is None else quad)
-            assert got.tobytes() == want.tobytes()
+            assert matches(got, want, sys.is_lti)
         # An array of window starts gives the stack of the one-window Gramians.
         starts = np.array([0.2, 0.0, 1.1, 0.2])
         stack = observability_gramian(sys, starts, 0.6, quad_step=0.03)
@@ -631,9 +652,8 @@ def test_batched_sweep_matches_scalar_reference(kind):
             stack, [observability_gramian(sys, t, 0.6, quad_step=0.03) for t in starts]
         )
         for t, s_low, grid in ((1.3, 0.4, 0.05), (1.0, 0.13, 0.07), (0.5, 0.5, 0.1)):
-            assert max_kernel_derivative(sys, t, s_low, grid) == scalar_kernel_scan(
-                sys, t, s_low, grid
-            )
+            got = max_kernel_derivative(sys, t, s_low, grid)
+            assert matches(got, scalar_kernel_scan(sys, t, s_low, grid), sys.is_lti)
         # Arrays of anchors give the largest of the per-anchor maxima.
         anchors, lows = np.array([1.3, 1.0, 0.5, 0.9]), np.array([0.4, 0.13, 0.5, 0.0])
         assert max_kernel_derivative(sys, anchors, lows, 0.07) == max(
@@ -643,9 +663,8 @@ def test_batched_sweep_matches_scalar_reference(kind):
             max_kernel_derivative(sys, t, 0.0, 0.07) for t in anchors
         )
         for args in ((0.5, 0.75, 1.5, 0.5, 0.05), (0.4, 0.9, 1.3, 0.3, 0.06)):
-            assert outcome(robust_sampling_bound, sys, *args) == outcome(
-                scalar_sampling_bound, sys, *args
-            )
+            got = outcome(robust_sampling_bound, sys, *args)
+            assert matches(got, outcome(scalar_sampling_bound, sys, *args), sys.is_lti)
 
 
 @settings(max_examples=60, deadline=None)
@@ -659,11 +678,45 @@ def test_batched_sweep_matches_scalar_reference_on_any_grid(window_low, extra, t
     sys = wobbly_system()
     window_up = window_low + extra
     horizon = window_up + tail
-    assert gramian_floor(sys, window_low, horizon, grid_step) == scalar_floor(
-        sys, window_low, horizon, grid_step
-    )
+    got = gramian_floor(sys, window_low, horizon, grid_step)
+    assert matches(got, scalar_floor(sys, window_low, horizon, grid_step), exact=False)
     args = (sys, window_low, window_up, horizon, 0.5, grid_step)
-    assert outcome(robust_sampling_bound, *args) == outcome(scalar_sampling_bound, *args)
+    got = outcome(robust_sampling_bound, *args)
+    assert matches(got, outcome(scalar_sampling_bound, *args), exact=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 4),
+    anchors=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=5),
+    spans=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    grid_step=st.floats(0.02, 0.3),
+)
+def test_sweep_stacks_match_per_node_reference(seed, d, anchors, spans, grid_step):
+    # Anchors and lower ends as ``max_kernel_derivative`` sweeps them: the
+    # stacks give every column the per-node loop's taus and, within
+    # LTV_RTOL, its Phi, and A is built at the same taus as often.
+    built = []
+    sys = random_ltv(seed, d, record=built)
+    t = np.array(anchors)
+    span = np.array(spans[: len(t)])
+    n = np.where(span > 0.0, np.maximum(1.0, np.ceil(span / grid_step)), 0.0).astype(int)
+    h = span / np.maximum(n, 1)
+    built.clear()
+    taus, phis, live = _backward_sweep(sys, t, h, n, functools.cache(sys.a_at))
+    swept = sorted(built)
+    assert taus.shape == live.shape == (n.max() + 1, len(t))
+    assert phis.shape == (*taus.shape, d, d)
+    built.clear()
+    a_at = functools.cache(sys.a_at)
+    for i in range(len(t)):
+        want_taus, want_phis = zip(*scalar_sweep(sys, t[i], h[i], n[i], a_at))
+        assert np.array_equal(live[:, i], np.arange(len(taus)) <= n[i])
+        assert np.array_equal(taus[live[:, i], i], want_taus)
+        assert matches(phis[live[:, i], i], np.array(want_phis), exact=False)
+    assert len(swept) == len(built)
+    assert swept == sorted(built)
 
 
 @pytest.mark.parametrize("with_c_dot", [True, False])
@@ -771,7 +824,7 @@ def test_batched_overflow_matches_scalar_reference(gain, knee, floor_error):
         lambda t: np.diag([-gain * max(0.0, t - knee), -1.0]), lambda t: np.array([[1.0, 1.0]])
     )
     floor = outcome(gramian_floor, sys, 0.5, 1.5, 0.05)
-    assert floor == outcome(scalar_floor, sys, 0.5, 1.5, 0.05)
+    assert matches(floor, outcome(scalar_floor, sys, 0.5, 1.5, 0.05), exact=False)
     if floor_error is None:
         assert math.isfinite(floor)
     else:
@@ -784,7 +837,7 @@ def test_batched_overflow_matches_scalar_reference(gain, knee, floor_error):
     assert outcome(scalar_kernel_scan, sys, 1.5, 0.75, 0.05) == scan_error
     args = (sys, 0.5, 0.75, 1.5, 0.5, 0.05)
     bound = outcome(robust_sampling_bound, *args)
-    assert bound == outcome(scalar_sampling_bound, *args)
+    assert matches(bound, outcome(scalar_sampling_bound, *args), exact=False)
     assert bound == (scan_error if floor_error is None else floor)
 
 
@@ -1024,6 +1077,16 @@ def test_schedule_criteria_judge_each_member_on_its_own():
             check_schedule_observability(sys, bad, "equidistant")
     with pytest.raises(ValueError, match="at least one member"):
         check_schedule_observability(sys, [], "equidistant")
+
+
+@pytest.mark.parametrize("criterion", ["equidistant", "periodic", "count"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_schedule_criteria_name_a_time_that_is_not_finite(criterion, bad):
+    # A NaN time compares false with its neighbours, so it passed the
+    # ordering check and the count criterion passed the schedule.
+    rows = [[0.0, 0.5, 1.0], [0.0, bad, 1.0]]
+    with pytest.raises(ValueError, match=f"member 2: sample times must be finite, got {bad}"):
+        check_schedule_observability(harmonic_oscillator(), rows, criterion)
 
 
 # --- group 7: reconstruction --------------------------------------------------------

@@ -293,6 +293,13 @@ def test_reconstruct_needs_three_samples():
         reconstruct_red_state([0.0, 0.1], np.zeros((2, 2)), cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_reconstruct_names_a_time_that_is_not_finite(bad):
+    # A NaN time passed the ordering check and failed inside the SVD.
+    with pytest.raises(ValueError, match=f"sample times must be finite, got {bad}"):
+        reconstruct_red_state([0.0, bad, 1.0], np.zeros((3, 2)), default_config())
+
+
 def test_reconstruct_rejects_aliased_spacing():
     # Gaps of pi/2 put every sample at the same tracker phase: velocity
     # cannot be told apart from position.
