@@ -46,7 +46,6 @@ from ambiflow.observability import (
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
-    fundamental_matrix,
     gramian_floor,
     observability_gramian,
     reconstruct_state,
@@ -60,7 +59,6 @@ from ambiflow.uav_scenario import (
     default_config,
     dro_objective,
     reconstruct_red_state,
-    red_uav_flow,
     run_experiment,
     solve_dro,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "effective_horizon",
     "eigenvalue_margin",
     "estimation_error_bound",
-    "fundamental_matrix",
     "gramian_floor",
     "growth_bound",
     "integrate_flow",
@@ -106,7 +103,6 @@ __all__ = [
     "pushforward_error_noisy",
     "reconstruct_red_state",
     "reconstruct_state",
-    "red_uav_flow",
     "robust_sampling_bound",
     "run_experiment",
     "sample_observability_matrix",

@@ -17,10 +17,10 @@ import numbers
 def finite(name: str, value, *, gt=None, ge=None, lt=None, le=None):
     """``value`` if it is a finite real number > gt, >= ge, < lt and <= le;
     a bound of None is left out."""
-    # A float skips the abstract-class check, which costs more than the rest
-    # of the call.  A comparison, not math.isfinite: an int too large for a
-    # float is finite.
-    if not (type(value) is float or _is(value, numbers.Real)) or not -math.inf < value < math.inf:
+    # A float, numpy's float64 included, skips the abstract-class check, which
+    # costs more than the rest of the call.  A comparison, not math.isfinite:
+    # an int too large for a float is finite.
+    if not (isinstance(value, float) or _is(value, numbers.Real)) or not -math.inf < value < math.inf:
         raise _error(name, "finite", value)
     if (
         (gt is None or value > gt) and (ge is None or value >= ge)

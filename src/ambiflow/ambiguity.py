@@ -68,7 +68,10 @@ class SamplingSchedule:
     effective_start: int = 1
 
     def __post_init__(self) -> None:
-        norm = tuple(tuple(float(t) for t in row) for row in self.times)
+        norm = tuple(
+            tuple(float(finite(f"times of trajectory {i}", t)) for t in row)
+            for i, row in enumerate(self.times)
+        )
         if len(norm) == 0:
             raise ValueError("schedule needs at least one trajectory")
         lengths = {len(row) for row in norm}
@@ -77,8 +80,6 @@ class SamplingSchedule:
         if min(lengths) < 1:
             raise ValueError("each trajectory needs at least one sample time")
         for i, row in enumerate(norm):
-            if not all(map(math.isfinite, row)):
-                raise ValueError(f"times of trajectory {i} must be finite, got {row}")
             gaps = np.diff(row)
             if len(gaps) and gaps.min() <= _TIME_TOL:
                 raise ValueError(f"times of trajectory {i} are not increasing")

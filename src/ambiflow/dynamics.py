@@ -104,7 +104,8 @@ def integrate_flow(
 
     Steps are taken at the requested size with the last one shortened so the
     trajectory lands exactly on t_end.  Integration backward in time is
-    allowed.  Raises ArithmeticError if the state stops being finite.
+    allowed.  Every time must be a finite number and ``step`` a positive
+    one.  Raises ArithmeticError if the state stops being finite.
 
     With a sequence of start times, ``state`` holds one state per start and
     the images come back one per row.  All of them go through one
@@ -116,9 +117,11 @@ def integrate_flow(
     for x in cols:
         if x.shape != (field.dim,):
             raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
-    t0 = np.array([t_start] if one else t_start, dtype=float)
+    t0 = np.array([finite("t_start", t) for t in ([t_start] if one else t_start)], dtype=float)
     if t0.shape != (len(cols),):
         raise ValueError(f"{t0.size} start times for {len(cols)} states")
+    finite("t_end", t_end)
+    finite("step", step, gt=0)
     if one:
         x = _rk4(field, t_start, t_end, cols[0].copy(), step)
     else:
@@ -141,11 +144,11 @@ def _rk4(
 ) -> np.ndarray:
     """Fixed-step RK4 for x' = f(t, x), stepping as ``integrate_flow`` describes.
 
-    With a number ``t_start``, x may have any shape: flows and fundamental
-    matrices share this loop.  With a vector of N start times, x is a batch
-    with one column per start on its last axis, states of shape (dim, N) or
-    matrices of shape (d, d, N), and column i starts at t_start[i]; t_end
-    and step are then numbers or hold one value per column too.  Each column
+    With a number ``t_start``, x may have any shape.  With a vector of N
+    start times, x is a batch with one column per start on its last axis,
+    states of shape (dim, N) or matrices of shape (d, d, N), and column i
+    starts at t_start[i]; t_end and step are then numbers or hold one value
+    per column too.  Each column
     steps on its own grid t_start[i] + k h[i], with its own shortened last
     step, so it ends bit for bit where it would alone; f sees only the
     columns still stepping, x[..., live] with t of shape (n,).  ValueError

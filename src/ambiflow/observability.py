@@ -24,18 +24,16 @@ per-output noise level into a state error bound.
 The Gramian floor, the kernel-derivative scan and the stationary gap bound
 read Phi(tau, t) at uniformly spaced tau as whole stacks from one backward
 sweep (``_backward_sweep``) over every window or anchor: a product with
-expm(-A h) per node for stationary systems, otherwise one batched RK4 call
-for every cell and one chained product per node, with A, C and C' built
-once per distinct tau.  Each takes its sums, eigenvalues or norms at once.
-``sample_observability_matrix`` takes a stationary schedule's exponentials
-in one stacked ``expm``, and steps every gap of a time-varying schedule
-from the identity in one batched RK4 call, each gap on its own step grid,
-then chains the gaps back from the last sample time.  Where the flow
-overflows, the sweep's three users, ``fundamental_matrix`` and
-``sample_observability_matrix`` raise OverflowError (an ArithmeticError)
-instead of returning NaN or inf.  Their ``grid_step`` must be positive and
-finite, as must the RK4 ``step`` of time-varying flows, and every time
-must be finite.
+expm(-A h) per node for stationary systems.  ``sample_observability_matrix``
+takes a stationary schedule's exponentials in one stacked ``expm``.  Every
+time-varying Phi, of the sweep and of a sample schedule read back from its
+last time, comes from one chain (``_chain``): one batched RK4 call for every
+cell, each on its own step grid, and one chained product per node, with A,
+C and C' built once per distinct tau.  Where the flow overflows, the
+sweep's three users and ``sample_observability_matrix`` raise OverflowError
+(an ArithmeticError) instead of returning NaN or inf.  Their ``grid_step``
+must be positive and finite, as must the RK4 ``step`` of the sample
+matrix (stationary or not), and every time must be a finite number.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -59,7 +57,6 @@ __all__ = [
     "LinearTimeVaryingSystem",
     "EigenStructure",
     "ScheduleDiagnostics",
-    "fundamental_matrix",
     "sample_observability_matrix",
     "weight_matrix",
     "observability_gramian",
@@ -158,25 +155,6 @@ def _as_matrix(value) -> np.ndarray:
 # --- fundamental matrices -------------------------------------------------------
 
 
-def fundamental_matrix(
-    sys: LinearTimeVaryingSystem, t: float, s: float, step: float = 1e-3
-) -> np.ndarray:
-    """Phi(t, s): maps the state at time s to the state at time t.
-
-    Constant dynamics use the matrix exponential; otherwise the matrix
-    differential equation M' = A(tau) M is integrated by fixed-step RK4
-    (backward in time when t < s).
-    """
-    if sys.is_lti:
-        # RK4 names a time that is not finite; the exponential would not.
-        m = expm(sys.a_const * (finite("t", t) - finite("s", s)))
-    else:
-        m = _rk4(_matrix_field(functools.cache(sys.a_at)), s, t, np.eye(sys.dim), step)
-    if not np.isfinite(m).all():
-        raise OverflowError(f"fundamental matrix is not finite between {s:.6g} and {t:.6g}")
-    return m
-
-
 def _stacked(fn: Callable[[float], np.ndarray], taus: np.ndarray) -> np.ndarray:
     """fn at every tau of an array, stacked in its shape; fn sees each distinct tau once."""
     distinct, where = np.unique(taus.ravel(), return_inverse=True)
@@ -185,19 +163,41 @@ def _stacked(fn: Callable[[float], np.ndarray], taus: np.ndarray) -> np.ndarray:
 
 
 def _matrix_field(a_at: Callable[[float], np.ndarray]) -> Callable[..., np.ndarray]:
-    """M' = A(tau) M, whose flow from the identity is the fundamental matrix.
-
-    M is one matrix at a number tau, or a batched ``_rk4``'s (d, d, N) stack
-    with matrix i in M[..., i] at tau[i], each multiplied on its own.
-    """
+    """M' = A(tau) M, whose flow from the identity is the fundamental matrix,
+    for a batched ``_rk4``'s (d, d, N) stack: matrix i in M[..., i] at tau[i],
+    each multiplied on its own."""
 
     def field(tau, m):
-        if m.ndim == 2:
-            return a_at(tau) @ m
         stack = np.ascontiguousarray(m.transpose(2, 0, 1))
         return (_stacked(a_at, tau) @ stack).transpose(1, 2, 0)
 
     return field
+
+
+def _chain(
+    dim: int, a_at: Callable, taus: np.ndarray, live: np.ndarray, step: np.ndarray
+) -> np.ndarray:
+    """Phi(taus[k, i], taus[0, i]) as a (K + 1, B, d, d) stack, for a time-varying flow.
+
+    taus is a (K + 1, B) grid of node times, one column per chain, and live
+    masks its nodes; the stack means nothing past a column's last live node.
+    One batched RK4 call steps every live cell taus[k - 1, i] -> taus[k, i]
+    from the identity at its column's step[i], with A from ``a_at`` (a cache,
+    so a tau shared by stages, cells or callers builds A once), and
+    Phi_k = R_k Phi_(k-1) chains the cells: RK4 is linear in its start, so
+    this changes only rounding against stepping Phi cell by cell.
+    """
+    phis = np.empty((*taus.shape, dim, dim))
+    phis[0] = np.eye(dim)
+    if len(taus) > 1:
+        cells = np.tile(np.eye(dim), (len(taus) - 1, taus.shape[1], 1, 1))
+        ks, cols = np.nonzero(live[1:])
+        eyes = cells[ks, cols].transpose(1, 2, 0)
+        rk = _rk4(_matrix_field(a_at), taus[ks, cols], taus[ks + 1, cols], eyes, step[cols])
+        cells[ks, cols] = rk.transpose(2, 0, 1)
+        for cell, prev, phi in zip(cells, phis, phis[1:]):
+            np.matmul(cell, prev, out=phi)
+    return phis
 
 
 def _backward_sweep(
@@ -208,28 +208,19 @@ def _backward_sweep(
     Column i sweeps back from t[i] in n[i] cells of width h[i] > 0.  taus and
     live are (K + 1, B), phis stacks Phi(taus[k, i], t[i]) as (K + 1, B, d, d),
     and ``live`` masks the nodes with k <= n[i]; phis means nothing past them.
-    Stationary systems take Phi_k = Phi_(k-1) expm(-A h).  Otherwise one batched
-    RK4 call steps every live cell from the identity, with A from the sweep's
-    cache ``a_at``, so a tau shared by stages, cells or kernel terms builds A
-    once, and Phi_k = R_k Phi_(k-1) chains the cells: RK4 is linear in its
-    start, so this changes only rounding against stepping Phi cell by cell.
+    Stationary systems take Phi_k = Phi_(k-1) expm(-A h); time-varying ones
+    chain their cells through ``_chain`` at step h, with A from the sweep's
+    cache ``a_at``.
     """
     taus = t - np.arange(int(n.max()) + 1)[:, None] * h
     live = np.arange(len(taus))[:, None] <= n
+    if not sys.is_lti:
+        return taus, _chain(sys.dim, a_at, taus, live, h), live
     phis = np.empty((*taus.shape, sys.dim, sys.dim))
     phis[0] = np.eye(sys.dim)
-    if sys.is_lti:
-        back = expm(-sys.a_const * h[:, None, None])
-        for prev, phi in zip(phis, phis[1:]):
-            np.matmul(prev, back, out=phi)
-    elif len(taus) > 1:
-        cells = np.tile(np.eye(sys.dim), (len(taus) - 1, len(t), 1, 1))
-        ks, cols = np.nonzero(live[1:])
-        eyes = cells[ks, cols].transpose(1, 2, 0)
-        rk = _rk4(_matrix_field(a_at), taus[ks, cols], taus[ks + 1, cols], eyes, h[cols])
-        cells[ks, cols] = rk.transpose(2, 0, 1)
-        for cell, prev, phi in zip(cells, phis, phis[1:]):
-            np.matmul(cell, prev, out=phi)
+    back = expm(-sys.a_const * h[:, None, None])
+    for prev, phi in zip(phis, phis[1:]):
+        np.matmul(prev, back, out=phi)
     return taus, phis, live
 
 
@@ -243,29 +234,23 @@ def sample_observability_matrix(
 
     Shape (l * m, d).  The state being solved for lives at the last sample
     time; earlier rows reach it through backward flow.  Stationary systems
-    take every Phi in one stacked ``expm``.  Otherwise one batched RK4 call
-    steps every gap's Phi(t_k, t_(k+1)) from the identity, each gap on the
-    step grid it would have alone, and the gaps chain back from the anchor
-    with one d x d product per sample: RK4 is linear in its starting
-    matrix, so this changes only rounding against stepping one matrix
-    through every gap in turn.
+    take every Phi in one stacked ``expm``.  Otherwise the sample times, read
+    back from the anchor, are the nodes of one ``_chain`` column at the RK4
+    ``step``: one batched RK4 call steps every gap from the identity, each
+    on the step grid it would have alone, and the gaps chain back from the
+    anchor.
     """
     ts = _sample_times(times)
+    finite("step", step, gt=0)
     anchor = ts[-1]
     if sys.is_lti:
         phis = expm(sys.a_const * (np.array(ts) - anchor)[:, None, None])
         blocks = [sys.c_const @ phi for phi in phis]
     else:
-        m = np.eye(sys.dim)
-        blocks = [sys.c_at(anchor) @ m]
-        if len(ts) > 1:
-            field = _matrix_field(functools.cache(sys.a_at))
-            eyes = np.repeat(m[:, :, None], len(ts) - 1, axis=2)
-            gaps = _rk4(field, np.array(ts[1:]), np.array(ts[:-1]), eyes, step)
-            for k in range(len(ts) - 2, -1, -1):
-                m = gaps[..., k] @ m
-                blocks.append(sys.c_at(ts[k]) @ m)
-        blocks.reverse()
+        taus = np.array(ts[::-1])[:, None]
+        live = np.ones(taus.shape, dtype=bool)
+        phis = _chain(sys.dim, functools.cache(sys.a_at), taus, live, np.array([step]))
+        blocks = [sys.c_at(t) @ phi for t, phi in zip(ts, phis[::-1, 0])]
     obs = np.vstack(blocks)
     if not np.isfinite(obs).all():
         raise OverflowError(
@@ -276,11 +261,8 @@ def sample_observability_matrix(
 
 def _sample_times(times: Sequence[float]) -> list[float]:
     """The sample times as floats; ValueError names the first one that is not
-    finite, or says they are empty or do not strictly increase."""
-    ts = [float(t) for t in times]
-    for t in ts:
-        if not math.isfinite(t):
-            raise ValueError(f"sample times must be finite, got {t}")
+    a finite number, or says they are empty or do not strictly increase."""
+    ts = [float(finite("sample times", t)) for t in times]
     if not ts or any(b - a <= 0.0 for a, b in zip(ts, ts[1:])):
         raise ValueError("sample times must be non-empty and strictly increasing")
     return ts
@@ -503,8 +485,8 @@ def reconstruct_state(
 ) -> np.ndarray:
     """Weighted least-squares state estimate pinv(W O) W y.
 
-    Rejects ill-posed problems: the smallest singular value of W O must
-    exceed 1e-10 relative to the largest.
+    Rejects ill-posed problems: O, W and y must be finite, and the smallest
+    singular value of W O must exceed 1e-10 relative to the largest.
     """
     o = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
     w = np.atleast_2d(np.asarray(weight, dtype=float))
@@ -513,6 +495,9 @@ def reconstruct_state(
         raise ValueError(f"weight shape {w.shape} does not match O rows {o.shape[0]}")
     if y.shape[0] != o.shape[0]:
         raise ValueError(f"{y.shape[0]} outputs for {o.shape[0]} observation rows")
+    for name, values in (("O", o), ("W", w), ("y", y)):
+        if not np.isfinite(values).all():  # the SVD would return NaN or fail to converge
+            raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     wo = w @ o
     u, sv, vt = np.linalg.svd(wo, full_matrices=False)
     if o.shape[0] < o.shape[1] or sv[-1] <= _MIN_SINGULAR * sv[0]:

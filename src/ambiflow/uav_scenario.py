@@ -57,14 +57,11 @@ __all__ = [
     "ExperimentReport",
     "default_config",
     "initial_red_state",
-    "red_uav_flow",
     "red_position_path",
     "reconstruct_red_state",
-    "blue_path",
     "dro_objective",
     "candidate_support",
     "constrained_min_expectation",
-    "solve_inner_inf",
     "solve_dro",
     "run_experiment",
 ]
@@ -114,6 +111,8 @@ class ScenarioConfig:
                 f"profile set empty: required mean speed {mean_speed:.6g} outside "
                 f"[{self.v_min:.6g}, {self.v_max:.6g}]"
             )
+        if not self.theta_support:
+            raise ValueError("theta_support must hold at least one phase, got ()")
         if len(self.theta_probabilities) != len(self.theta_support):
             raise ValueError("theta support and probabilities differ in length")
         probs = np.asarray(self.theta_probabilities, dtype=float)
@@ -184,27 +183,6 @@ def initial_red_state(theta: float, orbit_radius: float = 1.0) -> np.ndarray:
     )
 
 
-def red_uav_flow(
-    theta: float,
-    xi0: Sequence[float],
-    t: float,
-    t_start: float = 0.0,
-    gain: float = 4.0,
-    orbit_radius: float = 1.0,
-) -> np.ndarray:
-    """Closed-form tracker state (pos, vel) at time t, given the state at t_start."""
-    finite("theta", theta)
-    finite("t", t)
-    finite("t_start", t_start)
-    finite("gain", gain)
-    finite("orbit_radius", orbit_radius)
-    x0, y0, vx0, vy0 = (float(v) for v in xi0)
-    pos, vel = _tracker_basis(np.array([t - t_start]), gain, orbit_radius)
-    coef = _lift(np.array([x0, y0, vx0, vy0, t_start + theta]))
-    z, v = pos[0] @ coef, vel[0] @ coef
-    return np.array([z.real, z.imag, v.real, v.imag])
-
-
 def red_position_path(
     states: np.ndarray, tau_grid: np.ndarray, cfg: ScenarioConfig
 ) -> np.ndarray:
@@ -246,6 +224,8 @@ def reconstruct_red_state(
         raise ValueError(f"positions shape {pos.shape} does not match {len(ts)} times")
     if not np.isfinite(ts).all():
         raise ValueError(f"sample times must be finite, got {ts[~np.isfinite(ts)][0]}")
+    if not np.isfinite(pos).all():
+        raise ValueError(f"positions must be finite, got {pos[~np.isfinite(pos)][0]}")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     t_last = float(ts[-1])
@@ -282,17 +262,6 @@ def _segment_coverage(tau_grid: np.ndarray, n_segments: int) -> np.ndarray:
     h = TWO_PI / n_segments
     starts = np.arange(n_segments) * h
     return np.clip(tau_grid[:, None] - starts[None, :], 0.0, h)
-
-
-def blue_path(
-    profile: Sequence[float], cfg: ScenarioConfig, tau_grid: np.ndarray
-) -> np.ndarray:
-    """Intruder positions along the x axis: integral of the speed profile."""
-    x = _validated_profile(profile, cfg)
-    cov = _segment_coverage(np.asarray(tau_grid, dtype=float), cfg.n_segments)
-    out = np.zeros((len(tau_grid), 2))
-    out[:, 0] = _intruder_x(x[None, :], cov)[0]
-    return out
 
 
 def _intruder_x(xs: np.ndarray, coverage: np.ndarray) -> np.ndarray:
@@ -602,20 +571,6 @@ def _inner_evaluator(
         return [v for i in blocks for v in solve(clearance(xs[i : i + _EVAL_BLOCK]), budget)]
 
     return evaluate_many
-
-
-def solve_inner_inf(
-    ball: AmbiguityBall,
-    profile: Sequence[float],
-    candidates: np.ndarray,
-    known_state: Sequence[float],
-    cfg: ScenarioConfig,
-    n_t: int = 200,
-) -> float:
-    """Worst-case expected clearance over the ball, on a finite support."""
-    count("n_t", n_t, low=2)
-    evaluate_many = _inner_evaluator(ball, candidates, known_state, cfg, n_t)
-    return evaluate_many(_validated_profile(profile, cfg)[None, :])[0]
 
 
 # --- outer solver -----------------------------------------------------------------

@@ -242,6 +242,7 @@ BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
         ("uav", "scenario.n_segments", "2.5", "scenario config: n_segments"),
         ("uav", "scenario.seed", "1.5", "scenario config: seed"),
         ("uav", "scenario.theta_support", '[2.0, "3.0", 4.0]', "scenario config: theta_support"),
+        ("uav", "scenario.theta_support", "[]", "scenario config: theta_support"),
     ],
     ids=lambda v: v[:40] if isinstance(v, str) else None,
 )

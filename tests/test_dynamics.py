@@ -27,7 +27,6 @@ from ambiflow.dynamics import (
     integrate_flow,
 )
 from ambiflow.observability import (
-    fundamental_matrix,
     sample_observability_matrix,
     system_from_json,
 )
@@ -92,7 +91,7 @@ def test_bad_inputs():
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=0.0)
     # A NaN step must not pass the check and leave the states where they are.
-    with pytest.raises(ValueError, match="step must be positive and finite, got nan"):
+    with pytest.raises(ValueError, match="step must be finite, got nan"):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0]), step=math.nan)
     with pytest.raises(ValueError):
         integrate_flow(ROTATION, 0.0, 1.0, np.array([1.0, 2.0, 3.0]))
@@ -115,9 +114,12 @@ STEP_USERS = {
     "calibrate_flow_error": lambda step: calibrate_flow_error(
         ROTATION, TWO_SAMPLES, 2.0, step, rate=1.0
     ),
-    "fundamental_matrix": lambda step: fundamental_matrix(SENSOR, 1.0, 0.0, step=step),
     "sample_observability_matrix": lambda step: sample_observability_matrix(
         SENSOR, [0.0, 0.4, 1.0], step=step
+    ),
+    # A stationary schedule takes no RK4 step, and ignored a bad one.
+    "sample_observability_matrix-lti": lambda step: sample_observability_matrix(
+        system_from_json({"name": "harmonic_oscillator"}), [0.0, 0.4, 1.0], step=step
     ),
 }
 
@@ -127,25 +129,35 @@ STEP_USERS = {
 def test_every_rk4_user_rejects_a_bad_step(user, step):
     # An infinite step would take no step at all and return the state
     # unpushed (a zero calibrated magnitude, an identity Phi), and a negative
-    # one would cross each gap in one step: the one RK4 core rejects them.
-    with pytest.raises(ValueError, match="step must be positive and finite"):
+    # one would cross each gap in one step: the number rule rejects them.
+    rule = "positive" if math.isfinite(step) else "finite"
+    with pytest.raises(ValueError, match=f"step must be {rule}, got {step}"):
         STEP_USERS[user](step)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rk4_rejects_non_finite_times(bad):
     # A NaN or infinite time must neither leave a state unmoved nor fail on
-    # an integer cast: the one RK4 core names it.
-    calls = [
-        lambda: integrate_flow(ROTATION, [0.0, bad], 1.0, [np.zeros(2)] * 2),
-        lambda: integrate_flow(ROTATION, [0.0, 0.5], bad, [np.zeros(2)] * 2),
-        lambda: integrate_flow(ROTATION, bad, 1.0, np.zeros(2)),
-        lambda: integrate_flow(ROTATION, 0.0, bad, np.zeros(2)),
-        lambda: fundamental_matrix(SENSOR, bad, 0.0),
-    ]
-    for call in calls:
-        with pytest.raises(ValueError, match=f"RK4 start and end times must be finite, got {bad}"):
-            call()
+    # an integer cast: ``integrate_flow`` names the argument, and the one RK4
+    # core names the time for its private callers.
+    calls = {
+        "t_start": [
+            lambda: integrate_flow(ROTATION, [0.0, bad], 1.0, [np.zeros(2)] * 2),
+            lambda: integrate_flow(ROTATION, bad, 1.0, np.zeros(2)),
+        ],
+        "t_end": [
+            lambda: integrate_flow(ROTATION, [0.0, 0.5], bad, [np.zeros(2)] * 2),
+            lambda: integrate_flow(ROTATION, 0.0, bad, np.zeros(2)),
+        ],
+        "RK4 start and end times": [
+            lambda: _rk4(ROTATION, np.array([0.0, bad]), 1.0, np.zeros((2, 2)), 0.1),
+            lambda: _rk4(ROTATION, 0.0, bad, np.zeros(2), 0.1),
+        ],
+    }
+    for name, group in calls.items():
+        for call in group:
+            with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+                call()
 
 
 # --- group 2: error envelopes ---------------------------------------------------

@@ -19,6 +19,7 @@ import pytest
 from ambiflow import ambiguity, concentration, distribution, dynamics, observability
 from ambiflow import uav_scenario
 from ambiflow.ambiguity import (
+    SamplingSchedule,
     cumulative_empirical,
     effective_horizon,
     pushforward_error,
@@ -50,14 +51,15 @@ from ambiflow.dynamics import (
     integrate_flow,
 )
 from ambiflow.observability import (
+    check_schedule_observability,
     estimation_error_bound,
-    fundamental_matrix,
     gramian_floor,
     max_kernel_derivative,
     observability_gramian,
     robust_sampling_bound,
     sample_observability_matrix,
     system_from_json,
+    weight_matrix,
 )
 from ambiflow.uav_scenario import (
     TWO_PI,
@@ -66,7 +68,6 @@ from ambiflow.uav_scenario import (
     constrained_min_expectation,
     dro_objective,
     initial_red_state,
-    red_uav_flow,
 )
 
 MODULES = (dynamics, concentration, ambiguity, distribution, observability, uav_scenario)
@@ -99,8 +100,7 @@ def ball(**kw):
 
 # (owner, parameter, call, name the message shows, bad values).  A parameter
 # that is forwarded unchanged is named by the function that reads it: total
-# and horizon radii read rho_horizon as ambiguity_radius's rho, and RK4 names
-# the start and end times of integrate_flow.
+# and horizon radii read rho_horizon as ambiguity_radius's rho.
 ROWS = [
     ("FlowErrorModel", "magnitude", lambda v: FlowErrorModel(v, 0.1)),
     ("FlowErrorModel", "rate", lambda v: FlowErrorModel(1.0, v)),
@@ -110,10 +110,8 @@ ROWS = [
     ("GrowthCertificate", "forcing_exponent", lambda v: growth(forcing_exponent=v)),
     ("GrowthCertificate", "forcing_gain", lambda v: growth(forcing_gain=v)),
     ("GrowthCertificate", "drift_cap", lambda v: growth(drift_cap=v)),
-    ("integrate_flow", "t_start", lambda v: integrate_flow(FIELD, v, 1.0, STATE),
-     "start and end times"),
-    ("integrate_flow", "t_end", lambda v: integrate_flow(FIELD, 0.0, v, STATE),
-     "start and end times"),
+    ("integrate_flow", "t_start", lambda v: integrate_flow(FIELD, v, 1.0, STATE)),
+    ("integrate_flow", "t_end", lambda v: integrate_flow(FIELD, 0.0, v, STATE)),
     ("integrate_flow", "step", lambda v: integrate_flow(FIELD, 0.0, 1.0, STATE, v)),
     ("flow_error_bound", "t_start", lambda v: flow_error_bound(MODEL, v, 1.0)),
     ("flow_error_bound", "t_end", lambda v: flow_error_bound(MODEL, 0.0, v)),
@@ -155,10 +153,6 @@ ROWS = [
     ("wasserstein_exact", "p", lambda v: wasserstein_exact(P, Q, v)),
     ("optimal_plan", "p", lambda v: optimal_plan(P, Q, v)),
     ("coupling_upper_bound", "p", lambda v: coupling_upper_bound(np.zeros(2), np.ones(2), v)),
-    ("fundamental_matrix", "t", lambda v: fundamental_matrix(LTI, v, 0.0)),
-    ("fundamental_matrix", "s", lambda v: fundamental_matrix(LTI, 1.0, v)),
-    # Stationary flows take no RK4 step.
-    ("fundamental_matrix", "step", lambda v: fundamental_matrix(LTV, 1.0, 0.0, v)),
     ("sample_observability_matrix", "step",
      lambda v: sample_observability_matrix(LTV, [0.0, 0.5, 1.0], v)),
     ("observability_gramian", "t", lambda v: observability_gramian(LTI, v, 1.0)),
@@ -193,11 +187,6 @@ ROWS = [
     ("AmbiguityBall", "order", lambda v: ball(order=v)),
     ("initial_red_state", "theta", lambda v: initial_red_state(v)),
     ("initial_red_state", "orbit_radius", lambda v: initial_red_state(2.5, v)),
-    ("red_uav_flow", "theta", lambda v: red_uav_flow(v, XI[:4], 1.0)),
-    ("red_uav_flow", "t", lambda v: red_uav_flow(2.5, XI[:4], v)),
-    ("red_uav_flow", "t_start", lambda v: red_uav_flow(2.5, XI[:4], 1.0, t_start=v)),
-    ("red_uav_flow", "gain", lambda v: red_uav_flow(2.5, XI[:4], 1.0, gain=v)),
-    ("red_uav_flow", "orbit_radius", lambda v: red_uav_flow(2.5, XI[:4], 1.0, orbit_radius=v)),
     ("dro_objective", "t_start", lambda v: dro_objective(PROFILE, XI, XI, SCENARIO, t_start=v)),
     # An infinite budget is unconstrained transport.
     ("constrained_min_expectation", "budget",
@@ -234,17 +223,46 @@ def test_rows_cover_every_float_parameter():
 
 
 @pytest.mark.parametrize(
-    "call, name",
+    "call, name, shown",
     [
-        pytest.param(lambda: RadiusConfig(p=True, d=1, beta=0.05), "p", id="RadiusConfig.p"),
-        pytest.param(lambda: RadiusConfig(p=1.0, d=True, beta=0.05), "d", id="RadiusConfig.d"),
-        pytest.param(lambda: ambiguity_radius(True, CFG, 2.0), "n_samples", id="ambiguity_radius"),
-        pytest.param(lambda: pushforward_error(5, 0.1, True, MODEL), "p", id="pushforward_error"),
-        pytest.param(lambda: ScenarioConfig(n_ref=True), "n_ref", id="ScenarioConfig"),
-        pytest.param(lambda: ball(radius=True), "radius", id="AmbiguityBall"),
+        pytest.param(lambda: RadiusConfig(p=True, d=1, beta=0.05), "p", "True", id="RadiusConfig.p"),
+        pytest.param(lambda: RadiusConfig(p=1.0, d=True, beta=0.05), "d", "True", id="RadiusConfig.d"),
+        pytest.param(
+            lambda: ambiguity_radius(True, CFG, 2.0), "n_samples", "True", id="ambiguity_radius"
+        ),
+        pytest.param(
+            lambda: pushforward_error(5, 0.1, True, MODEL), "p", "True", id="pushforward_error"
+        ),
+        pytest.param(lambda: ScenarioConfig(n_ref=True), "n_ref", "True", id="ScenarioConfig"),
+        pytest.param(lambda: ball(radius=True), "radius", "True", id="AmbiguityBall"),
+        # Times and RK4 arguments: a string or a bool was read through float().
+        pytest.param(
+            lambda: sample_observability_matrix(LTI, ["0", True, 2.0]), "sample times", "'0'",
+            id="sample_observability_matrix",
+        ),
+        pytest.param(
+            lambda: check_schedule_observability(LTI, [[0.0, True, 2.0]], "count"),
+            "member 1: sample times", "True", id="check_schedule_observability",
+        ),
+        pytest.param(
+            lambda: weight_matrix([0.0, True, 2.0]), "sample times", "True", id="weight_matrix"
+        ),
+        pytest.param(
+            lambda: SamplingSchedule(((True, 2.0), ("2.5", "3.0"))), "times of trajectory 0",
+            "True", id="SamplingSchedule",
+        ),
+        pytest.param(
+            lambda: integrate_flow(FIELD, 0.0, 1.0, STATE, step=True), "step", "True",
+            id="integrate_flow.step",
+        ),
+        pytest.param(
+            lambda: integrate_flow(FIELD, ["0.5", True], 1.0, [STATE, STATE]), "t_start", "'0.5'",
+            id="integrate_flow.t_start",
+        ),
     ],
 )
-def test_a_bool_is_not_a_number(call, name):
-    # A bool is an int to Python, so p=True read as 1 and d=True as 1.
-    with pytest.raises(ValueError, match=f"{name} must be .*, got True"):
+def test_a_bool_is_not_a_number(call, name, shown):
+    # A bool is an int to Python, so p=True read as 1 and d=True as 1, and
+    # float() read a time of True as 1.0 and of '0.5' as 0.5.
+    with pytest.raises(ValueError, match=f"{name} must be .*, got {shown}"):
         call()

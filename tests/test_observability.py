@@ -27,7 +27,6 @@ from ambiflow.observability import (
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
-    fundamental_matrix,
     gramian_floor,
     max_kernel_derivative,
     observability_gramian,
@@ -37,7 +36,7 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
-from ambiflow.observability import _backward_sweep, _matrix_field
+from ambiflow.observability import _backward_sweep
 
 # Closed-form anchors for the double integrator observed in position.
 # Gramian over a unit window, anchored at the right end, is
@@ -73,31 +72,45 @@ def wobbly_system():
 
 
 # --- group 1: fundamental matrices -------------------------------------------
+# Phi is read off the sample observability matrix of a C = I system: its row
+# block k is Phi(t_k, t_last).
+
+
+def phi_rows(sys, times, step=1e-3):
+    """Phi(t_k, t_last) for every sample time, as (l, d, d), with C = I."""
+    eye = np.eye(sys.dim)
+    if sys.is_lti:
+        seen = LinearTimeVaryingSystem.lti(sys.a_const, eye)
+    else:
+        seen = LinearTimeVaryingSystem.time_varying(sys.a_at, lambda t: eye)
+    return sample_observability_matrix(seen, times, step).reshape(len(times), sys.dim, sys.dim)
+
+
+def rk4_phi(sys, t, s, step):
+    """Phi(t, s) by one scalar RK4 call, forward or backward: the oracle."""
+    return _rk4(lambda tau, m: sys.a_at(tau) @ m, s, t, np.eye(sys.dim), step)
 
 
 def test_fundamental_matrix_double_integrator():
-    phi = fundamental_matrix(double_integrator(), 0.0, 1.0)
+    phi = phi_rows(double_integrator(), [0.0, 1.0])[0]
     assert np.allclose(phi, [[1.0, -1.0], [0.0, 1.0]], atol=1e-14)
 
 
 def test_fundamental_matrix_identity_at_equal_times():
-    sys = wobbly_system()
-    assert np.allclose(fundamental_matrix(sys, 0.7, 0.7), np.eye(2), atol=1e-15)
+    assert np.array_equal(phi_rows(wobbly_system(), [0.7])[0], np.eye(2))
 
 
 def test_fundamental_matrix_cocycle():
     sys = wobbly_system()
-    a = fundamental_matrix(sys, 2.0, 0.0, step=1e-3)
-    b = fundamental_matrix(sys, 2.0, 1.3, step=1e-3) @ fundamental_matrix(
-        sys, 1.3, 0.0, step=1e-3
-    )
+    a = phi_rows(sys, [0.0, 2.0])[0]
+    b = phi_rows(sys, [0.0, 1.3])[0] @ phi_rows(sys, [1.3, 2.0])[0]
     assert np.allclose(a, b, atol=1e-8), f"cocycle violated by {np.abs(a - b).max():.2e}"
 
 
 def test_fundamental_matrix_inverse_pair():
     sys = wobbly_system()
-    fwd = fundamental_matrix(sys, 1.7, 0.2, step=1e-3)
-    bwd = fundamental_matrix(sys, 0.2, 1.7, step=1e-3)
+    fwd = rk4_phi(sys, 1.7, 0.2, 1e-3)
+    bwd = phi_rows(sys, [0.2, 1.7])[0]
     assert np.allclose(fwd @ bwd, np.eye(2), atol=1e-9)
 
 
@@ -107,8 +120,8 @@ def test_fundamental_matrix_rk4_matches_exponential():
     sys = LinearTimeVaryingSystem.time_varying(
         a_fn=lambda t: a, c_fn=lambda t: np.array([[1.0, 0.0]])
     )
-    phi = fundamental_matrix(sys, 2.5, 0.0, step=1e-3)
-    assert np.allclose(phi, expm(2.5 * a), atol=1e-10)
+    phi = phi_rows(sys, [0.0, 2.5])[0]
+    assert np.allclose(phi, expm(-2.5 * a), atol=1e-10)
 
 
 def test_rk4_builds_a_at_most_three_times_per_step():
@@ -124,7 +137,7 @@ def test_rk4_builds_a_at_most_three_times_per_step():
     )
     calls.clear()
     n_steps = 128
-    fundamental_matrix(sys, 1.0, 0.0, step=1.0 / n_steps)
+    sample_observability_matrix(sys, [0.0, 1.0], step=1.0 / n_steps)
     assert 0 < len(calls) <= 3 * n_steps
 
 
@@ -193,7 +206,7 @@ def test_normal_matrix_is_weighted_kernel_sum():
     sq = [gaps[0] / 2, (gaps[0] + gaps[1]) / 2, (gaps[1] + gaps[2]) / 2, gaps[2] / 2]
     total = np.zeros((2, 2))
     for wl2, t in zip(sq, times):
-        phi = fundamental_matrix(sys, t, times[-1])
+        phi = expm(sys.a_const * (t - times[-1]))
         row = sys.c_const @ phi
         total += wl2 * (row.T @ row)
     assert np.allclose(normal, total, atol=1e-13)
@@ -230,7 +243,11 @@ def sequential_observability_matrix(sys, times, step=1e-3):
     for the batched gaps."""
     ts = [float(t) for t in times]
     anchor = ts[-1]
-    field = _matrix_field(functools.cache(sys.a_at))
+    a_at = functools.cache(sys.a_at)
+
+    def field(tau, m):
+        return a_at(tau) @ m
+
     m = np.eye(sys.dim)
     blocks = [sys.c_at(anchor) @ m]
     for tau, t in zip(ts[:0:-1], ts[-2::-1]):
@@ -369,7 +386,7 @@ def test_kernel_derivative_matches_finite_difference():
     h = 1e-5
 
     def kernel(s):
-        phi = fundamental_matrix(sys, s, t, step=1e-4)
+        phi = rk4_phi(sys, s, t, 1e-4)
         row = sys.c_at(s) @ phi
         return row.T @ row
 
@@ -803,8 +820,6 @@ def test_overflowing_flow_raises_instead_of_nan(lti):
         robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=0.01)
     with pytest.raises(OverflowError):
         sample_observability_matrix(sys, [0.0, 0.25, 0.5])
-    with pytest.raises(OverflowError):
-        fundamental_matrix(sys, 0.0, 0.5)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1098,12 +1113,27 @@ def test_reconstruct_exact_outputs_recovers_state():
     target = np.array([0.7, -1.3])
     outputs = []
     for t in times:
-        phi = fundamental_matrix(sys, t, times[-1])
+        phi = expm(sys.a_const * (t - times[-1]))
         outputs.append((sys.c_const @ phi @ target).item())
     o = sample_observability_matrix(sys, times)
     w = weight_matrix(times)
     got = reconstruct_state(o, w, np.array(outputs))
     assert np.allclose(got, target, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("which", ["O", "W", "y"])
+def test_reconstruct_names_data_that_is_not_finite(which, bad):
+    # A NaN output gave the estimate [nan, nan]; a NaN in O or W failed in the SVD.
+    times = [0.0, 0.5, 1.0]
+    data = {
+        "O": sample_observability_matrix(harmonic_oscillator(), times),
+        "W": weight_matrix(times),
+        "y": np.array([1.0, 0.5, -0.2]),
+    }
+    data[which].flat[1] = bad
+    with pytest.raises(ValueError, match=f"{which} must be finite, got {bad}"):
+        reconstruct_state(data["O"], data["W"], data["y"])
 
 
 def test_reconstruct_rejects_rank_deficiency():

@@ -31,12 +31,13 @@ from ambiflow.uav_scenario import (
     _clearance_kernel,
     _inner_evaluator,
     _intruder_x,
+    _lift,
     _bounded_brent,
     _merged_center,
     _profile_lattice,
     _segment_coverage,
     _sorted_sources,
-    blue_path,
+    _tracker_basis,
     candidate_support,
     constrained_min_expectation,
     default_config,
@@ -44,14 +45,32 @@ from ambiflow.uav_scenario import (
     initial_red_state,
     reconstruct_red_state,
     red_position_path,
-    red_uav_flow,
     run_experiment,
     run_single_realization,
     solve_dro,
-    solve_inner_inf,
 )
 
 THETAS = (2.8 * math.pi / 4.0, 3.5 * math.pi / 4.0, 4.6 * math.pi / 4.0)
+
+
+def tracker_state(theta, xi0, t, t_start=0.0, gain=4.0, orbit_radius=1.0):
+    """Closed-form tracker (pos, vel) at time t, given (pos, vel) at t_start."""
+    pos, vel = _tracker_basis(np.array([t - t_start]), gain, orbit_radius)
+    coef = _lift(np.array([*xi0[:4], t_start + theta], dtype=float))
+    z, v = pos[0] @ coef, vel[0] @ coef
+    return np.array([z.real, z.imag, v.real, v.imag])
+
+
+def intruder_x(profile, cfg, tau):
+    """The intruder's x along the time grid tau, as the clearance kernel sums it."""
+    coverage = _segment_coverage(np.asarray(tau, dtype=float), cfg.n_segments)
+    return _intruder_x(np.asarray(profile, dtype=float)[None, :], coverage)[0]
+
+
+def inner_inf(ball, profile, candidates, known_state, cfg, n_t=200):
+    """Worst-case expected clearance over the ball of one profile, on a finite support."""
+    evaluate_many = _inner_evaluator(ball, candidates, known_state, cfg, n_t)
+    return evaluate_many(np.asarray(profile, dtype=float)[None, :])[0]
 
 
 def observe(theta, cfg, t_last=0.0):
@@ -60,7 +79,7 @@ def observe(theta, cfg, t_last=0.0):
     times = [t_last - 0.2, t_last - 0.1, t_last]
     pos = np.array(
         [
-            red_uav_flow(theta, xi0[:4], t, 0.0, cfg.tracking_gain, cfg.orbit_radius)[:2]
+            tracker_state(theta, xi0[:4], t, 0.0, cfg.tracking_gain, cfg.orbit_radius)[:2]
             for t in times
         ]
     )
@@ -135,6 +154,12 @@ def test_config_rejects_wrong_types(name, value):
         run_experiment(ScenarioConfig.from_json({name: value}), 1, [1])
 
 
+def test_config_rejects_an_empty_phase_support():
+    # numpy's "zero-size array to reduction operation minimum" named no field.
+    with pytest.raises(ValueError, match="theta_support must hold at least one phase"):
+        ScenarioConfig(theta_support=(), theta_probabilities=())
+
+
 def test_config_accepts_any_integer_seed():
     assert ScenarioConfig(seed=np.int64(5)).seed == 5
     assert ScenarioConfig(seed=10**400).seed == 10**400  # beyond float range
@@ -154,14 +179,14 @@ def test_ball_rejects_non_finite_numbers(name, value):
 
 def test_flow_identity_at_start():
     xi0 = np.array([0.3, -0.4, 1.0, 0.2])
-    out = red_uav_flow(THETAS[0], xi0, 5.0, t_start=5.0)
+    out = tracker_state(THETAS[0], xi0, 5.0, t_start=5.0)
     assert np.allclose(out, xi0, atol=1e-14)
 
 
 def test_flow_periodicity_on_launch_states():
     for theta in THETAS:
         xi0 = initial_red_state(theta)
-        out = red_uav_flow(theta, xi0[:4], TWO_PI)
+        out = tracker_state(theta, xi0[:4], TWO_PI)
         assert np.allclose(out, xi0[:4], atol=1e-6)
 
 
@@ -175,7 +200,7 @@ def test_flow_matches_rk4_integration():
         return np.array([s[2], s[3], gain**2 * (cx - s[0]), gain**2 * (cy - s[1])])
 
     rk = integrate_flow(VectorField(tracker, dim=4), 0.0, 1.0, xi0[:4], step=1e-4)
-    closed = red_uav_flow(theta, xi0[:4], 1.0)
+    closed = tracker_state(theta, xi0[:4], 1.0)
     assert np.allclose(rk, closed, atol=1e-8)
 
 
@@ -185,7 +210,7 @@ def test_flow_matches_orbit_tracker_field():
     state5 = initial_red_state(theta)
     field = builtin_field("orbit_tracker", orbit_radius=1.0, gain=4.0)
     rk = integrate_flow(field, 0.0, 2.0, state5, step=1e-4)
-    closed = red_uav_flow(theta, state5[:4], 2.0)
+    closed = tracker_state(theta, state5[:4], 2.0)
     assert np.allclose(rk[:4], closed, atol=1e-8)
     assert rk[4] == pytest.approx(theta, abs=1e-15)
 
@@ -197,7 +222,7 @@ def test_position_path_consistent_with_scalar_flow():
     taus = np.array([0.0, 0.7, 2.1, 5.5])
     paths = red_position_path(state, taus, cfg)[0]
     for k, tau in enumerate(taus):
-        want = red_uav_flow(theta, state[:4], float(tau))[:2]
+        want = tracker_state(theta, state[:4], float(tau))[:2]
         assert np.allclose(paths[k], want, atol=1e-12)
 
 
@@ -205,14 +230,14 @@ def test_checkpoint_states_invariant_over_index():
     # The reachable set at every checkpoint is the launch set itself.
     for theta in THETAS:
         xi0 = initial_red_state(theta)
-        states = [red_uav_flow(theta, xi0[:4], i * TWO_PI) for i in (1, 2, 3)]
+        states = [tracker_state(theta, xi0[:4], i * TWO_PI) for i in (1, 2, 3)]
         spread = np.ptp(np.array(states), axis=0).max()
         assert spread < 1e-6
 
 
 def test_flow_rejects_resonant_gain():
     with pytest.raises(ValueError):
-        red_uav_flow(0.0, [1.0, 0.0, 0.0, 0.0], 1.0, gain=1.0)
+        tracker_state(0.0, [1.0, 0.0, 0.0, 0.0], 1.0, gain=1.0)
 
 
 # --- group 3: state recovery ---------------------------------------------------
@@ -243,9 +268,9 @@ def test_reconstruct_recovers_generic_state():
     theta = 1.234
     xi0 = np.array([0.5, -0.2, 0.3, 0.1])
     times = [0.35, 0.6, 0.95]
-    pos = np.array([red_uav_flow(theta, xi0, t)[:2] for t in times])
+    pos = np.array([tracker_state(theta, xi0, t)[:2] for t in times])
     got = reconstruct_red_state(times, pos, cfg)
-    want_state = red_uav_flow(theta, xi0, times[-1])
+    want_state = tracker_state(theta, xi0, times[-1])
     assert np.allclose(got[:4], want_state, atol=1e-6)
     assert abs(got[4] - theta) < 1e-6
 
@@ -267,9 +292,9 @@ def test_reconstruct_is_exact_to_roundoff(theta, xi0, times):
     # recovery is one well-conditioned linear solve, not a search whose
     # accuracy stops at the square root of the residual's precision.
     cfg = default_config()
-    pos = np.array([red_uav_flow(theta, xi0, t)[:2] for t in times])
+    pos = np.array([tracker_state(theta, xi0, t)[:2] for t in times])
     got = reconstruct_red_state(times, pos, cfg)
-    want = red_uav_flow(theta, xi0, times[-1])
+    want = tracker_state(theta, xi0, times[-1])
     assert np.abs(got[:4] - want).max() <= 1e-10
     gap = (got[4] - theta) % TWO_PI
     assert min(gap, TWO_PI - gap) <= 1e-10
@@ -282,7 +307,7 @@ def test_reconstruct_rejects_unidentifiable_phase():
     theta = THETAS[0]
     xi0 = initial_red_state(theta)
     times = [0.0, TWO_PI / 3.0, 2.0 * TWO_PI / 3.0]
-    pos = np.array([red_uav_flow(theta, xi0[:4], t)[:2] for t in times])
+    pos = np.array([tracker_state(theta, xi0[:4], t)[:2] for t in times])
     with pytest.raises(ArithmeticError, match="ambiguous fit"):
         reconstruct_red_state(times, pos, cfg)
 
@@ -300,6 +325,16 @@ def test_reconstruct_names_a_time_that_is_not_finite(bad):
         reconstruct_red_state([0.0, bad, 1.0], np.zeros((3, 2)), default_config())
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_reconstruct_names_a_position_that_is_not_finite(bad):
+    # A NaN position was reported as a failed fit ("best residual nan").
+    cfg = default_config()
+    times, pos = observe(THETAS[1], cfg)
+    pos[1, 0] = bad
+    with pytest.raises(ValueError, match=f"positions must be finite, got {bad}"):
+        reconstruct_red_state(times, pos, cfg)
+
+
 def test_reconstruct_rejects_aliased_spacing():
     # Gaps of pi/2 put every sample at the same tracker phase: velocity
     # cannot be told apart from position.
@@ -307,7 +342,7 @@ def test_reconstruct_rejects_aliased_spacing():
     theta = THETAS[1]
     xi0 = initial_red_state(theta)
     times = [-math.pi, -math.pi / 2.0, 0.0]
-    pos = np.array([red_uav_flow(theta, xi0[:4], t)[:2] for t in times])
+    pos = np.array([tracker_state(theta, xi0[:4], t)[:2] for t in times])
     with pytest.raises(ArithmeticError, match="alias"):
         reconstruct_red_state(times, pos, cfg)
 
@@ -333,16 +368,15 @@ def test_blue_path_crosses_one_square():
     cfg = default_config()
     x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
     tau = np.linspace(0.0, TWO_PI, 9)
-    path = blue_path(x, cfg, tau)
-    assert path[0, 0] == pytest.approx(0.0)
-    assert path[-1, 0] == pytest.approx(cfg.square_side, rel=1e-12)
-    assert np.all(path[:, 1] == 0.0)
-    assert np.all(np.diff(path[:, 0]) > 0.0)
+    path = intruder_x(x, cfg, tau)
+    assert path[0] == pytest.approx(0.0)
+    assert path[-1] == pytest.approx(cfg.square_side, rel=1e-12)
+    assert np.all(np.diff(path) > 0.0)
 
 
 def test_blue_path_is_the_solver_path():
-    # blue_path sums the segment columns left to right, as the clearance
-    # kernel does, so it reports the path the solver values to the bit.
+    # The intruder path sums the segment columns left to right, so one
+    # profile's path is the same to the bit alone as in the solver's batch.
     cfg = default_config()
     n = cfg.n_segments
     tau = np.linspace(0.0, TWO_PI, 200)
@@ -357,36 +391,29 @@ def test_blue_path_is_the_solver_path():
         expected = x[0] * cov[:, 0]
         for k in range(1, n):
             expected = expected + x[k] * cov[:, k]
-        assert np.array_equal(blue_path(x, cfg, tau)[:, 0], expected)
+        assert np.array_equal(intruder_x(x, cfg, tau), expected)
         checked += 1
 
 
 def test_blue_path_rejects_infeasible_profiles():
     cfg = default_config()
-    tau = np.linspace(0.0, TWO_PI, 5)
+    xi = initial_red_state(THETAS[0])
     with pytest.raises(ValueError):
-        blue_path(np.full(cfg.n_segments, cfg.v_max), cfg, tau)  # wrong sum
+        dro_objective(np.full(cfg.n_segments, cfg.v_max), xi, xi, cfg)  # wrong sum
     with pytest.raises(ValueError):
-        blue_path(np.full(3, 1.0), cfg, tau)  # wrong length
+        dro_objective(np.full(3, 1.0), xi, xi, cfg)  # wrong length
 
 
 @pytest.mark.parametrize("entry", [0, 3])
-@pytest.mark.parametrize("call", ["blue_path", "dro_objective", "solve_inner_inf"])
+@pytest.mark.parametrize("call", ["dro_objective"])  # the public reader of one profile
 def test_nan_profile_is_rejected(call, entry):
     # A NaN speed fails the bound and sum checks instead of slipping past them.
     cfg = default_config()
     x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
     x[entry] = math.nan
-    atoms = np.array([initial_red_state(THETAS[1])])
-    ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.1)
-    known = initial_red_state(THETAS[0])
-    calls = {
-        "blue_path": lambda: blue_path(x, cfg, np.linspace(0.0, TWO_PI, 5)),
-        "dro_objective": lambda: dro_objective(x, atoms[0], known, cfg),
-        "solve_inner_inf": lambda: solve_inner_inf(ball, x, candidate_support(ball), known, cfg),
-    }
+    xi, known = initial_red_state(THETAS[1]), initial_red_state(THETAS[0])
     with pytest.raises(ValueError, match="profile infeasible"):
-        calls[call]()
+        dro_objective(x, xi, known, cfg)
 
 
 def test_dro_objective_zero_when_paths_touch():
@@ -405,11 +432,11 @@ def test_dro_objective_matches_direct_scan():
     x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
     n_t = 200
     tau = np.linspace(0.0, TWO_PI, n_t)
-    blue = blue_path(x, cfg, tau)
+    blue = np.column_stack([intruder_x(x, cfg, tau), np.zeros(n_t)])
     best = math.inf
     for k, t in enumerate(tau):
-        kp = red_uav_flow(THETAS[0], known[:4], float(t))[:2]
-        cp = red_uav_flow(THETAS[2], xi[:4], float(t))[:2] + np.array(
+        kp = tracker_state(THETAS[0], known[:4], float(t))[:2]
+        cp = tracker_state(THETAS[2], xi[:4], float(t))[:2] + np.array(
             [cfg.square_side, 0.0]
         )
         best = min(
@@ -426,18 +453,18 @@ def test_dro_objective_anchor_time():
     cfg = default_config()
     s = 0.6
     theta_k, theta_c = THETAS[0], THETAS[1]
-    known_s = red_uav_flow(theta_k, initial_red_state(theta_k)[:4], s)
-    cand_s = red_uav_flow(theta_c, initial_red_state(theta_c)[:4], s)
+    known_s = tracker_state(theta_k, initial_red_state(theta_k)[:4], s)
+    cand_s = tracker_state(theta_c, initial_red_state(theta_c)[:4], s)
     known5 = np.append(known_s, theta_k)
     cand5 = np.append(cand_s, theta_c)
     x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
     n_t = 150
     tau = np.linspace(0.0, TWO_PI, n_t)
-    blue = blue_path(x, cfg, tau)
+    blue = np.column_stack([intruder_x(x, cfg, tau), np.zeros(n_t)])
     best = math.inf
     for k, t in enumerate(tau):
-        kp = red_uav_flow(theta_k, initial_red_state(theta_k)[:4], s + float(t))[:2]
-        cp = red_uav_flow(theta_c, initial_red_state(theta_c)[:4], s + float(t))[:2]
+        kp = tracker_state(theta_k, initial_red_state(theta_k)[:4], s + float(t))[:2]
+        cp = tracker_state(theta_c, initial_red_state(theta_c)[:4], s + float(t))[:2]
         cp = cp + np.array([cfg.square_side, 0.0])
         best = min(
             best,
@@ -710,7 +737,7 @@ def test_inner_inf_zero_radius_is_center_expectation():
     ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=0.0)
     known = initial_red_state(THETAS[0])
     x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
-    got = solve_inner_inf(ball, x, candidate_support(ball), known, cfg)
+    got = inner_inf(ball, x, candidate_support(ball), known, cfg)
     want = np.mean([dro_objective(x, a, known, cfg) for a in atoms])
     assert got == pytest.approx(want, rel=1e-12)
 
@@ -722,7 +749,7 @@ def test_inner_inf_requires_center_in_candidates():
     known = initial_red_state(THETAS[1])
     x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
     with pytest.raises(ValueError, match="candidate support"):
-        solve_inner_inf(ball, x, atoms + 1.0, known, cfg)
+        inner_inf(ball, x, atoms + 1.0, known, cfg)
 
 
 def test_inner_evaluator_batch_is_bit_identical():
@@ -749,7 +776,7 @@ def test_inner_evaluator_batch_is_bit_identical():
     rows = clearance(xs)
     for b, x in enumerate(xs):
         single = evaluate_many(x[None, :])[0]
-        assert single == solve_inner_inf(ball, x, cand, known, cfg)
+        assert single == inner_inf(ball, x, cand, known, cfg)
         assert single == constrained_min_expectation(
             weights, costs, clearance(x[None, :])[0], budget
         )
@@ -851,7 +878,7 @@ def test_inner_inf_nonincreasing_in_radius():
     vals = []
     for radius in (0.0, 0.05, 0.17, 0.3023, 0.6):
         ball = AmbiguityBall(center=DiscreteDistribution.empirical(atoms), radius=radius)
-        vals.append(solve_inner_inf(ball, x, candidate_support(ball), known, cfg))
+        vals.append(inner_inf(ball, x, candidate_support(ball), known, cfg))
     assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
@@ -866,7 +893,7 @@ def test_solve_dro_singleton_profile_set():
     known = initial_red_state(THETAS[0])
     x, value = solve_dro(known, ball, cfg, n_starts=3)
     assert np.allclose(x, np.full(cfg.n_segments, speed))
-    want = solve_inner_inf(ball, x, candidate_support(ball), known, cfg)
+    want = inner_inf(ball, x, candidate_support(ball), known, cfg)
     assert value == pytest.approx(want, rel=1e-12)
 
 
@@ -904,7 +931,7 @@ def test_solve_dro_result_is_feasible_and_reproducible_inner_value():
     x, value = solve_dro(known, ball, cfg, n_t=200, n_starts=3)
     assert x.min() >= cfg.v_min - 1e-9 and x.max() <= cfg.v_max + 1e-9
     assert x.sum() == pytest.approx(cfg.profile_sum, rel=1e-9)
-    again = solve_inner_inf(ball, x, candidate_support(ball), known, cfg)
+    again = inner_inf(ball, x, candidate_support(ball), known, cfg)
     assert value == again
 
 
@@ -968,7 +995,7 @@ def test_solve_dro_beats_the_lattice_and_reports_its_inner_value():
     best_lattice = max(_inner_evaluator(ball, cand, known, cfg, 100)(lattice))
     x, value = solve_dro(known, ball, cfg, n_t=100, n_starts=1)
     assert value >= best_lattice
-    assert value == solve_inner_inf(ball, x, cand, known, cfg, n_t=100)
+    assert value == inner_inf(ball, x, cand, known, cfg, n_t=100)
 
 
 @pytest.mark.parametrize(
@@ -990,7 +1017,7 @@ def test_solve_dro_edge_designs_return_feasible_profiles(overrides):
     assert x.shape == (cfg.n_segments,)
     assert x.min() >= cfg.v_min - 1e-9 and x.max() <= cfg.v_max + 1e-9
     assert x.sum() == pytest.approx(cfg.profile_sum, rel=1e-9)
-    assert value == solve_inner_inf(ball, x, candidate_support(ball), known, cfg, n_t=100)
+    assert value == inner_inf(ball, x, candidate_support(ball), known, cfg, n_t=100)
 
 
 @pytest.mark.parametrize("n_t, n_starts", [(200, 0), (200, -3), (1, 20), (0, 20)])
