@@ -3,24 +3,26 @@
 ``finite`` passes a finite real number in an optional range and ``count`` an
 integer in one; each returns its value unchanged.  Otherwise the
 ValueError reads "<name> must be finite, got <value>" for a value that is not a
-finite real number (a bool is not one), or "<name> must be <range>, got <value>"
-with a range such as "positive", ">= 1" or "in (0, 1]".  Arrays are checked
-where they are used.
+finite real number (a bool is not one, nor is an int too large for a float),
+or "<name> must be <range>, got <value>" with a range such as "positive",
+">= 1" or "in (0, 1]".  Arrays are checked where they are used.
 """
 
 from __future__ import annotations
 
-import math
 import numbers
+import sys
+
+_MAX = sys.float_info.max
 
 
 def finite(name: str, value, *, gt=None, ge=None, lt=None, le=None):
     """``value`` if it is a finite real number > gt, >= ge, < lt and <= le;
     a bound of None is left out."""
     # A float, numpy's float64 included, skips the abstract-class check, which
-    # costs more than the rest of the call.  A comparison, not math.isfinite:
-    # an int too large for a float is finite.
-    if not (isinstance(value, float) or _is(value, numbers.Real)) or not -math.inf < value < math.inf:
+    # costs more than the rest of the call.  A comparison, not math.isfinite,
+    # which raises OverflowError on an int too large for a float.
+    if not (isinstance(value, float) or _is(value, numbers.Real)) or not -_MAX <= value <= _MAX:
         raise _error(name, "finite", value)
     if (
         (gt is None or value > gt) and (ge is None or value >= ge)

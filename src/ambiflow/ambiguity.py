@@ -295,12 +295,12 @@ def effective_horizon(
     an exact integrator, magnitude = 0), the result is 'capped'.
     """
     count("cap", cap)
-    # With an exact flow the pushforward part is identically zero, so a
-    # positive statistical gain at the first step wins forever.
-    exact = model.magnitude == 0.0 or model.rate * delta == 0.0
     gains, growths = array("d"), array("d")
     # Each part of ``total_radius`` is computed once per count.
     push, stat = pushforward_error(1, delta, cfg.p, model), ambiguity_radius(1, cfg, rho_horizon)
+    # With an exact flow the pushforward part is identically zero, so a
+    # positive statistical gain at the first step wins forever.
+    exact = model.magnitude == 0.0 or model.rate * delta == 0.0
     for kappa in range(1, cap + 1):
         stat_next = ambiguity_radius(kappa + 1, cfg, rho_horizon)
         push_next = pushforward_error(kappa + 1, delta, cfg.p, model)

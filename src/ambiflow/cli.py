@@ -8,14 +8,16 @@ artifacts out.
   observe   observability diagnostics for sampled linear systems
   uav       the pursuit-evasion benchmark experiment
 
-Every run first writes ``manifest.json`` into the output directory (command
-name, fully resolved config, seed, tool version, output names), then the
-artifacts, so a crashed run is recognizable by its missing outputs.  Reruns
-with the same manifest are byte-identical: floats are written with 17
-significant digits and JSON keys are sorted.
+Each handler reads its config, computes every result, and only then makes
+the output directory and writes the manifest (command name, fully resolved
+config, seed, tool version, output names) followed by the artifacts, all in
+one ``_write_run`` call.  So every config and library check runs first, and a
+run that exits 2 or 3 writes nothing.  A config key the command does not read
+is an error.  Reruns with the same manifest are byte-identical: floats are
+written with 17 significant digits and JSON keys are sorted.
 
-Exit codes: 0 success, 2 bad config (message to stderr names the offending
-field), 3 numerical failure.
+Exit codes: 0 success, 2 bad config (any ValueError; the message to stderr
+names the offending field), 3 numerical failure (any ArithmeticError).
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from typing import Any, Sequence
 import numpy as np
 
 import ambiflow
+from ambiflow._checks import finite
 from ambiflow.ambiguity import effective_horizon, total_radius
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.dynamics import FlowErrorModel
@@ -49,24 +52,22 @@ from ambiflow.observability import (
 from ambiflow.uav_scenario import ExperimentRow, ScenarioConfig, run_experiment
 
 
-class ConfigError(Exception):
-    """Raised for malformed or incomplete run configs."""
-
-
 # --- config plumbing -----------------------------------------------------------
 
 
-def _load_config(path: str) -> dict:
+def _load_config(path: str, keys: str) -> dict:
+    """The config object at ``path``; ``keys`` are the top-level fields the command reads."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh, parse_int=_parse_int)
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        raise ValueError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+        raise ValueError(f"config {path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ConfigError(f"config {path} must be a JSON object")
+        raise ValueError(f"config {path} must be a JSON object")
     _reject_non_finite(payload, "")
+    _known(payload, keys)
     return payload
 
 
@@ -86,9 +87,9 @@ def _reject_non_finite(value: Any, where: str) -> None:
     too large for a float; none is a meaningful setting, and no field takes a boolean.
     """
     if isinstance(value, bool):
-        raise ConfigError(f"field '{where}' must be a number, got {value!r}")
+        raise ValueError(f"field '{where}' must be a number, got {value!r}")
     if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ConfigError(f"field '{where}' must be a finite number, got {value}")
+        raise ValueError(f"field '{where}' must be a finite number, got {value}")
     if isinstance(value, dict):
         for key, item in value.items():
             _reject_non_finite(item, f"{where}.{key}" if where else str(key))
@@ -103,20 +104,24 @@ def _reject_non_finite(value: Any, where: str) -> None:
 
 def _number(value: Any, where: str) -> float:
     if not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{where}' must be a number, got {value!r}")
+        raise ValueError(f"field '{where}' must be a number, got {value!r}")
     return float(value)
 
 
 def _integer(value: Any, where: str) -> int:
     """Every integer a command reads is a count, so it must be >= 1."""
     if not isinstance(value, int) or value < 1:
-        raise ConfigError(f"field '{where}' must be an integer >= 1, got {value!r}")
+        raise ValueError(f"field '{where}' must be an integer >= 1, got {value!r}")
     return value
+
+
+def _nonnegative(value: Any, where: str) -> float:
+    return finite(f"field '{where}'", _number(value, where), ge=0)
 
 
 def _each(values: Any, where: str, read) -> list:
     if not isinstance(values, list):
-        raise ConfigError(f"field '{where}' must be a list, got {values!r}")
+        raise ValueError(f"field '{where}' must be a list, got {values!r}")
     return [read(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
@@ -127,43 +132,58 @@ def _field(section: dict, key: str, where: str, read=None, default=_REQUIRED):
     if key not in section:
         if default is not _REQUIRED:
             return default
-        raise ConfigError(f"missing field '{where}{key}'")
+        raise ValueError(f"missing field '{where}{key}'")
     return section[key] if read is None else read(section[key], where + key)
 
 
 def _subsection(cfg: dict, key: str) -> dict:
     section = _field(cfg, key, "")
     if not isinstance(section, dict):
-        raise ConfigError(f"field '{key}' must be a JSON object")
+        raise ValueError(f"field '{key}' must be a JSON object")
     return section
+
+
+def _known(section: dict, keys: str, where: str = "") -> None:
+    """Reject a key the command does not read, as a misspelled optional field."""
+    for key in section:
+        if key not in keys.split():
+            raise ValueError(f"unknown field '{where}{key}'")
+
+
+def _build(section: str, make, *args, **kwargs):
+    """``make(*args, **kwargs)``, its errors prefixed with the config section that fed it."""
+    try:
+        return make(*args, **kwargs)
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ValueError(f"{section} config: {exc}") from exc
 
 
 def _radius_and_flow(raw: dict) -> tuple[RadiusConfig, FlowErrorModel]:
     radius, flow = _subsection(raw, "radius"), _subsection(raw, "flow_error")
-    try:
-        cfg = RadiusConfig(
-            p=_field(radius, "p", "radius.", _number),
-            d=_field(radius, "dimension", "radius.", _integer),
-            beta=_field(radius, "beta", "radius.", _number),
-            big_c=_field(radius, "big_c", "radius.", _number, default=1.0),
-            small_c=_field(radius, "small_c", "radius.", _number, default=1.0),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"radius config: {exc}") from exc
-    try:
-        model = FlowErrorModel(
-            magnitude=_field(flow, "magnitude", "flow_error.", _number),
-            rate=_field(flow, "rate", "flow_error.", _number),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"flow_error config: {exc}") from exc
+    _known(radius, "p dimension beta big_c small_c", "radius.")
+    _known(flow, "magnitude rate", "flow_error.")
+    cfg = _build(
+        "radius",
+        RadiusConfig,
+        p=_field(radius, "p", "radius.", _number),
+        d=_field(radius, "dimension", "radius.", _integer),
+        beta=_field(radius, "beta", "radius.", _number),
+        big_c=_field(radius, "big_c", "radius.", _number, default=1.0),
+        small_c=_field(radius, "small_c", "radius.", _number, default=1.0),
+    )
+    model = _build(
+        "flow_error",
+        FlowErrorModel,
+        magnitude=_field(flow, "magnitude", "flow_error.", _number),
+        rate=_field(flow, "rate", "flow_error.", _number),
+    )
     return cfg, model
 
 
 def _n_range(cfg: dict) -> tuple[int, int]:
     bounds = _each(_field(cfg, "n_range", ""), "n_range", _integer)
     if len(bounds) != 2 or bounds[0] > bounds[1]:
-        raise ConfigError(f"field 'n_range' must be a pair [lo, hi] with lo <= hi, got {bounds}")
+        raise ValueError(f"field 'n_range' must be a pair [lo, hi] with lo <= hi, got {bounds}")
     return bounds[0], bounds[1]
 
 
@@ -174,23 +194,6 @@ def _write_json(path: Path, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _start_run(
-    args: argparse.Namespace, command: str, config: dict, seed: int | None, outputs: tuple[str, ...]
-) -> Path:
-    """Make the output directory and write ``manifest.json`` into it before any output."""
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "command": command,
-        "config": config,
-        "seed": seed,
-        "version": ambiflow.__version__,
-        "outputs": list(outputs),
-    }
-    _write_json(out / "manifest.json", manifest)
-    return out
 
 
 def _fmt(x: float) -> str:
@@ -205,6 +208,29 @@ def _write_csv(path: Path, header: Sequence[str], rows: Sequence[Sequence[Any]])
             writer.writerow([_fmt(v) if isinstance(v, float) else v for v in row])
 
 
+def _write_run(
+    args: argparse.Namespace, command: str, config: dict, seed: int | None, artifacts: dict
+) -> int:
+    """Make the output directory, write the manifest, then each artifact: a
+    ``.csv`` one is (header, rows), a ``.json`` one a dict.  Returns exit code 0."""
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    manifest = {
+        "command": command,
+        "config": config,
+        "seed": seed,
+        "version": ambiflow.__version__,
+        "outputs": list(artifacts),
+    }
+    _write_json(out / "manifest.json", manifest)
+    for name, content in artifacts.items():
+        if name.endswith(".csv"):
+            _write_csv(out / name, *content)
+        else:
+            _write_json(out / name, content)
+    return 0
+
+
 # --- radius ---------------------------------------------------------------------
 
 
@@ -216,24 +242,26 @@ def _radius_table(
     lo: int,
     hi: int,
     recon_error: float | None,
-) -> list[tuple[int, float, float, float]]:
+) -> tuple[list[str], list[tuple]]:
+    """The radius decomposition over N = lo..hi as a CSV header and rows."""
     rows = []
     for n in range(lo, hi + 1):
         stat = ambiguity_radius(n, cfg, rho_horizon)
         psi = total_radius(n, cfg, rho_horizon, delta, model, recon_error)
         rows.append((n, stat, psi - stat, psi))
-    return rows
+    return ["N", "eps_N", "bar_eps_N", "psi_N"], rows
 
 
 def cmd_radius(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args.config, "radius flow_error rho_horizon delta n_range recon_error")
     cfg, model = _radius_and_flow(raw)
-    rho_horizon = _field(raw, "rho_horizon", "", _number)
+    rho_horizon = _field(raw, "rho_horizon", "", _nonnegative)
     delta = _field(raw, "delta", "", _number)
     lo, hi = _n_range(raw)
     recon = _field(raw, "recon_error", "", default=None)
     recon_error = None if recon is None else _number(recon, "recon_error")
 
+    table = _radius_table(cfg, model, rho_horizon, delta, lo, hi, recon_error)
     resolved = {
         "radius": asdict(cfg),
         "flow_error": asdict(model),
@@ -242,11 +270,7 @@ def cmd_radius(args: argparse.Namespace) -> int:
         "n_range": [lo, hi],
         "recon_error": recon_error,
     }
-    out = _start_run(args, "radius", resolved, args.seed, ("radius.csv",))
-
-    rows = _radius_table(cfg, model, rho_horizon, delta, lo, hi, recon_error)
-    _write_csv(out / "radius.csv", ["N", "eps_N", "bar_eps_N", "psi_N"], rows)
-    return 0
+    return _write_run(args, "radius", resolved, args.seed, {"radius.csv": table})
 
 
 # --- horizon --------------------------------------------------------------------
@@ -283,18 +307,30 @@ def _horizon_entry(
 
 
 def cmd_horizon(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args.config, "radius flow_error rho_horizon delta cap n_range")
     cfg, model = _radius_and_flow(raw)
     delta = _field(raw, "delta", "", _number)
     cap = _field(raw, "cap", "", _integer, default=10**6)
     rho_raw = _field(raw, "rho_horizon", "")
     if isinstance(rho_raw, list):
-        rho_values = _each(rho_raw, "rho_horizon", _number)
+        rho_values = _each(rho_raw, "rho_horizon", _nonnegative)
     else:
-        rho_values = [_number(rho_raw, "rho_horizon")]
+        rho_values = [_nonnegative(rho_raw, "rho_horizon")]
     if not rho_values:
-        raise ConfigError("field 'rho_horizon' must not be an empty list")
+        raise ValueError("field 'rho_horizon' must not be an empty list")
     lo, hi = _n_range(raw) if "n_range" in raw else (1, 20)
+
+    entries = [_horizon_entry(cfg, model, rho, delta, cap) for rho in rho_values]
+    payload: dict[str, Any] = {"Delta": delta}
+    if isinstance(rho_raw, list):
+        payload["sweep"] = entries
+    else:
+        payload.update(entries[0])
+    # Companion table of the radius decomposition at the first rho value,
+    # with the horizon as a trailing summary row.
+    header, rows = _radius_table(cfg, model, rho_values[0], delta, lo, hi, None)
+    n_star = entries[0]["N_star"]
+    rows.append(("N_star", "" if n_star is None else str(n_star), "", ""))
 
     resolved = {
         "radius": asdict(cfg),
@@ -304,23 +340,8 @@ def cmd_horizon(args: argparse.Namespace) -> int:
         "cap": cap,
         "n_range": [lo, hi],
     }
-    out = _start_run(args, "horizon", resolved, args.seed, ("horizon.json", "horizon.csv"))
-
-    entries = [_horizon_entry(cfg, model, rho, delta, cap) for rho in rho_values]
-    payload: dict[str, Any] = {"Delta": delta}
-    if isinstance(rho_raw, list):
-        payload["sweep"] = entries
-    else:
-        payload.update(entries[0])
-    _write_json(out / "horizon.json", payload)
-
-    # Companion table of the radius decomposition at the first rho value,
-    # with the horizon as a trailing summary row.
-    rows: list[tuple] = list(_radius_table(cfg, model, rho_values[0], delta, lo, hi, None))
-    n_star = entries[0]["N_star"]
-    rows.append(("N_star", "" if n_star is None else str(n_star), "", ""))
-    _write_csv(out / "horizon.csv", ["N", "eps_N", "bar_eps_N", "psi_N"], rows)
-    return 0
+    artifacts = {"horizon.json": payload, "horizon.csv": (header, rows)}
+    return _write_run(args, "horizon", resolved, args.seed, artifacts)
 
 
 # --- observe --------------------------------------------------------------------
@@ -328,11 +349,11 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 
 def _schedule_rows(raw: Any) -> list[list[float]]:
     if not isinstance(raw, list) or not raw:
-        raise ConfigError("field 'schedules' must be a non-empty list of time lists")
+        raise ValueError("field 'schedules' must be a non-empty list of time lists")
     rows = [_each(row, f"schedules[{i}]", _number) for i, row in enumerate(raw)]
     for i, times in enumerate(rows):
         if len(times) < 2 or times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ConfigError(
+            raise ValueError(
                 f"field 'schedules[{i}]' must hold at least two strictly increasing "
                 f"times >= 0, got {times}"
             )
@@ -374,36 +395,24 @@ def _observe_trajectory(
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args.config, "system schedules noise retention criterion true_state")
     sys_section = _subsection(raw, "system")
-    try:
-        sys_model = system_from_json(sys_section)
-    except (ValueError, TypeError, KeyError) as exc:
-        raise ConfigError(f"system config: {exc}") from exc
+    _known(sys_section, "name params" if "name" in sys_section else "A C", "system.")
+    sys_model = _build("system", system_from_json, sys_section)
     schedules = _schedule_rows(_field(raw, "schedules", ""))
-    noise = _field(raw, "noise", "", _number, default=0.0)
+    noise = _field(raw, "noise", "", _nonnegative, default=0.0)
     retention = _field(raw, "retention", "", _number, default=0.5)
     criterion = _field(raw, "criterion", "", default="equidistant")
     if not isinstance(criterion, str) or criterion not in _SCHEDULE_CRITERIA:
-        raise ConfigError(
+        raise ValueError(
             f"field 'criterion' must be one of {sorted(_SCHEDULE_CRITERIA)}, got {criterion!r}"
         )
     state_raw = _field(raw, "true_state", "", default=None)
     if state_raw is not None:
         state = _each(state_raw, "true_state", _number)
         if len(state) != sys_model.dim:
-            raise ConfigError(f"field 'true_state' must have length {sys_model.dim}, got {state}")
+            raise ValueError(f"field 'true_state' must have length {sys_model.dim}, got {state}")
     seed = args.seed if args.seed is not None else 0
-
-    resolved = {
-        "system": sys_section,
-        "schedules": schedules,
-        "noise": noise,
-        "retention": retention,
-        "criterion": criterion,
-        "true_state": state_raw,
-    }
-    out = _start_run(args, "observe", resolved, seed, ("observe.json",))
 
     rng = np.random.default_rng(seed)
     true_state = rng.standard_normal(sys_model.dim) if state_raw is None else np.array(state)
@@ -445,45 +454,43 @@ def cmd_observe(args: argparse.Namespace) -> int:
     if sys_model.is_lti:
         try:
             check = check_schedule_observability(sys_model, schedules, criterion)
-            payload["schedule_check"] = {
-                "criterion": criterion,
-                "passed": check.passed,
-                "messages": list(check.messages),
-            }
+            passed, messages = check.passed, list(check.messages)
         except ValueError as exc:
             # An unobservable (A, C) pair: flag, don't crash.  The
             # per-trajectory numbers above still stand on their own.
-            payload["schedule_check"] = {
-                "criterion": criterion,
-                "passed": False,
-                "messages": [str(exc)],
-            }
+            passed, messages = False, [str(exc)]
+        payload["schedule_check"] = {"criterion": criterion, "passed": passed, "messages": messages}
 
-    _write_json(out / "observe.json", payload)
-    return 0
+    resolved = {
+        "system": sys_section,
+        "schedules": schedules,
+        "noise": noise,
+        "retention": retention,
+        "criterion": criterion,
+        "true_state": state_raw,
+    }
+    return _write_run(args, "observe", resolved, seed, {"observe.json": payload})
 
 
 # --- uav ------------------------------------------------------------------------
 
 
 def cmd_uav(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config)
+    raw = _load_config(args.config, "scenario realizations checkpoints time_grid solver_starts")
     scenario_raw = _subsection(raw, "scenario")
     if args.seed is not None:
         scenario_raw = dict(scenario_raw, seed=args.seed)
-    try:
-        scenario = ScenarioConfig.from_json(scenario_raw)
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"scenario config: {exc}") from exc
+    scenario = _build("scenario", ScenarioConfig.from_json, scenario_raw)
     n_realizations = _field(raw, "realizations", "", _integer)
     checkpoints = _each(_field(raw, "checkpoints", ""), "checkpoints", _integer)
-    if not checkpoints:
-        raise ConfigError("field 'checkpoints' must be a non-empty list of integers")
     n_t = _field(raw, "time_grid", "", _integer, default=200)
     n_starts = _field(raw, "solver_starts", "", _integer, default=20)
     if n_t < 2:
-        raise ConfigError(f"field 'time_grid' must be >= 2 time nodes, got {n_t}")
+        raise ValueError(f"field 'time_grid' must be >= 2 time nodes, got {n_t}")
 
+    report = run_experiment(
+        scenario, n_realizations, checkpoints, n_t=n_t, n_starts=n_starts, jobs=args.jobs
+    )
     resolved = {
         "scenario": scenario.to_json(),
         "realizations": n_realizations,
@@ -491,18 +498,11 @@ def cmd_uav(args: argparse.Namespace) -> int:
         "time_grid": n_t,
         "solver_starts": n_starts,
     }
-    out = _start_run(args, "uav", resolved, scenario.seed, ("uav.csv", "uav_summary.json"))
-
-    report = run_experiment(
-        scenario, n_realizations, checkpoints, n_t=n_t, n_starts=n_starts, jobs=args.jobs
-    )
-    header = [f.name for f in fields(ExperimentRow)]
-    _write_csv(out / "uav.csv", header, [astuple(r) for r in report.rows])
-    _write_json(
-        out / "uav_summary.json",
-        {"summary": report.summary(), "realizations": n_realizations},
-    )
-    return 0
+    artifacts = {
+        "uav.csv": ([f.name for f in fields(ExperimentRow)], [astuple(r) for r in report.rows]),
+        "uav_summary.json": {"summary": report.summary(), "realizations": n_realizations},
+    }
+    return _write_run(args, "uav", resolved, scenario.seed, artifacts)
 
 
 # --- entry point ------------------------------------------------------------------
@@ -545,8 +545,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (ConfigError, ValueError) as exc:
-        # ValueError is domain validation downstream of config values.
+    except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except ArithmeticError as exc:

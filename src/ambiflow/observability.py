@@ -33,7 +33,9 @@ C and C' built once per distinct tau.  Where the flow overflows, the
 sweep's three users and ``sample_observability_matrix`` raise OverflowError
 (an ArithmeticError) instead of returning NaN or inf.  Their ``grid_step``
 must be positive and finite, as must the RK4 ``step`` of the sample
-matrix (stationary or not), and every time must be a finite number.
+matrix (stationary or not), and every time must be a finite number.  A sweep
+or window grid of more than ``_MAX_SWEEP_NODES`` nodes x columns is a
+ValueError raised before anything is allocated.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -75,6 +77,10 @@ _RANK_TOL = 1e-9
 _PATTERN_TOL = 1e-9
 _MIN_SINGULAR = 1e-10    # relative singular-value floor of a reconstruction
 _CLUSTER_TOL = 1e-5      # relative distance that merges eigenvalues
+# The most nodes x columns one backward sweep or window grid may hold: 194x
+# the largest the tests reach (5,151) and 2,976x the benchmark's (336).  At
+# the limit a time-varying kernel scan at d = 2 peaks near 1.2 GB.
+_MAX_SWEEP_NODES = 10**6
 
 
 @dataclass(frozen=True)
@@ -200,6 +206,16 @@ def _chain(
     return phis
 
 
+def _check_sweep(nodes: float, columns: float, larger: str) -> None:
+    """ValueError, before anything is allocated, for a sweep or window grid of
+    more than _MAX_SWEEP_NODES nodes x columns; ``larger`` names what to raise."""
+    if not nodes * columns <= _MAX_SWEEP_NODES:
+        raise ValueError(
+            f"a sweep of {nodes:.4g} nodes x {columns:.4g} columns is over the limit of "
+            f"{_MAX_SWEEP_NODES:,}: take a larger {larger}"
+        )
+
+
 def _backward_sweep(
     sys: LinearTimeVaryingSystem, t: np.ndarray, h: np.ndarray, n: np.ndarray, a_at: Callable
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -301,6 +317,14 @@ def eigenvalue_margin(obs_matrix: np.ndarray, weight: np.ndarray) -> float:
 # --- Gramians and kernel derivative ---------------------------------------------
 
 
+def _floats(name: str, values) -> np.ndarray:
+    """``values`` as a float array; ValueError names one holding an int too large for a float."""
+    try:
+        return np.asarray(values, dtype=float)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got {values}") from None
+
+
 def _kernel_mid(a: np.ndarray, c: np.ndarray, cd: np.ndarray) -> np.ndarray:
     """d/ds of C^T C along the flow, A^T C^T C + C'^T C + C^T C' + C^T C A,
     for stacks of A(s), C(s) and C'(s)."""
@@ -326,9 +350,10 @@ def observability_gramian(
     """
     finite("varsigma", varsigma, gt=0)
     quad_step = finite("quad_step", varsigma / 200.0 if quad_step is None else quad_step, gt=0)
-    starts = np.atleast_1d(np.asarray(t, dtype=float))
+    starts = np.atleast_1d(_floats("t", t))
     if not np.isfinite(starts).all():  # a stationary Gramian would not notice
         raise ValueError(f"t must be finite, got {starts[~np.isfinite(starts)][0]}")
+    _check_sweep(varsigma / quad_step + 1, starts.size, "quad_step")
     n_cells = max(2, math.ceil(varsigma / quad_step))
     h = varsigma / n_cells
     n_windows, a_at = len(starts), functools.cache(sys.a_at)
@@ -363,6 +388,7 @@ def gramian_floor(
     finite("horizon", horizon, ge=window)
     grid_step = finite("grid_step", window / 100.0 if grid_step is None else grid_step, gt=0)
     span = 0.0 if sys.is_lti else horizon - window
+    _check_sweep(window / grid_step + 1, span / grid_step + 1, "grid_step")
     starts = np.linspace(0.0, span, max(1, math.ceil(span / grid_step) + 1))
     grams = observability_gramian(sys, starts, window, grid_step)
     return float(np.linalg.eigvalsh(grams)[:, 0].min())
@@ -383,12 +409,13 @@ def max_kernel_derivative(
     all of them on the same sweep.
     """
     finite("grid_step", grid_step, gt=0)
-    t, s_low = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(s_low, dtype=float))
+    t, s_low = np.broadcast_arrays(_floats("t", t), _floats("s_low", s_low))
     t, s_low = t.ravel(), s_low.ravel()
     bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(s_low) & (s_low <= t)))
     if bad.size:
         raise ValueError(f"need s_low <= t, both finite, got ({s_low[bad[0]]}, {t[bad[0]]})")
     span = t - s_low
+    _check_sweep(span.max() / grid_step + 1, span.size, "grid_step")
     n_cells = np.where(span > 0.0, np.maximum(1.0, np.ceil(span / grid_step)), 0.0).astype(int)
     h = span / np.maximum(n_cells, 1)
     a_at = functools.cache(sys.a_at)
@@ -448,8 +475,11 @@ def _sampling_bound_and_floor(
     finite("window_up", window_up, ge=window_low)
     finite("horizon", horizon, ge=window_up)
     finite("retention", retention, gt=0, lt=1)
-    if grid_step is None:
-        grid_step = window_low / 100.0
+    grid_step = finite("grid_step", window_low / 100.0 if grid_step is None else grid_step, gt=0)
+    # The widest sweep: every window or anchor (one column when stationary)
+    # over window_up.
+    columns = 1.0 if sys.is_lti else (horizon - window_low) / grid_step + 1
+    _check_sweep(window_up / grid_step + 1, columns, "window_low or grid_step")
     floor = gramian_floor(sys, window_low, horizon, grid_step)
     if floor <= 0.0:
         raise ArithmeticError(

@@ -6,9 +6,14 @@ checks exit codes, emitted artifacts, and determinism.
 
 import csv
 import json
+import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ambiflow
 import ambiflow.cli as cli
@@ -256,6 +261,58 @@ def test_bad_config_number_exit_2(tmp_path, capsys, command, field, literal, nam
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "command, overrides, message",
+    [
+        ("radius", {"delta": -1}, "delta must be nonnegative, got -1.0"),
+        ("radius", {"rho_horizon": -0.5}, "field 'rho_horizon' must be nonnegative, got -0.5"),
+        ("horizon", {"rho_horizon": [-0.5, 2.0]},
+         "field 'rho_horizon[0]' must be nonnegative, got -0.5"),
+        ("observe", {"retention": 1}, "retention must be in (0, 1), got 1.0"),
+        ("observe", {"retention": 0}, "retention must be in (0, 1), got 0.0"),
+        ("observe", {"noise": -0.01}, "field 'noise' must be nonnegative, got -0.01"),
+        # A misspelled optional key ran on without the reconstruction term.
+        ("radius", {"recon_eror": 0.5}, "unknown field 'recon_eror'"),
+    ],
+    ids=[
+        "radius-delta",
+        "radius-rho_horizon",
+        "horizon-rho_horizon",
+        "observe-retention-1",
+        "observe-retention-0",
+        "observe-noise",
+        "radius-recon_eror",
+    ],
+)
+def test_failed_run_writes_nothing(tmp_path, capsys, command, overrides, message):
+    # Every library check runs before the output directory is made, so a
+    # run that exits 2 leaves no manifest behind.
+    base = {"radius": BASE_RADIUS_CONFIG, "horizon": BASE_RADIUS_CONFIG}.get(command)
+    payload = dict(base, **overrides) if base else observe_payload(**overrides)
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert f"config error: {message}\n" == capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, field",
+    [
+        ("radius", "radius.bigc"),
+        ("radius", "flow_error.magnitud"),
+        ("horizon", "recon_error"),  # read by radius only
+        ("observe", "system.A"),  # a named system reads only name and params
+        ("observe-ltv", "system.omega"),  # belongs in system.params
+        ("uav", "realisations"),
+    ],
+)
+def test_unknown_config_key_exit_2(tmp_path, capsys, command, field):
+    code, out = run_with_literal(tmp_path, command, field, "0.5")
+    assert code == 2
+    assert f"unknown field '{field}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_non_finite_list_entry_named_by_index(tmp_path, capsys):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(observe_payload(schedules=[[0.0, 0.5, float("nan")]])))
@@ -352,7 +409,7 @@ def test_horizon_negative_rho_is_a_config_error(tmp_path, capsys):
     payload = dict(BASE_RADIUS_CONFIG, rho_horizon=[2.0, -1.0])
     code, _ = run(tmp_path, "horizon", payload)
     assert code == 2
-    assert "rho must be nonnegative, got -1.0" in capsys.readouterr().err
+    assert "field 'rho_horizon[1]' must be nonnegative, got -1.0" in capsys.readouterr().err
 
 
 def test_horizon_sweep_nondecreasing(tmp_path):
@@ -640,7 +697,18 @@ def test_observe_overflow_exit_3(tmp_path, capsys, fast, schedules):
     code, out = run(tmp_path, "observe", observe_payload(system=system, schedules=schedules))
     assert code == 3
     assert "numerical failure" in capsys.readouterr().err
-    assert not (out / "observe.json").exists()
+    assert not out.exists()
+
+
+def test_observe_sweep_over_the_limit_exit_2(tmp_path, capsys):
+    # Spans of 1e-6 and 10 s: the stationary gap bound would sweep 10 s at
+    # the default grid of 1e-6 / 100, 1e9 nodes.
+    code, out = run(tmp_path, "observe", observe_payload(schedules=[[0, 1e-6], [0, 10]]))
+    assert code == 2
+    assert "is over the limit of 1,000,000: take a larger window_low or grid_step" in (
+        capsys.readouterr().err
+    )
+    assert not out.exists()
 
 
 def test_observe_bad_true_state_exit_2(tmp_path, capsys):
@@ -757,3 +825,115 @@ def test_bad_seed_rejected(tmp_path, capsys):
     code = main(["radius", "--config", cfg, "--out", str(tmp_path), "--seed", "-1"])
     assert code == 2
     assert "seed" in capsys.readouterr().err
+
+
+# --- config fuzzer ------------------------------------------------------------------
+
+
+def readme_examples():
+    """The README's JSON example blocks, keyed by the command section each sits in.
+
+    The uav example is shrunk to one small realization, so that no mutation
+    of it asks for a long run.
+    """
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = {}
+    for section in text.split("\n### ")[1:]:
+        blocks = re.findall(r"```json\n(.*?)```", section, flags=re.S)
+        if blocks:
+            examples[section.split("\n", 1)[0].strip()] = json.loads(blocks[0])
+    examples["uav"].update(realizations=1, checkpoints=[1], time_grid=20, solver_starts=2)
+    return examples
+
+
+EXAMPLES = readme_examples()
+# New values come from a small pool, so no mutation can ask for a large run.
+VALUES = st.one_of(
+    st.integers(-2, 8),
+    st.sampled_from([-1.0, 0.0, 0.5, 1.0, 2.5, 7.0]),
+    st.text(max_size=3),
+    st.sampled_from([True, None]),
+    st.builds(list),  # a fresh [] or {} each time: a later mutation may fill it
+    st.builds(dict),
+)
+
+
+def _keys(value):
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _keys(item)
+
+
+# Keys of every example, keys a command reads that no example sets, and one
+# that no command reads.
+KEYS = sorted(
+    {key for config in EXAMPLES.values() for key in _keys(config)}
+    | {"cap", "recon_error", "big_c", "small_c", "true_state", "params", "x"}
+)
+
+
+def _nodes(value, path=()):
+    """(path, value) for every node under value, the root included."""
+    yield path, value
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield from _nodes(item, path + (key,))
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+@st.composite
+def mutated(draw, config):
+    """config after one to three mutations: replace a leaf, delete a key, or add a key."""
+    config = json.loads(json.dumps(config))
+    for _ in range(draw(st.integers(1, 3))):
+        nodes = list(_nodes(config))
+        leaves = [p for p, v in nodes if p and not (isinstance(v, (dict, list)) and v)]
+        keyed = [p for p, _ in nodes if p and isinstance(_at(config, p[:-1]), dict)]
+        sections = [p for p, v in nodes if isinstance(v, dict)]
+        op = draw(st.sampled_from(["replace", "delete", "add"]))
+        if op == "replace" and leaves:
+            path = draw(st.sampled_from(leaves))
+            _at(config, path[:-1])[path[-1]] = draw(VALUES)
+        elif op == "delete" and keyed:
+            path = draw(st.sampled_from(keyed))
+            del _at(config, path[:-1])[path[-1]]
+        elif op == "add":
+            _at(config, draw(st.sampled_from(sections)))[draw(st.sampled_from(KEYS))] = draw(VALUES)
+    return config
+
+
+@pytest.mark.parametrize("command", ["radius", "horizon", "observe", "uav"])
+def test_readme_example_runs(tmp_path, command):
+    # The fuzzer's seeds: an example that drifts from the command line fails here.
+    code, _ = run(tmp_path, command, EXAMPLES[command])
+    assert code == 0
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the command line does not raise them
+@pytest.mark.parametrize("command", ["radius", "horizon", "observe", "uav"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_mutated_readme_config_exits_cleanly(command, data):
+    # Exit 0, 2 or 3 and nothing else; a failed run writes nothing, and a
+    # run that succeeds writes the same bytes again.
+    config = data.draw(mutated(EXAMPLES[command]))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_text(json.dumps(config))
+        first, second = Path(tmp) / "a", Path(tmp) / "b"
+        code = main([command, "--config", str(path), "--out", str(first)])
+        assert code in (0, 2, 3)
+        if code != 0:
+            assert not first.exists()
+            return
+        assert main([command, "--config", str(path), "--out", str(second)]) == 0
+        names = sorted(p.name for p in first.iterdir())
+        assert names == sorted(p.name for p in second.iterdir())
+        for name in names:
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name

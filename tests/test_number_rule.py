@@ -2,9 +2,10 @@
 
 ``ROWS`` holds one row per public function or config class of the six library
 modules and per scalar float parameter: a call that passes the parameter a
-value and keeps every other argument valid.  NaN, inf and -inf must each raise
-a ValueError that names the parameter and shows the value, never return NaN,
-inf, a verdict or a wrong number.  ``test_rows_cover_every_float_parameter``
+value and keeps every other argument valid.  NaN, inf, -inf and an integer
+too large for a float must each raise a ValueError that names the parameter
+and shows the value, never return NaN, inf, a verdict or a wrong number, or
+fail in a float conversion with OverflowError.  ``test_rows_cover_every_float_parameter``
 keeps the table whole, so a public function added with a float parameter and
 no row fails tier-1.
 """
@@ -73,7 +74,8 @@ from ambiflow.uav_scenario import (
 MODULES = (dynamics, concentration, ambiguity, distribution, observability, uav_scenario)
 # Records the library returns rather than reads.
 RESULTS = {"HorizonResult", "ExperimentRow"}
-NON_FINITE = (math.nan, math.inf, -math.inf)
+BIG_INT = 10**400  # too large for a float
+NON_FINITE = (math.nan, math.inf, -math.inf, BIG_INT)
 
 FIELD = builtin_field("double_integrator")
 STATE = np.array([1.0, 0.0])
@@ -199,7 +201,8 @@ def _cases():
     for owner, param, call, *rest in ROWS:
         shown = rest[0] if rest else param
         for bad in rest[1] if len(rest) > 1 else NON_FINITE:
-            yield pytest.param(call, shown, bad, id=f"{owner}.{param}-{bad}")
+            label = "10**400" if bad is BIG_INT else bad
+            yield pytest.param(call, shown, bad, id=f"{owner}.{param}-{label}")
 
 
 @pytest.mark.parametrize("call, shown, bad", _cases())
@@ -265,4 +268,24 @@ def test_a_bool_is_not_a_number(call, name, shown):
     # A bool is an int to Python, so p=True read as 1 and d=True as 1, and
     # float() read a time of True as 1.0 and of '0.5' as 0.5.
     with pytest.raises(ValueError, match=f"{name} must be .*, got {shown}"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        pytest.param(
+            lambda: sample_observability_matrix(LTI, [0.0, BIG_INT]), "sample times",
+            id="sample_observability_matrix",
+        ),
+        pytest.param(
+            lambda: SamplingSchedule(((0.0, BIG_INT),)), "times of trajectory 0",
+            id="SamplingSchedule",
+        ),
+    ],
+)
+def test_a_time_too_large_for_a_float_fails_by_name(call, name):
+    # float() raised OverflowError, which the command line reports as a
+    # numerical failure instead of naming the time.
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {BIG_INT}"):
         call()

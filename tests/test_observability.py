@@ -12,6 +12,7 @@ Grouped as:
 
 import functools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -784,6 +785,33 @@ def test_grid_step_must_be_positive_and_finite(lti, grid_step):
         max_kernel_derivative(sys, 1.0, 0.25, grid_step)
     with pytest.raises(ValueError, match=message):
         robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=grid_step)
+
+
+@pytest.mark.parametrize(
+    "call, larger, nodes",
+    [
+        # A stationary sweep over window_up at the default window_low / 100:
+        # 10 / 1e-8 cells, whose stacks would take about 41 GB.
+        (lambda: robust_sampling_bound(harmonic_oscillator(), 1e-6, 10.0, 10.0, 0.5),
+         "window_low or grid_step", "1e+09 nodes x 1 columns"),
+        # Every anchor of the kernel scan, each over window_up.
+        (lambda: robust_sampling_bound(wobbly_system(), 0.01, 0.02, 100.0, 0.5),
+         "window_low or grid_step", "201 nodes x 9.999e+05 columns"),
+        (lambda: gramian_floor(wobbly_system(), 1.0, 200.0, 0.01), "grid_step",
+         "101 nodes x 1.99e+04 columns"),
+        (lambda: observability_gramian(harmonic_oscillator(), 0.0, 1.0, 1e-7), "quad_step",
+         "1e+07 nodes x 1 columns"),
+        (lambda: max_kernel_derivative(wobbly_system(), 1e5, 0.0, 0.01), "grid_step",
+         "1e+07 nodes x 1 columns"),
+    ],
+    ids=["lti-bound", "ltv-bound", "floor", "gramian", "kernel"],
+)
+def test_sweep_over_the_limit_fails_before_allocating(call, larger, nodes):
+    # Each sweep and window grid checks its size first; past the limit it
+    # names what to make larger instead of allocating gigabytes.
+    message = f"a sweep of {nodes} is over the limit of 1,000,000: take a larger {larger}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
 
 
 @pytest.mark.parametrize(
