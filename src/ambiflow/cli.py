@@ -214,7 +214,10 @@ def _write_run(
     """Make the output directory, write the manifest, then each artifact: a
     ``.csv`` one is (header, rows), a ``.json`` one a dict.  Returns exit code 0."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a file in the way, or no permission
+        raise ValueError(f"--out {out} cannot be made a directory: {exc.strerror}") from None
     manifest = {
         "command": command,
         "config": config,

@@ -27,13 +27,13 @@ sweep (``_backward_sweep``) over every window or anchor: a product with
 expm(-A h) per node for stationary systems.  ``sample_observability_matrix``
 takes a stationary schedule's exponentials in one stacked ``expm``.  Every
 time-varying Phi, of the sweep and of a sample schedule read back from its
-last time, comes from one chain (``_chain``): one batched RK4 call for every
-cell, each on its own step grid, and one chained product per node, with A,
-C and C' built once per distinct tau.  Where the flow overflows, the
-sweep's three users and ``sample_observability_matrix`` raise OverflowError
-(an ArithmeticError) instead of returning NaN or inf.  Their ``grid_step``
-must be positive and finite, as must the RK4 ``step`` of the sample
-matrix (stationary or not), and every time must be a finite number.  A sweep
+last time, chains cells stepped from the identity (``_chain``), with A, C
+and C' built once per distinct tau: the sweep's cells in one batched RK4
+call at their widths, a schedule's gaps each only as finely as step
+doubling needs (``_gap_cells``).  Where the flow overflows, the sweep's
+three users and ``sample_observability_matrix`` raise OverflowError (an
+ArithmeticError) instead of returning NaN or inf.  Their ``grid_step``
+must be positive and finite, and every time must be a finite number.  A sweep
 or window grid of more than ``_MAX_SWEEP_NODES`` nodes x columns is a
 ValueError raised before anything is allocated.
 
@@ -77,6 +77,8 @@ _RANK_TOL = 1e-9
 _PATTERN_TOL = 1e-9
 _MIN_SINGULAR = 1e-10    # relative singular-value floor of a reconstruction
 _CLUSTER_TOL = 1e-5      # relative distance that merges eigenvalues
+_PHI_RTOL = 1e-12        # local RK4 error a sample gap may keep, times max(1, max|Phi|)
+_PHI_FLOOR_STEP = 1e-3   # the finest RK4 step a sample gap is refined to
 # The most nodes x columns one backward sweep or window grid may hold: 194x
 # the largest the tests reach (5,151) and 2,976x the benchmark's (336).  At
 # the limit a time-varying kernel scan at d = 2 peaks near 1.2 GB.
@@ -180,30 +182,94 @@ def _matrix_field(a_at: Callable[[float], np.ndarray]) -> Callable[..., np.ndarr
     return field
 
 
-def _chain(
-    dim: int, a_at: Callable, taus: np.ndarray, live: np.ndarray, step: np.ndarray
-) -> np.ndarray:
-    """Phi(taus[k, i], taus[0, i]) as a (K + 1, B, d, d) stack, for a time-varying flow.
+def _chain(cells: np.ndarray) -> np.ndarray:
+    """Phi_k = R_k ... R_1 over a (K, B, d, d) stack of cells R, as a
+    (K + 1, B, d, d) stack that starts from the identity.
 
-    taus is a (K + 1, B) grid of node times, one column per chain, and live
-    masks its nodes; the stack means nothing past a column's last live node.
-    One batched RK4 call steps every live cell taus[k - 1, i] -> taus[k, i]
-    from the identity at its column's step[i], with A from ``a_at`` (a cache,
-    so a tau shared by stages, cells or callers builds A once), and
-    Phi_k = R_k Phi_(k-1) chains the cells: RK4 is linear in its start, so
-    this changes only rounding against stepping Phi cell by cell.
+    Each cell is a flow from the identity across one step of its column's
+    chain; RK4 is linear in its start, so chaining the cells changes only
+    rounding against stepping Phi cell by cell.
     """
-    phis = np.empty((*taus.shape, dim, dim))
-    phis[0] = np.eye(dim)
-    if len(taus) > 1:
-        cells = np.tile(np.eye(dim), (len(taus) - 1, taus.shape[1], 1, 1))
-        ks, cols = np.nonzero(live[1:])
-        eyes = cells[ks, cols].transpose(1, 2, 0)
-        rk = _rk4(_matrix_field(a_at), taus[ks, cols], taus[ks + 1, cols], eyes, step[cols])
-        cells[ks, cols] = rk.transpose(2, 0, 1)
-        for cell, prev, phi in zip(cells, phis, phis[1:]):
-            np.matmul(cell, prev, out=phi)
+    phis = np.empty((len(cells) + 1, *cells.shape[1:]))
+    phis[0] = np.eye(cells.shape[-1])
+    for cell, prev, phi in zip(cells, phis, phis[1:]):
+        np.matmul(cell, prev, out=phi)
     return phis
+
+
+def _rk4_gaps(a_at: Callable, start: np.ndarray, end: np.ndarray, n: int) -> np.ndarray:
+    """The RK4 flow of M' = A M from the identity across every gap
+    start[g] -> end[g] in n equal steps, n a power of two, as (G, d, d).
+
+    A stage time sits at an exact dyadic fraction of its gap, and a gap's end
+    is its end time itself, so halving the steps rebuilds no A that ``a_at``
+    (a cache) has seen at the coarser n.
+    """
+    width = end - start
+    times = start[:, None] + (np.arange(2 * n + 1) / (2 * n)) * width[:, None]
+    times[:, -1] = end
+    a = _stacked(a_at, times)
+    a0, am, a1 = a[:, 0:-1:2], a[:, 1::2], a[:, 2::2]
+    h = (width / n)[:, None, None, None]
+    k2 = am + (0.5 * h) * (am @ a0)
+    k3 = am + (0.5 * h) * (am @ k2)
+    k4 = a1 + h * (a1 @ k3)
+    steps = np.eye(a.shape[-1]) + (h / 6.0) * (a0 + 2.0 * k2 + 2.0 * k3 + k4)
+    while steps.shape[1] > 1:  # later steps act on the left
+        steps = steps[:, 1::2] @ steps[:, 0::2]
+    return steps[:, 0]
+
+
+def _within_tolerance(fine: np.ndarray, coarse: np.ndarray, ratio) -> np.ndarray:
+    """Per stack entry: is Richardson's estimate ratio * max|fine - coarse| of
+    the error of ``fine`` at most _PHI_RTOL * max(1, max|fine|)?  A
+    non-finite estimate is not."""
+    err = ratio * np.abs(fine - coarse).max(axis=(1, 2))
+    return err <= _PHI_RTOL * np.maximum(1.0, np.abs(fine).max(axis=(1, 2)))
+
+
+def _gap_cells(dim: int, a_at: Callable, taus: np.ndarray) -> np.ndarray:
+    """Phi(taus[k + 1], taus[k]) for every gap of a 1-D array of times, as
+    (K, d, d), each gap stepped by RK4 only as finely as its error needs.
+
+    Every gap first takes one step.  Each pair of neighbouring gaps (the last
+    one overlapping when their number is odd) then takes one coarse step
+    across both, whose end stages are the gaps' own nodes.  For steps of
+    widths w1, w2 with local error C w^5, the error of the two fine steps is
+    ratio * |coarse - fine| with ratio = (p^5 + q^5) / (1 - p^5 - q^5)
+    = (p^5 + q^5) / (5 p q (1 - p q)), p = w1 / (w1 + w2), q = 1 - p: 1/15
+    for equal gaps, and large for unequal ones, whose coarse and fine steps
+    are nearly the same.  A gap whose pair misses _PHI_RTOL, or that has no
+    pair, halves its steps until the doubled result passes (ratio 1/15
+    against the last result) or its step is at most _PHI_FLOOR_STEP, which
+    ends the loop.
+    """
+    if len(taus) < 2:
+        return np.empty((0, dim, dim))
+    start, end = taus[:-1], taus[1:]
+    width = np.abs(end - start)
+    cells = _rk4_gaps(a_at, start, end, 1)
+    first = np.arange(0, len(cells) - 1, 2)
+    if len(cells) % 2 and len(cells) > 1:
+        first = np.append(first, len(cells) - 2)
+    unchecked = np.ones(len(cells), dtype=bool)
+    if first.size:
+        p = width[first] / (width[first] + width[first + 1])
+        pq = p * (1.0 - p)
+        ratio = (p**5 + (1.0 - p) ** 5) / (5.0 * pq * (1.0 - pq))
+        coarse = _rk4_gaps(a_at, start[first], end[first + 1], 1)
+        missed = first[~_within_tolerance(cells[first + 1] @ cells[first], coarse, ratio)]
+        unchecked[first] = unchecked[first + 1] = False
+        unchecked[missed] = unchecked[missed + 1] = True
+    todo = np.flatnonzero(unchecked & (width > _PHI_FLOOR_STEP))
+    n = 1
+    while todo.size:
+        n *= 2
+        finer = _rk4_gaps(a_at, start[todo], end[todo], n)
+        again = ~_within_tolerance(finer, cells[todo], 1.0 / 15.0)
+        cells[todo] = finer
+        todo = todo[again & (width[todo] / n > _PHI_FLOOR_STEP)]
+    return cells
 
 
 def _check_sweep(nodes: float, columns: float, larger: str) -> None:
@@ -225,13 +291,19 @@ def _backward_sweep(
     live are (K + 1, B), phis stacks Phi(taus[k, i], t[i]) as (K + 1, B, d, d),
     and ``live`` masks the nodes with k <= n[i]; phis means nothing past them.
     Stationary systems take Phi_k = Phi_(k-1) expm(-A h); time-varying ones
-    chain their cells through ``_chain`` at step h, with A from the sweep's
-    cache ``a_at``.
+    step every live cell from the identity in one batched RK4 call at step
+    h, with A from the sweep's cache ``a_at``, and chain them (``_chain``).
     """
     taus = t - np.arange(int(n.max()) + 1)[:, None] * h
     live = np.arange(len(taus))[:, None] <= n
     if not sys.is_lti:
-        return taus, _chain(sys.dim, a_at, taus, live, h), live
+        cells = np.tile(np.eye(sys.dim), (len(taus) - 1, taus.shape[1], 1, 1))
+        ks, cols = np.nonzero(live[1:])
+        if ks.size:
+            eyes = cells[ks, cols].transpose(1, 2, 0)
+            rk = _rk4(_matrix_field(a_at), taus[ks, cols], taus[ks + 1, cols], eyes, h[cols])
+            cells[ks, cols] = rk.transpose(2, 0, 1)
+        return taus, _chain(cells), live
     phis = np.empty((*taus.shape, sys.dim, sys.dim))
     phis[0] = np.eye(sys.dim)
     back = expm(-sys.a_const * h[:, None, None])
@@ -243,30 +315,29 @@ def _backward_sweep(
 # --- sampled observability ------------------------------------------------------
 
 
-def sample_observability_matrix(
-    sys: LinearTimeVaryingSystem, times: Sequence[float], step: float = 1e-3
-) -> np.ndarray:
+def sample_observability_matrix(sys: LinearTimeVaryingSystem, times: Sequence[float]) -> np.ndarray:
     """Stack C(t_k) Phi(t_k, t_last) over the sample times.
 
     Shape (l * m, d).  The state being solved for lives at the last sample
     time; earlier rows reach it through backward flow.  Stationary systems
-    take every Phi in one stacked ``expm``.  Otherwise the sample times, read
-    back from the anchor, are the nodes of one ``_chain`` column at the RK4
-    ``step``: one batched RK4 call steps every gap from the identity, each
-    on the step grid it would have alone, and the gaps chain back from the
-    anchor.
+    take every Phi in one stacked ``expm``.  Otherwise each gap, read back
+    from the anchor, is stepped by RK4 from the identity only as finely as
+    step doubling says it needs (``_gap_cells``): until Richardson's
+    estimate of its local error is at most _PHI_RTOL = 1e-12 times
+    max(1, max|Phi|) of the gap, or its step is at most _PHI_FLOOR_STEP =
+    1e-3, and the gaps chain back from the anchor.  The estimate reads A
+    only at the gap's own stage times, so an A(t) that varies faster than
+    the gaps, and aliases at them, is not detected.
     """
     ts = _sample_times(times)
-    finite("step", step, gt=0)
     anchor = ts[-1]
     if sys.is_lti:
         phis = expm(sys.a_const * (np.array(ts) - anchor)[:, None, None])
         blocks = [sys.c_const @ phi for phi in phis]
     else:
-        taus = np.array(ts[::-1])[:, None]
-        live = np.ones(taus.shape, dtype=bool)
-        phis = _chain(sys.dim, functools.cache(sys.a_at), taus, live, np.array([step]))
-        blocks = [sys.c_at(t) @ phi for t, phi in zip(ts, phis[::-1, 0])]
+        cells = _gap_cells(sys.dim, functools.cache(sys.a_at), np.array(ts[::-1]))
+        phis = _chain(cells[:, None])[:, 0]
+        blocks = [sys.c_at(t) @ phi for t, phi in zip(ts, phis[::-1])]
     obs = np.vstack(blocks)
     if not np.isfinite(obs).all():
         raise OverflowError(
@@ -775,8 +846,8 @@ _SCHEDULE_CRITERIA = {
 
 def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
     takes = {"double_integrator": {}, "harmonic_oscillator": {}, "rotating_sensor": {"omega": 1.0}}
-    if name not in takes:
-        raise KeyError(f"unknown built-in system {name!r}")
+    if not isinstance(name, str) or name not in takes:
+        raise KeyError(f"unknown built-in system name {name!r}; pick one of {sorted(takes)}")
     p = _read_params(name, params, takes[name])
     if name == "double_integrator":
         return LinearTimeVaryingSystem.lti(
@@ -803,7 +874,10 @@ def system_from_json(payload: dict) -> LinearTimeVaryingSystem:
     built-in: {"name": "rotating_sensor", "params": {"omega": 2.0}}.
     """
     if "name" in payload:
-        return _builtin_system(payload["name"], **payload.get("params", {}))
+        params = payload.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"params must be a mapping, got {params!r}")
+        return _builtin_system(payload["name"], **params)
     if "A" in payload and "C" in payload:
         a, c = np.asarray(payload["A"]), np.asarray(payload["C"])
         if a.dtype.kind not in "iuf" or c.dtype.kind not in "iuf":  # e.g. strings or nulls

@@ -104,7 +104,7 @@ class ScenarioConfig:
             object.__setattr__(self, name, values)
         finite("eps_ref", self.eps_ref, gt=0)
         count("n_ref", self.n_ref)
-        count("seed", self.seed, low=None)
+        count("seed", self.seed, low=0)
         mean_speed = self.square_side / TWO_PI
         if not self.v_min <= mean_speed + 1e-12 or not mean_speed <= self.v_max + 1e-12:
             raise ValueError(

@@ -4,7 +4,9 @@ Each test drives ``main`` in process with a config written to tmp_path and
 checks exit codes, emitted artifacts, and determinism.
 """
 
+import contextlib
 import csv
+import io
 import json
 import re
 import tempfile
@@ -311,6 +313,41 @@ def test_unknown_config_key_exit_2(tmp_path, capsys, command, field):
     assert code == 2
     assert f"unknown field '{field}'" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, overrides, named",
+    [
+        # Each read as a message that named no field: a KeyError's
+        # "unknown built-in system 0", "unhashable type: 'list'", "argument
+        # after ** must be a mapping", and numpy's "expected non-negative integer".
+        ("observe", {"system": {"name": 0}}, "name"),
+        ("observe", {"system": {"name": []}}, "name"),
+        ("observe", {"system": {"name": "rotating_sensor", "params": []}}, "params"),
+        ("uav", {"scenario": {"seed": -2}}, "seed"),
+    ],
+    ids=["system-name-number", "system-name-list", "system-params-list", "scenario-seed"],
+)
+def test_config_error_names_the_field(tmp_path, capsys, command, overrides, named):
+    payload = {"observe": observe_payload, "uav": uav_payload}[command](**overrides)
+    code, out = run(tmp_path, command, payload)
+    assert code == 2
+    assert re.search(rf"\b{named}\b", capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["out-is-a-file", "out-under-a-file"])
+def test_unwritable_out_is_a_config_error(tmp_path, capsys, below):
+    # mkdir raised FileExistsError or NotADirectoryError as a traceback, exit 1.
+    blocker = tmp_path / "afile"
+    blocker.write_text("kept")
+    out = blocker / "sub" if below else blocker
+    cfg = write_config(tmp_path, BASE_RADIUS_CONFIG)
+    assert main(["radius", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --out ") and str(out) in err
+    assert blocker.read_text() == "kept"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.json"]
 
 
 def test_non_finite_list_entry_named_by_index(tmp_path, capsys):
@@ -889,8 +926,10 @@ def _at(config, path):
 
 @st.composite
 def mutated(draw, config):
-    """config after one to three mutations: replace a leaf, delete a key, or add a key."""
+    """(config, names) after one to three mutations: replace a leaf, delete a
+    key, or add a key.  ``names`` holds the deepest key of each mutated path."""
     config = json.loads(json.dumps(config))
+    paths = []
     for _ in range(draw(st.integers(1, 3))):
         nodes = list(_nodes(config))
         leaves = [p for p, v in nodes if p and not (isinstance(v, (dict, list)) and v)]
@@ -904,8 +943,12 @@ def mutated(draw, config):
             path = draw(st.sampled_from(keyed))
             del _at(config, path[:-1])[path[-1]]
         elif op == "add":
-            _at(config, draw(st.sampled_from(sections)))[draw(st.sampled_from(KEYS))] = draw(VALUES)
-    return config
+            path = (*draw(st.sampled_from(sections)), draw(st.sampled_from(KEYS)))
+            _at(config, path[:-1])[path[-1]] = draw(VALUES)
+        else:
+            continue
+        paths.append(path)
+    return config, {next(k for k in reversed(p) if isinstance(k, str)) for p in paths}
 
 
 @pytest.mark.parametrize("command", ["radius", "horizon", "observe", "uav"])
@@ -920,15 +963,22 @@ def test_readme_example_runs(tmp_path, command):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_mutated_readme_config_exits_cleanly(command, data):
-    # Exit 0, 2 or 3 and nothing else; a failed run writes nothing, and a
-    # run that succeeds writes the same bytes again.
-    config = data.draw(mutated(EXAMPLES[command]))
+    # Exit 0, 2 or 3 and nothing else; a config error names a mutated key,
+    # a failed run writes nothing, and a run that succeeds writes the same
+    # bytes again.
+    config, names = data.draw(mutated(EXAMPLES[command]))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         first, second = Path(tmp) / "a", Path(tmp) / "b"
-        code = main([command, "--config", str(path), "--out", str(first)])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main([command, "--config", str(path), "--out", str(first)])
         assert code in (0, 2, 3)
+        if code == 2:
+            message = err.getvalue()
+            assert any(re.search(rf"\b{re.escape(name)}\b", message) for name in names), (
+                f"{message!r} names none of {sorted(names)}"
+            )
         if code != 0:
             assert not first.exists()
             return

@@ -6,6 +6,7 @@ Groups:
   3. metric axioms on random inputs
   4. coupling_upper_bound dominance and tightness
   5. exact scaling of W_p under positive affine maps
+  6. wasserstein_exact on the line against the sorted-quantile closed form
 """
 
 import itertools
@@ -13,6 +14,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy import sparse
 from scipy.optimize import linprog
 
@@ -270,3 +273,57 @@ def test_positive_affine_map_scales_distance_exactly():
                 scale * wasserstein_exact(a, b, p), rel=1e-9
             )
 
+
+
+# --- group 6: the 1-D closed form ------------------------------------------
+
+
+def quantile_wasserstein(source: DiscreteDistribution, target: DiscreteDistribution, p: float) -> float:
+    """Oracle: on the line, W_p^p = integral_0^1 |F^-1(u) - G^-1(u)|^p du
+    (Peyre & Cuturi 2019, section 2.6).  Both quantile functions are constant
+    between the merged cumulative weights, so the integral is a finite sum."""
+    quantiles = []
+    for dist in (source, target):
+        order = np.argsort(dist.points[:, 0], kind="stable")
+        quantiles.append((dist.points[order, 0], np.cumsum(dist.weights[order])))
+    levels = np.union1d(quantiles[0][1], quantiles[1][1])
+    levels = levels[levels < 1.0 - 1e-12]
+    levels = np.append(levels, 1.0)
+    widths = np.diff(levels, prepend=0.0)
+    mids = levels - widths / 2.0
+    x, y = (
+        points[np.minimum(np.searchsorted(cum, mids), len(points) - 1)]
+        for points, cum in quantiles
+    )
+    return float(np.sum(widths * np.abs(x - y) ** p) ** (1.0 / p))
+
+
+_LINE = st.floats(-10.0, 10.0, allow_nan=False)
+_ORDER = st.sampled_from([1.0, 1.5, 2.0, 3.0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 8), p=_ORDER)
+def test_assignment_path_matches_the_quantile_closed_form(data, n, p):
+    # Equal sizes and equal weights: the linear-assignment path.
+    x = np.array(data.draw(st.lists(_LINE, min_size=n, max_size=n)))[:, None]
+    y = np.array(data.draw(st.lists(_LINE, min_size=n, max_size=n)))[:, None]
+    src, tgt = DiscreteDistribution.empirical(x), DiscreteDistribution.empirical(y)
+    want = quantile_wasserstein(src, tgt, p)
+    assert wasserstein_exact(src, tgt, p) ** p == pytest.approx(want**p, rel=1e-9, abs=1e-12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), n=st.integers(1, 6), m=st.integers(1, 6), p=_ORDER)
+def test_lp_path_matches_the_quantile_closed_form(data, n, m, p):
+    # Weights drawn apart from 1/n, or sizes that differ: the transport LP.
+    def draw(k):
+        points = np.array(data.draw(st.lists(_LINE, min_size=k, max_size=k)))[:, None]
+        mass = np.array(data.draw(st.lists(st.floats(0.05, 1.0), min_size=k, max_size=k)))
+        return DiscreteDistribution(points, mass / mass.sum())
+
+    src, tgt = draw(n), draw(m)
+    uniform = n == m and all(np.allclose(d.weights, 1.0 / n, atol=1e-12) for d in (src, tgt))
+    assume(not uniform)
+    want = quantile_wasserstein(src, tgt, p)
+    assert wasserstein_exact(src, tgt, p) ** p == pytest.approx(want**p, rel=1e-7, abs=1e-9)

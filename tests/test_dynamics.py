@@ -26,10 +26,6 @@ from ambiflow.dynamics import (
     growth_bound,
     integrate_flow,
 )
-from ambiflow.observability import (
-    sample_observability_matrix,
-    system_from_json,
-)
 
 ROTATION = VectorField(
     lambda t, x: np.array([x[1], -x[0]]), dim=2, name="rotation"
@@ -102,7 +98,6 @@ def test_bad_inputs():
         integrate_flow(ROTATION, [0.0, 0.5, 0.7], 1.0, [np.zeros(2), np.zeros(2)])
 
 
-SENSOR = system_from_json({"name": "rotating_sensor", "params": {"omega": 2.0}})
 TWO_SAMPLES = [(0.0, np.array([1.0, 0.0])), (0.5, np.array([0.0, 1.0]))]
 STEP_USERS = {
     "integrate_flow": lambda step: integrate_flow(
@@ -114,13 +109,6 @@ STEP_USERS = {
     "calibrate_flow_error": lambda step: calibrate_flow_error(
         ROTATION, TWO_SAMPLES, 2.0, step, rate=1.0
     ),
-    "sample_observability_matrix": lambda step: sample_observability_matrix(
-        SENSOR, [0.0, 0.4, 1.0], step=step
-    ),
-    # A stationary schedule takes no RK4 step, and ignored a bad one.
-    "sample_observability_matrix-lti": lambda step: sample_observability_matrix(
-        system_from_json({"name": "harmonic_oscillator"}), [0.0, 0.4, 1.0], step=step
-    ),
 }
 
 
@@ -128,8 +116,8 @@ STEP_USERS = {
 @pytest.mark.parametrize("user", sorted(STEP_USERS))
 def test_every_rk4_user_rejects_a_bad_step(user, step):
     # An infinite step would take no step at all and return the state
-    # unpushed (a zero calibrated magnitude, an identity Phi), and a negative
-    # one would cross each gap in one step: the number rule rejects them.
+    # unpushed (a zero calibrated magnitude), and a negative one would cross
+    # each gap in one step: the number rule rejects them.
     rule = "positive" if math.isfinite(step) else "finite"
     with pytest.raises(ValueError, match=f"step must be {rule}, got {step}"):
         STEP_USERS[user](step)

@@ -155,8 +155,6 @@ ROWS = [
     ("wasserstein_exact", "p", lambda v: wasserstein_exact(P, Q, v)),
     ("optimal_plan", "p", lambda v: optimal_plan(P, Q, v)),
     ("coupling_upper_bound", "p", lambda v: coupling_upper_bound(np.zeros(2), np.ones(2), v)),
-    ("sample_observability_matrix", "step",
-     lambda v: sample_observability_matrix(LTV, [0.0, 0.5, 1.0], v)),
     ("observability_gramian", "t", lambda v: observability_gramian(LTI, v, 1.0)),
     ("observability_gramian", "varsigma", lambda v: observability_gramian(LTI, 0.0, v)),
     ("observability_gramian", "quad_step", lambda v: observability_gramian(LTI, 0.0, 1.0, v)),

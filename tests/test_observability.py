@@ -16,7 +16,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -37,7 +37,7 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
-from ambiflow.observability import _backward_sweep
+from ambiflow.observability import _PHI_FLOOR_STEP, _PHI_RTOL, _backward_sweep
 
 # Closed-form anchors for the double integrator observed in position.
 # Gramian over a unit window, anchored at the right end, is
@@ -77,14 +77,14 @@ def wobbly_system():
 # block k is Phi(t_k, t_last).
 
 
-def phi_rows(sys, times, step=1e-3):
+def phi_rows(sys, times):
     """Phi(t_k, t_last) for every sample time, as (l, d, d), with C = I."""
     eye = np.eye(sys.dim)
     if sys.is_lti:
         seen = LinearTimeVaryingSystem.lti(sys.a_const, eye)
     else:
         seen = LinearTimeVaryingSystem.time_varying(sys.a_at, lambda t: eye)
-    return sample_observability_matrix(seen, times, step).reshape(len(times), sys.dim, sys.dim)
+    return sample_observability_matrix(seen, times).reshape(len(times), sys.dim, sys.dim)
 
 
 def rk4_phi(sys, t, s, step):
@@ -126,7 +126,10 @@ def test_fundamental_matrix_rk4_matches_exponential():
 
 
 def test_rk4_builds_a_at_most_three_times_per_step():
-    # RK4's two midpoint stages share one A(t + h/2).
+    # RK4's two midpoint stages share one A(t + h/2), and halving a gap's
+    # steps reuses every A of the coarser steps: a gap that ends at n steps
+    # builds A once at each of its 2n + 1 stage times, n a power of two that
+    # goes no further than the first one whose step is at most the floor.
     calls = []
 
     def a_fn(t):
@@ -137,9 +140,11 @@ def test_rk4_builds_a_at_most_three_times_per_step():
         a_fn=a_fn, c_fn=lambda t: np.array([[1.0, 0.0]])
     )
     calls.clear()
-    n_steps = 128
-    sample_observability_matrix(sys, [0.0, 1.0], step=1.0 / n_steps)
-    assert 0 < len(calls) <= 3 * n_steps
+    sample_observability_matrix(sys, [0.0, 1.0])
+    n_steps = (len(calls) - 1) // 2
+    assert len(calls) == 2 * n_steps + 1 and len(set(calls)) == len(calls)
+    assert n_steps > 1 and n_steps & (n_steps - 1) == 0
+    assert 1.0 / n_steps > _PHI_FLOOR_STEP / 2.0
 
 
 # --- group 2: observability matrix and weights ---------------------------------
@@ -156,7 +161,7 @@ def test_sample_observability_matrix_ltv_path_matches_exponential():
         a_fn=lambda t: a, c_fn=lambda t: np.array([[1.0, 0.0]])
     )
     times = [0.0, 0.4, 1.1, 2.0]
-    o = sample_observability_matrix(sys, times, step=1e-3)
+    o = sample_observability_matrix(sys, times)
     want = np.vstack([np.array([[1.0, 0.0]]) @ expm(a * (t - 2.0)) for t in times])
     assert np.allclose(o, want, atol=1e-9)
 
@@ -238,10 +243,10 @@ def test_stationary_rows_equal_one_exponential_per_time(a):
     assert np.array_equal(got, want)
 
 
-def sequential_observability_matrix(sys, times, step=1e-3):
+def sequential_observability_matrix(sys, times, step):
     """The time-varying rows from one matrix stepped down from the anchor
-    through every gap in turn, one scalar RK4 call per gap: the reference
-    for the batched gaps."""
+    through every gap in turn, one scalar RK4 call per gap at a fixed step:
+    the reference for the step-doubled gaps."""
     ts = [float(t) for t in times]
     anchor = ts[-1]
     a_at = functools.cache(sys.a_at)
@@ -275,6 +280,20 @@ def random_ltv(seed, d, record=None):
     )
 
 
+# Each gap's local RK4 error is held to _PHI_RTOL times max(1, max|Phi|), so
+# O's error relative to its largest entry stays below (gaps x _PHI_RTOL x
+# PHI_FACTOR).  The measured worst ratio to gaps x _PHI_RTOL was 0.80 over
+# 200 random draws of ``random_ltv`` and 0.74 over 300 of the commuting
+# oracle below, so PHI_FACTOR leaves more than 10x room for the estimate.
+PHI_FACTOR = 10.0
+
+
+def within_phi_tolerance(got, want, n_gaps):
+    assert got.shape == want.shape
+    err = np.abs(got - want).max() / np.abs(want).max()
+    assert err <= n_gaps * _PHI_RTOL * PHI_FACTOR, f"relative error {err:.3g} over {n_gaps} gaps"
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),
@@ -283,29 +302,77 @@ def random_ltv(seed, d, record=None):
     gaps=st.lists(st.floats(1e-4, 0.1), min_size=1, max_size=30),
 )
 def test_batched_gaps_match_sequential_sweep(seed, d, start, gaps):
-    # RK4 is linear in its starting matrix, so stepping each gap from the
-    # identity and chaining changes only rounding.
+    # Stepping each gap from the identity only as finely as its error
+    # estimate needs, and chaining, against one matrix stepped through every
+    # gap at a step of 2.5e-4, four times finer than the floor.
     sys = random_ltv(seed, d)
     times = (start + np.cumsum([0.0, *gaps])).tolist()
     got = sample_observability_matrix(sys, times)
-    want = sequential_observability_matrix(sys, times)
-    assert got.shape == want.shape
-    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    within_phi_tolerance(got, sequential_observability_matrix(sys, times, 2.5e-4), len(gaps))
 
 
-def test_batched_gaps_keep_the_step_grid():
-    # Every gap keeps its own grid: the same A(tau) at the same taus, so a
-    # speedup that coarsens the step fails here.
+def test_forty_gap_schedule_builds_a_at_most_200_times():
+    # 41 equidistant samples 5e-3 apart build A at 81 nodes and midpoints,
+    # up to 20 pair midpoints, and two more times per step a refined gap
+    # adds.  On the fixed 1e-3 grid the same schedule built A 401 times.
     built = []
     sys = random_ltv(11, 3, record=built)
-    times = [0.0, 0.0004, 0.3, 0.3015, 0.9, 0.9013, 1.7]
     built.clear()
-    sample_observability_matrix(sys, times)
-    batched = sorted(built)
+    sample_observability_matrix(sys, (0.3 + 5e-3 * np.arange(41)).tolist())
+    assert 81 <= len(built) <= 200
+
+
+def test_refining_stops_at_the_floor_step(monkeypatch):
+    # With no error allowed every gap halves its steps until the first step
+    # at most 1e-3 and no further: 1,024 steps over [0, 1] at 2,049 stage
+    # times, one step over a gap already under the floor, so no result is
+    # coarser than the fixed 1e-3 grid and the loop ends.
+    monkeypatch.setattr("ambiflow.observability._PHI_RTOL", 0.0)
+    built = []
+    sys = random_ltv(3, 2, record=built)
     built.clear()
-    sequential_observability_matrix(sys, times)
-    assert len(batched) == len(built) > 1700
-    assert batched == sorted(built)
+    sample_observability_matrix(sys, [0.0, 1.0])
+    assert len(built) == 2 * 1024 + 1
+    built.clear()
+    sample_observability_matrix(sys, [0.0, 8e-4])
+    assert len(built) == 3
+
+
+def commuting_ltv(a0, c):
+    """x' = a(t) A0 x with a(t) = 1 + 0.5 sin t, seen through a constant C.
+    A(t) commutes with A(s), so Phi(t, s) = expm(A0 (integral_s^t a))."""
+    return LinearTimeVaryingSystem.time_varying(
+        a_fn=lambda t: (1.0 + 0.5 * math.sin(t)) * a0, c_fn=lambda t: c
+    )
+
+
+def commuting_observability_matrix(a0, c, times):
+    """The exact O of ``commuting_ltv``: rows C Phi(t_k, t_last)."""
+    last = times[-1]
+    return np.vstack(
+        [c @ expm(a0 * (t - last - 0.5 * (math.cos(t) - math.cos(last)))) for t in times]
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    d=st.integers(2, 3),
+    start=st.floats(0.0, 3.0),
+    gaps=st.lists(st.floats(1e-3, 0.2), min_size=1, max_size=40),
+)
+@example(seed=1, d=2, start=0.0, gaps=[0.05, 5e-5, 0.05, 5e-5])
+def test_gap_steps_meet_the_tolerance_on_a_commuting_oracle(seed, d, start, gaps):
+    # One RK4 step per gap, taken without the error estimate, misses this
+    # by orders of magnitude.  In the example each pair joins a 0.05 gap to
+    # one 1000x shorter, so its coarse and fine steps nearly agree: taking
+    # 1/15 of their difference, right only for equal gaps, let the long
+    # gaps pass at one step, 77x over the tolerance.
+    rng = np.random.default_rng(seed)
+    a0, c = rng.uniform(-1.0, 1.0, (d, d)), rng.uniform(-1.0, 1.0, (1, d))
+    times = (start + np.cumsum([0.0, *gaps])).tolist()
+    got = sample_observability_matrix(commuting_ltv(a0, c), times)
+    within_phi_tolerance(got, commuting_observability_matrix(a0, c, times), len(gaps))
 
 
 # --- group 3: Gramians ------------------------------------------------------------
@@ -952,7 +1019,7 @@ def test_margin_invariant_ltv_instance():
     bound = robust_sampling_bound(sys, 0.5, 0.75, 1.5, retention=0.5, grid_step=0.025)
     assert math.isfinite(bound) and bound > 0.0
     times = build_admissible_times(0.6, 0.7, 0.95 * bound)
-    o = sample_observability_matrix(sys, times, step=1e-3)
+    o = sample_observability_matrix(sys, times)
     w = weight_matrix(times)
     floor = gramian_floor(sys, 0.5, 1.5, grid_step=0.025)
     margin = eigenvalue_margin(o, w)
@@ -1192,6 +1259,33 @@ def test_reconstruct_noise_respects_error_bound():
         got = reconstruct_state(o, w, clean + noise)
         err = np.linalg.norm(got - target)
         assert err <= bound, f"error {err:.6g} exceeds bound {bound:.6g}"
+
+
+def test_commuting_oracle_error_stays_in_the_bound_under_adversarial_noise():
+    # Outputs come from the exact Phi of ``commuting_ltv`` and are
+    # reconstructed through the computed O.  For each left singular vector
+    # u_j of W O, the noise sits at the +-noise box vertex +-noise sign(u_j),
+    # the vertex that pushes the estimate furthest along the matching right
+    # singular vector.  The Phi term, the error with noise-free outputs, is
+    # 1.1e-10 of the bound here (O is 1.3e-11 relative off the exact one);
+    # the worst vertex reaches 0.30 of the bound.
+    a0, c = np.array([[0.0, 1.0], [-1.0, -0.2]]), np.array([[1.0, 0.0]])
+    sys = commuting_ltv(a0, c)
+    gap = robust_sampling_bound(sys, 0.5, 0.75, 1.5, retention=0.5, grid_step=0.05)
+    times = build_admissible_times(0.4, 0.7, 0.95 * gap)
+    o = sample_observability_matrix(sys, times)
+    w = weight_matrix(times)
+    floor = gramian_floor(sys, 0.5, 1.5, grid_step=0.05)
+    assert eigenvalue_margin(o, w) >= 0.5 * floor
+    bound = estimation_error_bound(0.75, floor, 0.5, 0.01)
+    target = np.array([0.4, -0.9])
+    clean = commuting_observability_matrix(a0, c, times) @ target
+    assert np.linalg.norm(reconstruct_state(o, w, clean) - target) <= 1e-8 * bound
+    u = np.linalg.svd(w @ o, full_matrices=False)[0]
+    for vertex in 0.01 * np.where(u.T >= 0.0, 1.0, -1.0):
+        for noise in (vertex, -vertex):
+            err = np.linalg.norm(reconstruct_state(o, w, clean + noise) - target)
+            assert err <= bound, f"error {err:.6g} exceeds bound {bound:.6g}"
 
 
 def test_estimation_error_bound_anchor():
