@@ -171,14 +171,15 @@ def optimal_plan(
     b_eq = np.concatenate([source.weights, target.weights])
     # HiGHS meets constraints only to its primal feasibility tolerance, 1e-7
     # by default, which TransportPlan's marginal check rejects.  1e-10 is
-    # also the tightest tolerance HiGHS accepts.
+    # also the tightest tolerance HiGHS accepts.  Presolve finds nothing to
+    # remove from a transportation LP and only costs time and memory.
     res = linprog(
         cost.ravel(),
         A_eq=a_eq,
         b_eq=b_eq,
         bounds=(0, None),
         method="highs",
-        options={"primal_feasibility_tolerance": _MARGINAL_TOL},
+        options={"primal_feasibility_tolerance": _MARGINAL_TOL, "presolve": False},
     )
     if not res.success:
         raise RuntimeError(f"transport LP failed: {res.message}")

@@ -224,8 +224,9 @@ def calibrate_flow_error(
     """Fit the magnitude of a FlowErrorModel empirically.
 
     For each (t, x) sample, the state is pushed to ``horizon`` once at the
-    working step and once at step/10; the gap between the two is treated as
-    the integration error at the working step.  The smallest magnitude that
+    working step and once at step/10 (at a tenth of its span when that is
+    shorter than the step); the gap between the two is treated as the
+    integration error at the working step.  The smallest magnitude that
     covers every observed gap under the given rate is returned, inflated by
     ``safety`` >= 1.  At least one sample is needed: none would certify an
     exact integrator from no evidence.
@@ -242,6 +243,12 @@ def calibrate_flow_error(
     times, states = zip(*samples)
     coarse = integrate_flow(field, times, horizon, states, step)
     fine = integrate_flow(field, times, horizon, states, step / 10.0)
+    # A span shorter than ``step`` takes one short working step, which
+    # step / 10 does not refine tenfold: such a sample's reference takes ten
+    # steps of its own span.
+    for i, t in enumerate(times):
+        if 0.0 < horizon - t < step:
+            fine[i] = integrate_flow(field, t, horizon, states[i], (horizon - t) / 10.0)
     worst = 0.0
     for t, a, b in zip(times, coarse, fine):
         gap = float(np.linalg.norm(a - b))

@@ -28,14 +28,18 @@ expm(-A h) per node for stationary systems.  ``sample_observability_matrix``
 takes a stationary schedule's exponentials in one stacked ``expm``.  Every
 time-varying Phi, of the sweep and of a sample schedule read back from its
 last time, chains cells stepped from the identity (``_chain``), with A, C
-and C' built once per distinct tau: the sweep's cells in one batched RK4
-call at their widths, a schedule's gaps each only as finely as step
-doubling needs (``_gap_cells``).  Where the flow overflows, the sweep's
-three users and ``sample_observability_matrix`` raise OverflowError (an
-ArithmeticError) instead of returning NaN or inf.  Their ``grid_step``
-must be positive and finite, and every time must be a finite number.  A sweep
-or window grid of more than ``_MAX_SWEEP_NODES`` nodes x columns is a
-ValueError raised before anything is allocated.
+and C' built once per distinct tau: each sweep cell by one RK4 step that
+ends on the next node, all in one batched call, a schedule's gaps each only
+as finely as step doubling needs (``_gap_cells``).  Only the kernel terms
+that can hold the largest spectral norm take an SVD (``_max_norm``).  The
+system keeps each Gramian floor it was asked for, so the floor a gap bound
+keeps a fraction of is computed once; that assumes A(t) and C(t) are pure
+functions of t (``LinearTimeVaryingSystem``).  Where the flow overflows,
+the sweep's three users and ``sample_observability_matrix`` raise
+OverflowError (an ArithmeticError) instead of returning NaN or inf.  Their
+``grid_step`` must be positive and finite, and every time must be a finite
+number.  A sweep or window grid of more than ``_MAX_SWEEP_NODES`` nodes x
+columns is a ValueError raised before anything is allocated.
 
 ``check_schedule_observability`` covers the complementary qualitative
 question (is the sampled pair observable at all?) through three classical
@@ -46,14 +50,14 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
 from ambiflow._checks import count, finite
-from ambiflow.dynamics import _read_params, _rk4
+from ambiflow.dynamics import _read_params
 
 __all__ = [
     "LinearTimeVaryingSystem",
@@ -83,6 +87,9 @@ _PHI_FLOOR_STEP = 1e-3   # the finest RK4 step a sample gap is refined to
 # the largest the tests reach (5,151) and 2,976x the benchmark's (336).  At
 # the limit a time-varying kernel scan at d = 2 peaks near 1.2 GB.
 _MAX_SWEEP_NODES = 10**6
+# Relative widening of a Frobenius norm before it may rule out a spectral
+# norm: a rank-one kernel ties in both norms up to rounding.
+_NORM_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -93,6 +100,11 @@ class LinearTimeVaryingSystem:
     the stationary fast paths) or ``time_varying`` with callables.  The
     optional ``c_dot_fn`` supplies the derivative of C; without it, kernel
     derivatives fall back to central finite differences on C.
+
+    A(t), C(t) and C'(t) must be pure functions of t: the system keeps each
+    Gramian floor it computes (``gramian_floor``), and a function that
+    changed its values later would be answered with the floor of the old
+    ones.  ``lti`` keeps read-only copies of its matrices for that reason.
     """
 
     a_fn: Callable[[float], np.ndarray]
@@ -103,6 +115,9 @@ class LinearTimeVaryingSystem:
     a_const: np.ndarray | None = None
     c_const: np.ndarray | None = None
     name: str = ""
+    # Gramian floors by (window, horizon, grid_step), filled by
+    # ``gramian_floor``; ``replace`` starts a new system with none.
+    _floors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def is_lti(self) -> bool:
@@ -111,7 +126,8 @@ class LinearTimeVaryingSystem:
 
     @classmethod
     def lti(cls, a: np.ndarray, c: np.ndarray, name: str = "") -> "LinearTimeVaryingSystem":
-        a, c = np.atleast_2d(np.asarray(a, dtype=float)), np.atleast_2d(np.asarray(c, dtype=float))
+        a, c = np.atleast_2d(np.array(a, dtype=float)), np.atleast_2d(np.array(c, dtype=float))
+        a.flags.writeable = c.flags.writeable = False  # read-only copies, as the kept floors need
         zero = np.zeros_like(c)
         sys = cls.time_varying(lambda t: a, lambda t: c, lambda t: zero, name)
         return replace(sys, a_const=a, c_const=c)
@@ -168,18 +184,6 @@ def _stacked(fn: Callable[[float], np.ndarray], taus: np.ndarray) -> np.ndarray:
     distinct, where = np.unique(taus.ravel(), return_inverse=True)
     values = np.array([fn(tau) for tau in distinct.tolist()])
     return values[where].reshape(*taus.shape, *values.shape[1:])
-
-
-def _matrix_field(a_at: Callable[[float], np.ndarray]) -> Callable[..., np.ndarray]:
-    """M' = A(tau) M, whose flow from the identity is the fundamental matrix,
-    for a batched ``_rk4``'s (d, d, N) stack: matrix i in M[..., i] at tau[i],
-    each multiplied on its own."""
-
-    def field(tau, m):
-        stack = np.ascontiguousarray(m.transpose(2, 0, 1))
-        return (_stacked(a_at, tau) @ stack).transpose(1, 2, 0)
-
-    return field
 
 
 def _chain(cells: np.ndarray) -> np.ndarray:
@@ -291,18 +295,16 @@ def _backward_sweep(
     live are (K + 1, B), phis stacks Phi(taus[k, i], t[i]) as (K + 1, B, d, d),
     and ``live`` masks the nodes with k <= n[i]; phis means nothing past them.
     Stationary systems take Phi_k = Phi_(k-1) expm(-A h); time-varying ones
-    step every live cell from the identity in one batched RK4 call at step
-    h, with A from the sweep's cache ``a_at``, and chain them (``_chain``).
+    step every live cell from the identity with one RK4 step (``_rk4_gaps``),
+    with A from the sweep's cache ``a_at``, and chain them (``_chain``).
     """
     taus = t - np.arange(int(n.max()) + 1)[:, None] * h
     live = np.arange(len(taus))[:, None] <= n
     if not sys.is_lti:
         cells = np.tile(np.eye(sys.dim), (len(taus) - 1, taus.shape[1], 1, 1))
-        ks, cols = np.nonzero(live[1:])
+        ks, cols = np.nonzero(live[1:] & (taus[1:] != taus[:-1]))  # a cell of width 0 is I
         if ks.size:
-            eyes = cells[ks, cols].transpose(1, 2, 0)
-            rk = _rk4(_matrix_field(a_at), taus[ks, cols], taus[ks + 1, cols], eyes, h[cols])
-            cells[ks, cols] = rk.transpose(2, 0, 1)
+            cells[ks, cols] = _rk4_gaps(a_at, taus[ks, cols], taus[ks + 1, cols], 1)
         return taus, _chain(cells), live
     phis = np.empty((*taus.shape, sys.dim, sys.dim))
     phis[0] = np.eye(sys.dim)
@@ -422,6 +424,8 @@ def observability_gramian(
     finite("varsigma", varsigma, gt=0)
     quad_step = finite("quad_step", varsigma / 200.0 if quad_step is None else quad_step, gt=0)
     starts = np.atleast_1d(_floats("t", t))
+    if not starts.size:
+        raise ValueError("t must hold at least one window start, got none")
     if not np.isfinite(starts).all():  # a stationary Gramian would not notice
         raise ValueError(f"t must be finite, got {starts[~np.isfinite(starts)][0]}")
     _check_sweep(varsigma / quad_step + 1, starts.size, "quad_step")
@@ -453,16 +457,22 @@ def gramian_floor(
 
     Minimizes lambda_min of the anchored Gramian over window start times in
     [0, horizon - window], approximated on a uniform grid (stationary
-    systems need a single evaluation).  All windows share one sweep.
+    systems need a single evaluation).  All windows share one sweep.  The
+    system keeps the floor, so asking again, as a caller of
+    ``robust_sampling_bound`` does for the floor it keeps a fraction of,
+    computes nothing; ``LinearTimeVaryingSystem`` states what that assumes.
     """
     finite("window", window, gt=0)
     finite("horizon", horizon, ge=window)
     grid_step = finite("grid_step", window / 100.0 if grid_step is None else grid_step, gt=0)
     span = 0.0 if sys.is_lti else horizon - window
     _check_sweep(window / grid_step + 1, span / grid_step + 1, "grid_step")
-    starts = np.linspace(0.0, span, max(1, math.ceil(span / grid_step) + 1))
-    grams = observability_gramian(sys, starts, window, grid_step)
-    return float(np.linalg.eigvalsh(grams)[:, 0].min())
+    key = (window, horizon, grid_step)
+    if key not in sys._floors:
+        starts = np.linspace(0.0, span, max(1, math.ceil(span / grid_step) + 1))
+        grams = observability_gramian(sys, starts, window, grid_step)
+        sys._floors[key] = float(np.linalg.eigvalsh(grams)[:, 0].min())
+    return sys._floors[key]
 
 
 def max_kernel_derivative(
@@ -482,6 +492,8 @@ def max_kernel_derivative(
     finite("grid_step", grid_step, gt=0)
     t, s_low = np.broadcast_arrays(_floats("t", t), _floats("s_low", s_low))
     t, s_low = t.ravel(), s_low.ravel()
+    if not t.size:
+        raise ValueError("t and s_low must hold at least one anchor, got none")
     bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(s_low) & (s_low <= t)))
     if bad.size:
         raise ValueError(f"need s_low <= t, both finite, got ({s_low[bad[0]]}, {t[bad[0]]})")
@@ -498,11 +510,21 @@ def max_kernel_derivative(
 
 
 def _max_norm(kernels: np.ndarray) -> float:
-    """Largest spectral norm in a stack of kernel terms, in one stacked SVD;
-    OverflowError once the flow has overflowed any of them."""
+    """Largest spectral norm in an (N, d, d) stack of kernel terms; OverflowError
+    once the flow has overflowed any of them.
+
+    A spectral norm is at most its Frobenius norm, so only the terms whose
+    Frobenius norm, widened by _NORM_MARGIN, reaches the spectral norm of
+    the top-Frobenius term can hold the maximum: they alone take an SVD, and
+    the result is the one a stacked SVD of every term gives.
+    """
     if not np.isfinite(kernels).all():
         raise OverflowError("kernel derivative is not finite: the flow diverges on the window")
-    return float(np.linalg.norm(kernels, 2, axis=(-2, -1)).max())
+    with np.errstate(over="ignore"):  # an infinite Frobenius norm only keeps its term
+        fro = np.sqrt(np.einsum("kij,kij->k", kernels, kernels))
+    top = np.linalg.norm(kernels[fro.argmax()], 2)
+    near = kernels[fro * (1.0 + _NORM_MARGIN) >= top]
+    return float(np.linalg.norm(near, 2, axis=(-2, -1)).max())
 
 
 def robust_sampling_bound(

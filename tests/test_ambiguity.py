@@ -5,7 +5,8 @@ Groups:
   2. cumulative_empirical pushforward behaviour
   3. pushforward_error / pushforward_error_noisy values and monotonicity
      (closed form cross-checked against an independent Simpson oracle)
-  4. total_radius composition and the end-to-end coupling chain
+  4. total_radius composition, the end-to-end coupling chain, and both
+     flow-error bounds against the orbit tracker's closed form
   5. effective_horizon statuses and the strict-decrease guarantee
 """
 
@@ -13,7 +14,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad, simpson
 
@@ -311,6 +312,77 @@ def test_coupling_chain_on_rotating_field():
         envelope = pushforward_error(n, delta, p, model)
         assert w <= ub + 1e-12
         assert ub <= envelope + 1e-12, f"p={p}: coupling {ub} vs envelope {envelope}"
+
+
+# The orbit tracker's closed form (``_tracker_basis`` on the ``_lift``ed
+# states) is its exact flow, an oracle for both error bounds on staggered
+# members.  A member observed at t0 holds the reference phase s[4] + t0.
+
+
+def tracker_exact(times, states, horizon):
+    """Each member's exact state at the horizon, phase coordinate kept."""
+    pos, vel = _tracker_basis(horizon - times, 4.0, 1.0)
+    coef = _lift(states + np.column_stack([np.zeros((len(times), 4)), times]))
+    z, v = (pos * coef).sum(axis=1), (vel * coef).sum(axis=1)
+    return np.column_stack([z.real, z.imag, v.real, v.imag, states[:, 4]])
+
+
+def tracker_members(seed, times):
+    rng = np.random.default_rng(seed)
+    states = np.column_stack(
+        [rng.normal(size=(len(times), 4)), rng.uniform(0.0, 2.0 * math.pi, len(times))]
+    )
+    return list(zip(times.tolist(), states)), states
+
+
+@settings(max_examples=30, deadline=None)
+# A member 0.0083 before the horizon, within one step: its step / 10 run took
+# one step and a remainder, and the envelope came to 0.84 of its true error.
+@example(seed=581313, n=1, horizon=1.0, step=0.0625, rate=1.0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 8),
+    horizon=st.floats(0.5, 3.0),
+    step=st.floats(0.01, 0.1),
+    rate=st.floats(0.1, 3.0),
+)
+def test_calibrated_envelope_dominates_true_tracker_error(seed, n, horizon, step, rate):
+    times = np.sort(np.random.default_rng(seed).uniform(0.0, horizon, n))
+    samples, states = tracker_members(seed, times)
+    field = builtin_field("orbit_tracker")
+    model = calibrate_flow_error(field, samples, horizon, step, rate)
+    pushed = integrate_flow(field, times, horizon, states, step)
+    true_error = np.linalg.norm(pushed - tracker_exact(times, states, horizon), axis=1)
+    envelope = model.magnitude * np.expm1(rate * (horizon - times))
+    assert np.all(true_error <= envelope), f"errors {true_error}, envelope {envelope}"
+
+
+@settings(max_examples=30, deadline=None)
+@example(seed=0, n=2, delta=0.4, fill=1.0, step=0.1, rate=0.1, p=1.0)
+@example(seed=0, n=2, delta=0.4, fill=1.0, step=0.1, rate=0.1, p=2.0)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(2, 8),
+    delta=st.floats(0.05, 0.4),
+    fill=st.floats(0.5, 1.0),
+    step=st.floats(0.01, 0.1),
+    rate=st.floats(0.1, 3.0),
+    p=st.sampled_from([1.0, 2.0]),
+)
+def test_pushforward_error_dominates_realized_tracker_gap(seed, n, delta, fill, step, rate, p):
+    # Member k from the last is pushed over (k - 1) gaps of fill * delta <=
+    # delta, the staggering ``pushforward_error`` assumes, with the envelope
+    # calibrated on the members themselves.
+    horizon = 2.0
+    times = horizon - fill * delta * np.arange(n)[::-1]
+    samples, states = tracker_members(seed, times)
+    field = builtin_field("orbit_tracker")
+    model = calibrate_flow_error(field, samples, horizon, step, rate)
+    pushed = cumulative_empirical(samples, horizon, field, step)
+    exact = DiscreteDistribution.empirical(tracker_exact(times, states, horizon))
+    realized = wasserstein_exact(pushed, exact, p)
+    bound = pushforward_error(n, delta, p, model)
+    assert realized <= bound, f"realized W_{p:g} {realized} vs bound {bound}"
 
 
 # --- group 5: effective horizon ------------------------------------------------------

@@ -13,6 +13,7 @@ Grouped as:
 import functools
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -37,7 +38,7 @@ from ambiflow.observability import (
     system_from_json,
     weight_matrix,
 )
-from ambiflow.observability import _PHI_FLOOR_STEP, _PHI_RTOL, _backward_sweep
+from ambiflow.observability import _PHI_FLOOR_STEP, _PHI_RTOL, _backward_sweep, _max_norm
 
 # Closed-form anchors for the double integrator observed in position.
 # Gramian over a unit window, anchored at the right end, is
@@ -539,6 +540,77 @@ def test_robust_sampling_bound_lti_takes_two_exponentials(monkeypatch, grid_step
     assert len(calls) == 2
 
 
+@pytest.mark.parametrize("make", [harmonic_oscillator, wobbly_system], ids=["lti", "ltv"])
+def test_floor_after_bound_is_a_cache_lookup(monkeypatch, make):
+    # The caller's pattern: the gap bound, then the floor it keeps a fraction of.
+    sys, fresh = make(), make()
+    text, twin = repr(sys), replace(sys)
+    calls = []
+    gramian = observability_gramian
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return gramian(*args, **kwargs)
+
+    monkeypatch.setattr("ambiflow.observability.observability_gramian", counted)
+    robust_sampling_bound(sys, 0.5, 0.75, 1.5, 0.5, grid_step=0.05)
+    assert len(calls) == 1
+    floor = gramian_floor(sys, 0.5, 1.5, grid_step=0.05)
+    assert len(calls) == 1
+    assert floor == gramian_floor(fresh, 0.5, 1.5, grid_step=0.05)
+    # A new step misses the cache; a replaced system starts with none.
+    gramian_floor(sys, 0.5, 1.5, grid_step=0.04)
+    assert len(calls) == 3
+    assert replace(sys)._floors == {}
+    gramian_floor(replace(sys), 0.5, 1.5, grid_step=0.05)
+    assert len(calls) == 4
+    # The cache is no part of the system's value or text.
+    assert sys == twin and repr(sys) == text and "_floors" not in text
+    if sys.is_lti:  # nor can its constants change under it
+        with pytest.raises(ValueError, match="read-only"):
+            sys.a_const[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("make", [harmonic_oscillator, wobbly_system], ids=["lti", "ltv"])
+def test_system_keeps_only_the_floors_asked_for(make):
+    # Sweeps at many distinct steps leave nothing on the system, however
+    # often they run: it keeps one float per floor, by its arguments.
+    sys = make()
+    anchors = np.linspace(0.3, 1.2, 40)  # 40 spans, so 40 distinct sweep steps
+    for _ in range(2):
+        max_kernel_derivative(sys, anchors, np.zeros_like(anchors), 0.01)
+        observability_gramian(sys, anchors, 0.5, quad_step=0.01)
+        sample_observability_matrix(sys, anchors)
+    assert sys._floors == {}
+    for window in (0.3, 0.4):
+        robust_sampling_bound(sys, window, 0.5, 1.2, 0.5, grid_step=0.05)
+        gramian_floor(sys, window, 1.2, grid_step=0.05)
+    assert list(sys._floors) == [(0.3, 1.2, 0.05), (0.4, 1.2, 0.05)]
+    assert all(type(floor) is float for floor in sys._floors.values())
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n=st.integers(1, 80),
+    d=st.integers(1, 4),
+    kind=st.sampled_from(["random", "rank-one", "near-ties"]),
+)
+def test_screened_max_norm_equals_full_svd(seed, n, d, kind):
+    # Only the terms that can hold the maximum take an SVD, and the result
+    # is the full stacked SVD's to the bit.  Rank-one terms, as stationary
+    # kernels are, tie in spectral and Frobenius norm up to rounding.
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        terms = rng.normal(size=(n, d, d))
+    else:
+        u, v = rng.normal(size=(n, d, 1)), rng.normal(size=(n, 1, d))
+        terms = u @ v
+        if kind == "near-ties":
+            terms = terms[:1] * (1.0 + 1e-15 * rng.integers(-4, 5, n))[:, None, None]
+    assert _max_norm(terms) == float(np.linalg.norm(terms, 2, axis=(-2, -1)).max())
+
+
 # The per-window and per-anchor loops that the batched sweep replaced, kept as
 # its reference: each window or anchor sweeps alone, each node is one product
 # with expm(-A h) or one scalar ``_rk4`` call from the last node's Phi, and each
@@ -781,7 +853,10 @@ def test_batched_sweep_matches_scalar_reference_on_any_grid(window_low, extra, t
 def test_sweep_stacks_match_per_node_reference(seed, d, anchors, spans, grid_step):
     # Anchors and lower ends as ``max_kernel_derivative`` sweeps them: the
     # stacks give every column the per-node loop's taus and, within
-    # LTV_RTOL, its Phi, and A is built at the same taus as often.
+    # LTV_RTOL, its Phi.  A is built once per distinct time, at both ends of
+    # every cell of nonzero width, and no more often than the loop builds it:
+    # a cell's one RK4 step ends on the next node itself, where the loop's
+    # step may land a rounding off it.
     built = []
     sys = random_ltv(seed, d, record=built)
     t = np.array(anchors)
@@ -800,8 +875,9 @@ def test_sweep_stacks_match_per_node_reference(seed, d, anchors, spans, grid_ste
         assert np.array_equal(live[:, i], np.arange(len(taus)) <= n[i])
         assert np.array_equal(taus[live[:, i], i], want_taus)
         assert matches(phis[live[:, i], i], np.array(want_phis), exact=False)
-    assert len(swept) == len(built)
-    assert swept == sorted(built)
+    assert len(swept) == len(set(swept)) <= len(built)
+    cells = live[1:] & (taus[1:] != taus[:-1])
+    assert set(taus[:-1][cells].tolist()) | set(taus[1:][cells].tolist()) <= set(swept)
 
 
 @pytest.mark.parametrize("with_c_dot", [True, False])
@@ -896,6 +972,12 @@ def test_sweep_over_the_limit_fails_before_allocating(call, larger, nodes):
 def test_kernel_derivative_needs_finite_s_low_at_most_t(t, s_low, shown):
     with pytest.raises(ValueError, match=rf"need s_low <= t, both finite, got \({shown}\)"):
         max_kernel_derivative(wobbly_system(), t, s_low, 0.05)
+
+
+def test_kernel_derivative_rejects_no_anchors():
+    # Once numpy's "zero-size array to reduction operation maximum".
+    with pytest.raises(ValueError, match="t and s_low must hold at least one anchor, got none"):
+        max_kernel_derivative(harmonic_oscillator(), [], [], 0.1)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1143,6 +1225,12 @@ def test_gramian_rejects_non_finite_window_starts(sys, bad):
     # gave a finite Gramian.
     with pytest.raises(ValueError, match=f"t must be finite, got {bad}"):
         observability_gramian(sys, np.array([0.0, bad]), 1.0)
+
+
+def test_gramian_rejects_no_window_starts():
+    # Once numpy's "zero-size array to reduction operation maximum".
+    with pytest.raises(ValueError, match="t must hold at least one window start, got none"):
+        observability_gramian(harmonic_oscillator(), np.array([]), 1.0)
 
 
 def test_count_criterion_thresholds():
