@@ -1,17 +1,20 @@
-"""One rule for the scalar numbers the library reads.
+"""One rule for the numbers the library reads.
 
 ``finite`` passes a finite real number in an optional range and ``count`` an
 integer in one; each returns its value unchanged.  Otherwise the
 ValueError reads "<name> must be finite, got <value>" for a value that is not a
 finite real number (a bool is not one, nor is an int too large for a float),
 or "<name> must be <range>, got <value>" with a range such as "positive",
-">= 1" or "in (0, 1]".  Arrays are checked where they are used.
+">= 1" or "in (0, 1]".  ``finite_array`` reads an array by the same rule and
+shows its first entry that fails: NaN, inf, a bool, a string, a ragged row.
 """
 
 from __future__ import annotations
 
 import numbers
 import sys
+
+import numpy as np
 
 _MAX = sys.float_info.max
 
@@ -49,6 +52,21 @@ def count(name: str, value, low: int | None = 1, high: int | None = None):
     if high is not None:
         raise _error(name, f"an integer in [{low}, {high}]", value)
     raise _error(name, "an integer" + ("" if low is None else f" >= {low}"), value)
+
+
+def finite_array(name: str, values) -> np.ndarray:
+    """``values`` as ``np.asarray(values, dtype=float)`` converts them, if each entry is finite."""
+    try:
+        array = np.asarray(values)
+    except ValueError:  # ragged: its rows are the entries
+        array = np.asarray(values, dtype=object)
+    if array.dtype.kind not in "iuf":  # bools, strings and objects, entry by entry
+        for value in array.ravel().tolist():
+            finite(name, value)
+    array = array.astype(float, copy=False)
+    if not np.isfinite(array).all():
+        raise _error(name, "finite", array[~np.isfinite(array)][0])
+    return array
 
 
 def _is(value, kind: type) -> bool:

@@ -22,7 +22,7 @@ import numpy as np
 from scipy import sparse
 from scipy.optimize import linear_sum_assignment, linprog
 
-from ambiflow._checks import finite
+from ambiflow._checks import finite, finite_array
 
 __all__ = [
     "DiscreteDistribution",
@@ -49,20 +49,14 @@ class DiscreteDistribution:
     weights: np.ndarray
 
     def __post_init__(self) -> None:
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float).ravel()
+        pts = np.atleast_2d(finite_array("points", self.points))
+        w = finite_array("weights", self.weights).ravel()
         if pts.ndim != 2:
             raise ValueError(f"points must be a 2-d array, got shape {pts.shape}")
         if pts.shape[0] != w.shape[0]:
-            raise ValueError(
-                f"{pts.shape[0]} support points but {w.shape[0]} weights"
-            )
+            raise ValueError(f"{pts.shape[0]} support points but {w.shape[0]} weights")
         if pts.shape[0] == 0:
             raise ValueError("a distribution needs at least one support point")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("support points must be finite")
-        if not np.all(np.isfinite(w)):  # NaN would pass the comparisons below
-            raise ValueError(f"weights must be finite, got {w[~np.isfinite(w)][0]}")
         if np.any(w < -_WEIGHT_TOL):
             raise ValueError(f"negative weight: min is {w.min()}")
         total = float(w.sum())
@@ -84,9 +78,8 @@ class DiscreteDistribution:
     @classmethod
     def empirical(cls, points: np.ndarray) -> "DiscreteDistribution":
         """Equal-weight measure on the given rows."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = pts.shape[0]
-        return cls(pts, np.full(n, 1.0 / n))
+        n = len(np.atleast_2d(points))  # the constructor reads the points
+        return cls(points, np.full(n, 1.0 / n))
 
 
 @dataclass(frozen=True)
@@ -104,7 +97,7 @@ class TransportPlan:
 
     def __post_init__(self) -> None:
         finite("order", self.order, ge=1)
-        m = np.asarray(self.matrix, dtype=float)
+        m = finite_array("matrix", self.matrix)
         if m.shape != (self.source.n_points, self.target.n_points):
             raise ValueError(
                 f"plan shape {m.shape} does not match "
@@ -209,8 +202,8 @@ def coupling_upper_bound(x: np.ndarray, y: np.ndarray, p: float = 1.0) -> float:
     The bound is tight when the index pairing happens to be optimal.
     """
     finite("p", p, ge=1)
-    xa = np.atleast_2d(np.asarray(x, dtype=float))
-    ya = np.atleast_2d(np.asarray(y, dtype=float))
+    xa = np.atleast_2d(finite_array("x", x))
+    ya = np.atleast_2d(finite_array("y", y))
     if xa.shape != ya.shape:
         raise ValueError(f"sample arrays differ in shape: {xa.shape} vs {ya.shape}")
     norms = np.linalg.norm(xa - ya, axis=1)

@@ -35,7 +35,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ambiflow._checks import finite
+from ambiflow._checks import finite, finite_array
 
 __all__ = [
     "VectorField",
@@ -104,8 +104,8 @@ def integrate_flow(
 
     Steps are taken at the requested size with the last one shortened so the
     trajectory lands exactly on t_end.  Integration backward in time is
-    allowed.  Every time must be a finite number and ``step`` a positive
-    one.  Raises ArithmeticError if the state stops being finite.
+    allowed.  Every time and state entry must be finite and ``step``
+    positive.  Raises ArithmeticError if the state stops being finite.
 
     With a sequence of start times, ``state`` holds one state per start and
     the images come back one per row.  All of them go through one
@@ -113,7 +113,9 @@ def integrate_flow(
     where it would alone; errors name the first sample at fault.
     """
     one = np.ndim(t_start) == 0
-    cols = [np.asarray(x, dtype=float) for x in ([state] if one else state)]
+    cols = [finite_array("state", x) for x in ([state] if one else state)]
+    if not cols:
+        raise ValueError("state must hold at least one state, got none")
     for x in cols:
         if x.shape != (field.dim,):
             raise ValueError(f"state shape {x.shape} does not match field dim {field.dim}")
@@ -148,21 +150,13 @@ def _rk4(
     start times, x is a batch with one column per start on its last axis,
     states of shape (dim, N) or matrices of shape (d, d, N), and column i
     starts at t_start[i]; t_end and step are then numbers or hold one value
-    per column too.  Each column
-    steps on its own grid t_start[i] + k h[i], with its own shortened last
-    step, so it ends bit for bit where it would alone; f sees only the
-    columns still stepping, x[..., live] with t of shape (n,).  ValueError
-    names a start or end time that is not finite.
+    per column too.  Each column steps on its own grid t_start[i] + k h[i],
+    with its own shortened last step, so it ends bit for bit where it would
+    alone; f sees only the columns still stepping, x[..., live] with t of
+    shape (n,).  The times and steps come checked (``integrate_flow``).
     """
-    if not np.all((step > 0.0) & np.isfinite(step)):
-        raise ValueError(f"step must be positive and finite, got {step}")
     span = t_end - t_start
     batch = isinstance(t_start, np.ndarray)
-    if not (np.isfinite(span).all() if batch else math.isfinite(span)):
-        for t in np.append(t_start, t_end).tolist():
-            if not math.isfinite(t):
-                raise ValueError(f"RK4 start and end times must be finite, got {t}")
-        raise ValueError(f"RK4 span must be finite, got {span}")
     if batch:
         x = np.array(x, dtype=float)
         h = np.copysign(step, span)
@@ -177,7 +171,12 @@ def _rk4(
         t = t_start + (i + 1) * h
     t = t_start + n_full * h
     rem = t_end - t
-    return _advance(f, t, x, rem, abs(rem) > 1e-15 * np.maximum(1.0, np.abs(t_end)))
+    return _advance(f, t, x, rem, _steps(rem, t_end))
+
+
+def _steps(span: float | np.ndarray, t_end: float | np.ndarray) -> bool | np.ndarray:
+    """Whether RK4 steps ``span`` to ``t_end``: one within 1e-15 max(1, |t_end|) is rounding."""
+    return np.abs(span) > 1e-15 * np.maximum(1.0, np.abs(t_end))
 
 
 def _advance(

@@ -56,8 +56,8 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
-from ambiflow._checks import count, finite
-from ambiflow.dynamics import _read_params
+from ambiflow._checks import count, finite, finite_array
+from ambiflow.dynamics import _read_params, _steps
 
 __all__ = [
     "LinearTimeVaryingSystem",
@@ -126,7 +126,7 @@ class LinearTimeVaryingSystem:
 
     @classmethod
     def lti(cls, a: np.ndarray, c: np.ndarray, name: str = "") -> "LinearTimeVaryingSystem":
-        a, c = np.atleast_2d(np.array(a, dtype=float)), np.atleast_2d(np.array(c, dtype=float))
+        a, c = np.array(finite_array("A", a), ndmin=2), np.array(finite_array("C", c), ndmin=2)
         a.flags.writeable = c.flags.writeable = False  # read-only copies, as the kept floors need
         zero = np.zeros_like(c)
         sys = cls.time_varying(lambda t: a, lambda t: c, lambda t: zero, name)
@@ -140,9 +140,8 @@ class LinearTimeVaryingSystem:
         c_dot_fn: Callable[[float], np.ndarray] | None = None,
         name: str = "",
     ) -> "LinearTimeVaryingSystem":
-        a0 = np.atleast_2d(np.asarray(a_fn(0.0), dtype=float))
-        c0 = np.atleast_2d(np.asarray(c_fn(0.0), dtype=float))
-        if a0.shape[0] != a0.shape[1]:
+        a0, c0 = _as_matrix(a_fn(0.0)), _as_matrix(c_fn(0.0))
+        if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ValueError(f"A(t) must be square, got {a0.shape}")
         if c0.shape[1] != a0.shape[0]:
             raise ValueError(f"C(t) has {c0.shape[1]} columns, expected {a0.shape[0]}")
@@ -295,14 +294,14 @@ def _backward_sweep(
     live are (K + 1, B), phis stacks Phi(taus[k, i], t[i]) as (K + 1, B, d, d),
     and ``live`` masks the nodes with k <= n[i]; phis means nothing past them.
     Stationary systems take Phi_k = Phi_(k-1) expm(-A h); time-varying ones
-    step every live cell from the identity with one RK4 step (``_rk4_gaps``),
-    with A from the sweep's cache ``a_at``, and chain them (``_chain``).
+    step each live cell wider than a rounding (``_steps``) from I by one RK4
+    step (``_rk4_gaps``), A from the sweep's cache ``a_at``, and chain them.
     """
     taus = t - np.arange(int(n.max()) + 1)[:, None] * h
     live = np.arange(len(taus))[:, None] <= n
     if not sys.is_lti:
         cells = np.tile(np.eye(sys.dim), (len(taus) - 1, taus.shape[1], 1, 1))
-        ks, cols = np.nonzero(live[1:] & (taus[1:] != taus[:-1]))  # a cell of width 0 is I
+        ks, cols = np.nonzero(live[1:] & _steps(taus[1:] - taus[:-1], taus[1:]))
         if ks.size:
             cells[ks, cols] = _rk4_gaps(a_at, taus[ks, cols], taus[ks + 1, cols], 1)
         return taus, _chain(cells), live
@@ -381,21 +380,13 @@ def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
 
 def eigenvalue_margin(obs_matrix: np.ndarray, weight: np.ndarray) -> float:
     """Smallest eigenvalue of O^T W^2 O (the weighted normal matrix)."""
-    wo = weight @ obs_matrix
+    wo = finite_array("weight", weight) @ finite_array("obs_matrix", obs_matrix)
     sv = np.linalg.svd(wo, compute_uv=False)
     smallest = sv[-1] if wo.shape[0] >= wo.shape[1] else 0.0
     return float(smallest**2)
 
 
 # --- Gramians and kernel derivative ---------------------------------------------
-
-
-def _floats(name: str, values) -> np.ndarray:
-    """``values`` as a float array; ValueError names one holding an int too large for a float."""
-    try:
-        return np.asarray(values, dtype=float)
-    except OverflowError:
-        raise ValueError(f"{name} must be finite, got {values}") from None
 
 
 def _kernel_mid(a: np.ndarray, c: np.ndarray, cd: np.ndarray) -> np.ndarray:
@@ -423,11 +414,9 @@ def observability_gramian(
     """
     finite("varsigma", varsigma, gt=0)
     quad_step = finite("quad_step", varsigma / 200.0 if quad_step is None else quad_step, gt=0)
-    starts = np.atleast_1d(_floats("t", t))
+    starts = np.atleast_1d(finite_array("t", t))
     if not starts.size:
         raise ValueError("t must hold at least one window start, got none")
-    if not np.isfinite(starts).all():  # a stationary Gramian would not notice
-        raise ValueError(f"t must be finite, got {starts[~np.isfinite(starts)][0]}")
     _check_sweep(varsigma / quad_step + 1, starts.size, "quad_step")
     n_cells = max(2, math.ceil(varsigma / quad_step))
     h = varsigma / n_cells
@@ -490,11 +479,11 @@ def max_kernel_derivative(
     all of them on the same sweep.
     """
     finite("grid_step", grid_step, gt=0)
-    t, s_low = np.broadcast_arrays(_floats("t", t), _floats("s_low", s_low))
+    t, s_low = np.broadcast_arrays(finite_array("t", t), finite_array("s_low", s_low))
     t, s_low = t.ravel(), s_low.ravel()
     if not t.size:
         raise ValueError("t and s_low must hold at least one anchor, got none")
-    bad = np.flatnonzero(~(np.isfinite(t) & np.isfinite(s_low) & (s_low <= t)))
+    bad = np.flatnonzero(s_low > t)
     if bad.size:
         raise ValueError(f"need s_low <= t, both finite, got ({s_low[bad[0]]}, {t[bad[0]]})")
     span = t - s_low
@@ -611,16 +600,13 @@ def reconstruct_state(
     Rejects ill-posed problems: O, W and y must be finite, and the smallest
     singular value of W O must exceed 1e-10 relative to the largest.
     """
-    o = np.atleast_2d(np.asarray(obs_matrix, dtype=float))
-    w = np.atleast_2d(np.asarray(weight, dtype=float))
-    y = np.asarray(outputs, dtype=float).reshape(-1)
+    o = np.atleast_2d(finite_array("O", obs_matrix))
+    w = np.atleast_2d(finite_array("W", weight))
+    y = finite_array("y", outputs).reshape(-1)
     if o.shape[0] != w.shape[0] or w.shape[0] != w.shape[1]:
         raise ValueError(f"weight shape {w.shape} does not match O rows {o.shape[0]}")
     if y.shape[0] != o.shape[0]:
         raise ValueError(f"{y.shape[0]} outputs for {o.shape[0]} observation rows")
-    for name, values in (("O", o), ("W", w), ("y", y)):
-        if not np.isfinite(values).all():  # the SVD would return NaN or fail to converge
-            raise ValueError(f"{name} must be finite, got {values[~np.isfinite(values)][0]}")
     wo = w @ o
     u, sv, vt = np.linalg.svd(wo, full_matrices=False)
     if o.shape[0] < o.shape[1] or sv[-1] <= _MIN_SINGULAR * sv[0]:

@@ -46,7 +46,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
-from ambiflow._checks import count, finite
+from ambiflow._checks import count, finite, finite_array
 from ambiflow.concentration import calibrated_radius
 from ambiflow.distribution import DiscreteDistribution
 
@@ -216,16 +216,12 @@ def reconstruct_red_state(
     a lifted basis without full rank (every phase fits), are reported as
     errors rather than silently picked.
     """
-    ts = np.asarray(times, dtype=float)
-    pos = np.atleast_2d(np.asarray(positions, dtype=float))
+    ts = finite_array("sample times", times)
+    pos = np.atleast_2d(finite_array("positions", positions))
     if ts.ndim != 1 or len(ts) < 3:
         raise ValueError(f"need at least three sample times, got {len(ts)}")
     if pos.shape != (len(ts), 2):
         raise ValueError(f"positions shape {pos.shape} does not match {len(ts)} times")
-    if not np.isfinite(ts).all():
-        raise ValueError(f"sample times must be finite, got {ts[~np.isfinite(ts)][0]}")
-    if not np.isfinite(pos).all():
-        raise ValueError(f"positions must be finite, got {pos[~np.isfinite(pos)][0]}")
     if np.any(np.diff(ts) <= 0.0):
         raise ValueError("sample times must be strictly increasing")
     t_last = float(ts[-1])
@@ -311,9 +307,17 @@ def dro_objective(
     # Flow formulas take states at relative time zero, so the reference
     # phase is developed to t_start.
     shift = np.array([0.0, 0.0, 0.0, 0.0, t_start])
-    known = np.asarray(known_state, dtype=float).reshape(1, 5) + shift
-    cand = np.asarray(xi, dtype=float).reshape(1, 5) + shift
+    known = _watcher_state("known_state", known_state) + shift
+    cand = _watcher_state("xi", xi)[None, :] + shift
     return float(_clearance_kernel(known, cand, cfg, n_t)(x[None, :])[0, 0])
+
+
+def _watcher_state(name: str, state: Sequence[float]) -> np.ndarray:
+    """``state`` as a finite watcher state (x, y, vx, vy, phase) of floats."""
+    out = finite_array(name, state)
+    if out.shape != (5,):
+        raise ValueError(f"{name} must hold (x, y, vx, vy, phase), got shape {out.shape}")
+    return out
 
 
 # The clearance kernel cuts its (n_t, J) grid into tiles of _TILE_T times by _TILE_J
@@ -453,17 +457,15 @@ def constrained_min_expectation(
     An infinite budget is unconstrained transport.  Weights, costs and values
     must be finite, and weights and costs nonnegative.
     """
-    w = np.asarray(weights, dtype=float)
-    c = np.atleast_2d(np.asarray(costs, dtype=float))
-    f = np.asarray(values, dtype=float)
+    w = finite_array("weights", weights)
+    c = np.atleast_2d(finite_array("costs", costs))
+    f = finite_array("values", values)
     if c.shape != (len(w), len(f)):
         raise ValueError(f"cost matrix {c.shape} does not match {len(w)}x{len(f)}")
     if budget != math.inf:  # an infinite budget is unconstrained transport
         finite("budget", budget, ge=0)
-    if not np.all(np.isfinite(f)):
-        raise ValueError("values must be finite")
     for name, a in (("weights", w), ("costs", c)):
-        if not np.all(np.isfinite(a) & (a >= 0.0)):
+        if not np.all(a >= 0.0):
             raise ValueError(f"{name} must be finite and nonnegative")
     return _sorted_sources(w, c)(f[None, :], budget)[0]
 
@@ -794,6 +796,7 @@ def solve_dro(
     """
     count("n_t", n_t, low=2)
     count("n_starts", n_starts)
+    known_state = _watcher_state("known_state", known_state)
     n = cfg.n_segments
     evaluate_many = _inner_evaluator(ball, candidate_support(ball), known_state, cfg, n_t)
     if cfg.v_min == cfg.v_max or n == 1:

@@ -255,6 +255,26 @@ def test_coupling_bound_tight_for_identity_pairing():
     )
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["x", "y"])
+def test_coupling_bound_names_a_point_that_is_not_finite(name, bad):
+    # It returned nan for a NaN point and inf for an infinite one.
+    points = {"x": np.zeros((2, 1)), "y": np.ones((2, 1))}
+    points[name][1, 0] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+        coupling_upper_bound(points["x"], points["y"])
+
+
+def test_transport_plan_names_a_mass_that_is_not_finite():
+    # A NaN mass passed the sign and marginal checks, and the cost was nan.
+    p = DiscreteDistribution.empirical(np.zeros((2, 1)))
+    q = DiscreteDistribution.empirical(np.ones((2, 1)))
+    plan = np.eye(2) / 2.0
+    plan[0, 1] = math.nan
+    with pytest.raises(ValueError, match="matrix must be finite, got nan"):
+        TransportPlan(p, q, plan)
+
+
 # --- group 5: affine images ------------------------------------------------
 
 

@@ -126,8 +126,8 @@ def test_every_rk4_user_rejects_a_bad_step(user, step):
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_rk4_rejects_non_finite_times(bad):
     # A NaN or infinite time must neither leave a state unmoved nor fail on
-    # an integer cast: ``integrate_flow`` names the argument, and the one RK4
-    # core names the time for its private callers.
+    # an integer cast: ``integrate_flow`` names the argument before the RK4
+    # core, which reads times only from it, sees the time.
     calls = {
         "t_start": [
             lambda: integrate_flow(ROTATION, [0.0, bad], 1.0, [np.zeros(2)] * 2),
@@ -137,15 +137,27 @@ def test_rk4_rejects_non_finite_times(bad):
             lambda: integrate_flow(ROTATION, [0.0, 0.5], bad, [np.zeros(2)] * 2),
             lambda: integrate_flow(ROTATION, 0.0, bad, np.zeros(2)),
         ],
-        "RK4 start and end times": [
-            lambda: _rk4(ROTATION, np.array([0.0, bad]), 1.0, np.zeros((2, 2)), 0.1),
-            lambda: _rk4(ROTATION, 0.0, bad, np.zeros(2), 0.1),
-        ],
     }
     for name, group in calls.items():
         for call in group:
             with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
                 call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_integrate_flow_names_a_state_that_is_not_finite(bad):
+    # It stepped the state and reported a numerical failure ("blew up").
+    state = np.array([0.0, bad])
+    with pytest.raises(ValueError, match=f"state must be finite, got {bad}"):
+        integrate_flow(ROTATION, 0.0, 1.0, state)
+    with pytest.raises(ValueError, match=f"state must be finite, got {bad}"):
+        integrate_flow(ROTATION, [0.0, 0.5], 1.0, [np.zeros(2), state])
+
+
+def test_integrate_flow_rejects_an_empty_batch():
+    # Once numpy's "need at least one array to concatenate".
+    with pytest.raises(ValueError, match="state must hold at least one state, got none"):
+        integrate_flow(ROTATION, [], 1.0, [])
 
 
 # --- group 2: error envelopes ---------------------------------------------------

@@ -8,6 +8,12 @@ and shows the value, never return NaN, inf, a verdict or a wrong number, or
 fail in a float conversion with OverflowError.  ``test_rows_cover_every_float_parameter``
 keeps the table whole, so a public function added with a float parameter and
 no row fails tier-1.
+
+``ARRAY_ROWS`` holds one row per public array parameter read by
+``_checks.finite_array``: a call that puts a value in one entry of an
+otherwise valid array.  NaN, inf, -inf and a numeric string, which
+``np.asarray(..., dtype=float)`` would read as a number, must each raise a
+ValueError that names the parameter.
 """
 
 import inspect
@@ -52,11 +58,14 @@ from ambiflow.dynamics import (
     integrate_flow,
 )
 from ambiflow.observability import (
+    LinearTimeVaryingSystem,
     check_schedule_observability,
+    eigenvalue_margin,
     estimation_error_bound,
     gramian_floor,
     max_kernel_derivative,
     observability_gramian,
+    reconstruct_state,
     robust_sampling_bound,
     sample_observability_matrix,
     system_from_json,
@@ -69,6 +78,8 @@ from ambiflow.uav_scenario import (
     constrained_min_expectation,
     dro_objective,
     initial_red_state,
+    reconstruct_red_state,
+    solve_dro,
 )
 
 MODULES = (dynamics, concentration, ambiguity, distribution, observability, uav_scenario)
@@ -209,6 +220,65 @@ def test_a_non_finite_number_fails_by_name(call, shown, bad):
         call(bad)
     message = str(exc.value)
     assert re.search(rf"\b{re.escape(shown)}\b", message) and str(bad) in message, message
+
+
+# (owner, parameter, call with the value in one entry, name the message shows).
+ARRAY_ROWS = [
+    ("DiscreteDistribution", "points", lambda v: DiscreteDistribution([[0.0], [v]], [0.5, 0.5])),
+    ("DiscreteDistribution", "weights", lambda v: DiscreteDistribution([[0.0], [1.0]], [0.5, v])),
+    ("TransportPlan", "matrix", lambda v: TransportPlan(P, Q, [[0.5, v], [0.0, 0.5]])),
+    ("coupling_upper_bound", "x", lambda v: coupling_upper_bound([[0.0], [v]], [[1.0], [1.0]])),
+    ("coupling_upper_bound", "y", lambda v: coupling_upper_bound([[0.0], [0.0]], [[1.0], [v]])),
+    ("integrate_flow", "state", lambda v: integrate_flow(FIELD, 0.0, 1.0, [1.0, v])),
+    ("LinearTimeVaryingSystem.lti", "a",
+     lambda v: LinearTimeVaryingSystem.lti([[0.0, 1.0], [v, 0.0]], [[1.0, 0.0]]), "A"),
+    ("LinearTimeVaryingSystem.lti", "c",
+     lambda v: LinearTimeVaryingSystem.lti([[0.0, 1.0], [-1.0, 0.0]], [[1.0, v]]), "C"),
+    ("system_from_json", "A",
+     lambda v: system_from_json({"A": [[0.0, 1.0], [v, 0.0]], "C": [[1.0, 0.0]]})),
+    ("observability_gramian", "t", lambda v: observability_gramian(LTI, [0.0, v], 1.0)),
+    ("max_kernel_derivative", "t", lambda v: max_kernel_derivative(LTV, [1.0, v], 0.25, 0.05)),
+    ("max_kernel_derivative", "s_low",
+     lambda v: max_kernel_derivative(LTV, 1.0, [0.25, v], 0.05)),
+    ("eigenvalue_margin", "obs_matrix",
+     lambda v: eigenvalue_margin([[1.0, 0.0], [0.0, v]], np.eye(2))),
+    ("eigenvalue_margin", "weight", lambda v: eigenvalue_margin(np.eye(2), [[1.0, 0.0], [0.0, v]])),
+    ("reconstruct_state", "obs_matrix",
+     lambda v: reconstruct_state([[1.0, 0.0], [0.0, v]], np.eye(2), [1.0, 1.0]), "O"),
+    ("reconstruct_state", "weight",
+     lambda v: reconstruct_state(np.eye(2), [[1.0, 0.0], [0.0, v]], [1.0, 1.0]), "W"),
+    ("reconstruct_state", "outputs", lambda v: reconstruct_state(np.eye(2), np.eye(2), [1.0, v]),
+     "y"),
+    ("reconstruct_red_state", "times",
+     lambda v: reconstruct_red_state([0.0, v, 1.0], np.zeros((3, 2)), SCENARIO), "sample times"),
+    ("reconstruct_red_state", "positions",
+     lambda v: reconstruct_red_state([0.0, 0.5, 1.0], [[0.0, 0.0], [v, 0.0], [0.0, 0.0]], SCENARIO)),
+    ("constrained_min_expectation", "weights",
+     lambda v: constrained_min_expectation([1.0, v], [[0.0], [0.0]], [1.0], 1.0)),
+    ("constrained_min_expectation", "costs",
+     lambda v: constrained_min_expectation([1.0], [[0.0, v]], [1.0, 0.0], 1.0)),
+    ("constrained_min_expectation", "values",
+     lambda v: constrained_min_expectation([1.0], [[0.0, 1.0]], [1.0, v], 1.0)),
+    ("dro_objective", "xi", lambda v: dro_objective(PROFILE, [*XI[:4], v], XI, SCENARIO)),
+    ("dro_objective", "known_state", lambda v: dro_objective(PROFILE, XI, [*XI[:4], v], SCENARIO)),
+    ("solve_dro", "known_state",
+     lambda v: solve_dro([*XI[:4], v], ball(), SCENARIO, n_t=20, n_starts=1)),
+]
+
+
+def _array_cases():
+    for owner, param, call, *shown in ARRAY_ROWS:
+        for bad in (math.nan, math.inf, -math.inf, "0.5"):
+            yield pytest.param(call, shown[0] if shown else param, bad, id=f"{owner}.{param}-{bad}")
+
+
+@pytest.mark.parametrize("call, shown, bad", _array_cases())
+def test_an_array_entry_that_is_not_finite_fails_by_name(call, shown, bad):
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    message = str(exc.value)
+    assert re.search(rf"\b{re.escape(shown)}\b", message), message
+    assert isinstance(bad, str) or str(bad) in message, message
 
 
 def _float_parameters():

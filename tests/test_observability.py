@@ -21,7 +21,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
-from ambiflow.dynamics import _rk4
+from ambiflow.dynamics import _rk4, _steps
 
 from ambiflow.observability import (
     EigenStructure,
@@ -850,13 +850,20 @@ def test_batched_sweep_matches_scalar_reference_on_any_grid(window_low, extra, t
     spans=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
     grid_step=st.floats(0.02, 0.3),
 )
+# A cell a rounding wide, 4.4e-16 after rounding, which the loop's RK4 call
+# does not step either.
+@example(
+    seed=0, d=2, anchors=[0.0, 0.0, 0.0, 1.0], spans=[0.0, 0.0, 0.0, 4.703787549346207e-16, 0.0],
+    grid_step=0.25,
+)
 def test_sweep_stacks_match_per_node_reference(seed, d, anchors, spans, grid_step):
     # Anchors and lower ends as ``max_kernel_derivative`` sweeps them: the
     # stacks give every column the per-node loop's taus and, within
     # LTV_RTOL, its Phi.  A is built once per distinct time, at both ends of
-    # every cell of nonzero width, and no more often than the loop builds it:
-    # a cell's one RK4 step ends on the next node itself, where the loop's
-    # step may land a rounding off it.
+    # every cell RK4 steps (``_steps``: a cell a rounding wide is the
+    # identity), and no more often than the loop builds it: a cell's one RK4
+    # step ends on the next node itself, where the loop's step may land a
+    # rounding off it.
     built = []
     sys = random_ltv(seed, d, record=built)
     t = np.array(anchors)
@@ -876,7 +883,7 @@ def test_sweep_stacks_match_per_node_reference(seed, d, anchors, spans, grid_ste
         assert np.array_equal(taus[live[:, i], i], want_taus)
         assert matches(phis[live[:, i], i], np.array(want_phis), exact=False)
     assert len(swept) == len(set(swept)) <= len(built)
-    cells = live[1:] & (taus[1:] != taus[:-1])
+    cells = live[1:] & _steps(taus[1:] - taus[:-1], taus[1:])
     assert set(taus[:-1][cells].tolist()) | set(taus[1:][cells].tolist()) <= set(swept)
 
 
@@ -958,19 +965,21 @@ def test_sweep_over_the_limit_fails_before_allocating(call, larger, nodes):
 
 
 @pytest.mark.parametrize(
-    "t, s_low, shown",
+    "t, s_low, message",
     [
-        (0.5, 0.75, "0.75, 0.5"),
+        pytest.param(0.5, 0.75, r"need s_low <= t, both finite, got \(0.75, 0.5\)",
+                     id="0.5-0.75-0.75, 0.5"),
         # A NaN end scanned the anchor alone; an infinite one failed on an index.
-        (1.0, math.nan, "nan, 1.0"),
-        (1.0, -math.inf, "-inf, 1.0"),
-        (math.inf, 0.5, "0.5, inf"),
+        pytest.param(1.0, math.nan, "s_low must be finite, got nan", id="1.0-nan-nan, 1.0"),
+        pytest.param(1.0, -math.inf, "s_low must be finite, got -inf", id="1.0--inf--inf, 1.0"),
+        pytest.param(math.inf, 0.5, "t must be finite, got inf", id="inf-0.5-0.5, inf"),
         # In a batch the message names the first anchor at fault.
-        ([1.0, 0.5, 0.2], [0.2, 0.75, 0.3], "0.75, 0.5"),
+        pytest.param([1.0, 0.5, 0.2], [0.2, 0.75, 0.3],
+                     r"need s_low <= t, both finite, got \(0.75, 0.5\)", id="t4-s_low4-0.75, 0.5"),
     ],
 )
-def test_kernel_derivative_needs_finite_s_low_at_most_t(t, s_low, shown):
-    with pytest.raises(ValueError, match=rf"need s_low <= t, both finite, got \({shown}\)"):
+def test_kernel_derivative_needs_finite_s_low_at_most_t(t, s_low, message):
+    with pytest.raises(ValueError, match=message):
         max_kernel_derivative(wobbly_system(), t, s_low, 0.05)
 
 
@@ -1430,6 +1439,43 @@ def test_system_from_json_matrices_and_builtins():
 def test_system_from_json_rejects_strings_and_unused_params(payload, message):
     with pytest.raises(ValueError, match=message):
         system_from_json(payload)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_constant_matrices_must_be_finite(bad):
+    # A NaN A was taken, and the sample matrix failed later as an
+    # OverflowError, a numerical failure, instead of naming A.
+    a, c = np.array([[0.0, 1.0], [bad, 0.0]]), np.array([[1.0, 0.0]])
+    with pytest.raises(ValueError, match=f"A must be finite, got {bad}"):
+        LinearTimeVaryingSystem.lti(a, c)
+    with pytest.raises(ValueError, match=f"A must be finite, got {bad}"):
+        system_from_json({"A": a.tolist(), "C": c.tolist()})
+    with pytest.raises(ValueError, match=f"C must be finite, got {bad}"):
+        LinearTimeVaryingSystem.lti(np.eye(2), np.array([[bad, 0.0]]))
+
+
+def test_constant_a_must_be_a_square_matrix():
+    # A 3-D A built a one-state system.
+    with pytest.raises(ValueError, match=re.escape("A(t) must be square, got (1, 1, 1)")):
+        LinearTimeVaryingSystem.lti([[[0.0]]], [[1.0]])
+
+
+def test_lti_copies_leave_the_caller_arrays_writable():
+    a, c = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0, 0.0]])
+    sys = LinearTimeVaryingSystem.lti(a, c)
+    a[1, 0] = c[0, 0] = 2.0
+    assert sys.a_const[1, 0] == -1.0 and sys.c_const[0, 0] == 1.0
+    assert not sys.a_const.flags.writeable and not sys.c_const.flags.writeable
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["obs_matrix", "weight"])
+def test_eigenvalue_margin_names_an_entry_that_is_not_finite(name, bad):
+    # A NaN failed inside numpy as "SVD did not converge".
+    args = {"obs_matrix": np.eye(2), "weight": np.eye(2)}
+    args[name][1, 1] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+        eigenvalue_margin(**args)
 
 
 def test_is_lti_means_constant_matrices():

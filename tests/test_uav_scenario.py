@@ -416,6 +416,36 @@ def test_nan_profile_is_rejected(call, entry):
         dro_objective(x, xi, known, cfg)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("name", ["xi", "known_state"])
+def test_dro_objective_names_a_watcher_state_that_is_not_finite(name, bad):
+    # A NaN candidate phase scored as no threat: the known watcher's clearance
+    # 0.706 came back, where this candidate's finite phase gives 0.609.  A
+    # NaN known state returned nan.
+    cfg = default_config()
+    x = np.full(cfg.n_segments, cfg.square_side / TWO_PI)
+    states = {"xi": initial_red_state(THETAS[2]), "known_state": initial_red_state(0.3)}
+    states[name][4] = bad
+    with pytest.raises(ValueError, match=f"{name} must be finite, got {bad}"):
+        dro_objective(x, states["xi"], states["known_state"], cfg)
+
+
+@pytest.mark.parametrize(
+    "known, message",
+    [
+        (np.array([1.0, 0.0, 0.0, 0.0, math.nan]), "known_state must be finite, got nan"),
+        (np.zeros(4), re.escape("known_state must hold (x, y, vx, vy, phase), got shape (4,)")),
+    ],
+    ids=["nan", "four-entries"],
+)
+def test_solve_dro_reads_the_known_state_by_the_rule(known, message):
+    # Both failed inside the clearance kernel with an IndexError.
+    cfg = default_config()
+    ball = AmbiguityBall(DiscreteDistribution.empirical(initial_red_state(THETAS[1])), 0.1)
+    with pytest.raises(ValueError, match=message):
+        solve_dro(known, ball, cfg, n_t=20, n_starts=1)
+
+
 def test_dro_objective_zero_when_paths_touch():
     cfg = default_config()
     # A watcher sitting exactly at the intruder's start at the grid's t = 0.
@@ -556,7 +586,8 @@ def test_constrained_expectation_rejects_bad_weights_and_costs(name, bad):
         w[1] = bad
     else:
         costs[1, 2] = bad
-    with pytest.raises(ValueError, match=f"{name} must be finite and nonnegative"):
+    rule = "finite and nonnegative" if math.isfinite(bad) else f"finite, got {bad}"
+    with pytest.raises(ValueError, match=f"{name} must be {rule}"):
         constrained_min_expectation(w, costs, np.array([4.0, 3.0, 1.0]), 1.0)
 
 
