@@ -6,7 +6,11 @@ ValueError reads "<name> must be finite, got <value>" for a value that is not a
 finite real number (a bool is not one, nor is an int too large for a float),
 or "<name> must be <range>, got <value>" with a range such as "positive",
 ">= 1" or "in (0, 1]".  ``finite_array`` reads an array by the same rule and
-shows its first entry that fails: NaN, inf, a bool, a string, a ragged row.
+shows its first entry that fails: NaN, inf, a bool (in a list of numbers
+too), a string, a ragged row.  ``times`` reads a row of sample times by that
+rule; the row must also hold ``at_least`` times or more, each strictly after
+the one before, with no tolerance, and the ValueError shows the first pair
+out of order.
 """
 
 from __future__ import annotations
@@ -56,8 +60,11 @@ def count(name: str, value, low: int | None = 1, high: int | None = None):
 
 def finite_array(name: str, values) -> np.ndarray:
     """``values`` as ``np.asarray(values, dtype=float)`` converts them, if each entry is finite."""
+    # numpy reads a bool among the numbers of a list as 1.0 or 0.0, so a list
+    # keeps its entries as they are.  An ndarray of numbers holds no bool.
+    listed = isinstance(values, (list, tuple))
     try:
-        array = np.asarray(values)
+        array = np.asarray(values, dtype=object if listed else None)
     except ValueError:  # ragged: its rows are the entries
         array = np.asarray(values, dtype=object)
     if array.dtype.kind not in "iuf":  # bools, strings and objects, entry by entry
@@ -67,6 +74,19 @@ def finite_array(name: str, values) -> np.ndarray:
     if not np.isfinite(array).all():
         raise _error(name, "finite", array[~np.isfinite(array)][0])
     return array
+
+
+def times(name: str, values, at_least: int = 1) -> np.ndarray:
+    """``values`` as a 1-D float array, read by ``finite_array``, if it holds at
+    least ``at_least`` times and each is after the one before."""
+    row = finite_array(name, values)
+    if row.ndim != 1 or len(row) < at_least:
+        raise ValueError(f"{name} must be a row of {at_least} or more times, got {row.tolist()}")
+    late = np.flatnonzero(row[1:] <= row[:-1])
+    if len(late):
+        a, b = row[late[0]], row[late[0] + 1]
+        raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
+    return row
 
 
 def _is(value, kind: type) -> bool:

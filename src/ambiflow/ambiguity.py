@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 from scipy.integrate import quad
 
+from ambiflow import _checks
 from ambiflow._checks import count, finite
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.distribution import DiscreteDistribution
@@ -49,9 +50,6 @@ __all__ = [
     "total_radius",
     "effective_horizon",
 ]
-
-_TIME_TOL = 1e-12
-
 
 @dataclass(frozen=True)
 class SamplingSchedule:
@@ -69,7 +67,7 @@ class SamplingSchedule:
 
     def __post_init__(self) -> None:
         norm = tuple(
-            tuple(float(finite(f"times of trajectory {i}", t)) for t in row)
+            tuple(_checks.times(f"times of trajectory {i}", row).tolist())
             for i, row in enumerate(self.times)
         )
         if len(norm) == 0:
@@ -77,14 +75,8 @@ class SamplingSchedule:
         lengths = {len(row) for row in norm}
         if len(lengths) != 1:
             raise ValueError(f"trajectories differ in length: {sorted(lengths)}")
-        if min(lengths) < 1:
-            raise ValueError("each trajectory needs at least one sample time")
-        for i, row in enumerate(norm):
-            gaps = np.diff(row)
-            if len(gaps) and gaps.min() <= _TIME_TOL:
-                raise ValueError(f"times of trajectory {i} are not increasing")
         last = [row[-1] for row in norm]
-        if any(b - a < -_TIME_TOL for a, b in zip(last, last[1:])):
+        if any(b < a for a, b in zip(last, last[1:])):
             raise ValueError("last sample times must be nondecreasing across members")
         count("effective_start", self.effective_start, high=len(norm))
         object.__setattr__(self, "times", norm)
@@ -144,7 +136,7 @@ def cumulative_empirical(
         raise ValueError("need at least one sample")
     finite("horizon", horizon)
     for idx, (t, _) in enumerate(samples):
-        if t > horizon + _TIME_TOL:
+        if finite(f"time of sample {idx}", t) > horizon:
             raise ValueError(
                 f"sample {idx} taken at t={t}, after the horizon {horizon}"
             )

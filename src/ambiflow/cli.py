@@ -34,6 +34,7 @@ from typing import Any, Sequence
 import numpy as np
 
 import ambiflow
+from ambiflow import _checks
 from ambiflow._checks import finite
 from ambiflow.ambiguity import effective_horizon, total_radius
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
@@ -103,7 +104,7 @@ def _reject_non_finite(value: Any, where: str) -> None:
 
 
 def _number(value: Any, where: str) -> float:
-    if not isinstance(value, (int, float)):
+    if type(value) not in (int, float):
         raise ValueError(f"field '{where}' must be a number, got {value!r}")
     return float(value)
 
@@ -353,13 +354,13 @@ def cmd_horizon(args: argparse.Namespace) -> int:
 def _schedule_rows(raw: Any) -> list[list[float]]:
     if not isinstance(raw, list) or not raw:
         raise ValueError("field 'schedules' must be a non-empty list of time lists")
-    rows = [_each(row, f"schedules[{i}]", _number) for i, row in enumerate(raw)]
-    for i, times in enumerate(rows):
-        if len(times) < 2 or times[0] < 0.0 or any(b <= a for a, b in zip(times, times[1:])):
-            raise ValueError(
-                f"field 'schedules[{i}]' must hold at least two strictly increasing "
-                f"times >= 0, got {times}"
-            )
+    rows = []
+    for i, row in enumerate(raw):
+        where = f"schedules[{i}]"
+        times = _checks.times(f"field '{where}'", _each(row, where, _number), at_least=2)
+        # The certificate's windows lie in [0, horizon].
+        finite(f"field '{where}[0]'", times[0], ge=0)
+        rows.append(times.tolist())
     return rows
 
 

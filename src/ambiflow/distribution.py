@@ -79,7 +79,7 @@ class DiscreteDistribution:
     def empirical(cls, points: np.ndarray) -> "DiscreteDistribution":
         """Equal-weight measure on the given rows."""
         n = len(np.atleast_2d(points))  # the constructor reads the points
-        return cls(points, np.full(n, 1.0 / n))
+        return cls(points, np.ones(n) / n)
 
 
 @dataclass(frozen=True)

@@ -236,9 +236,9 @@ def calibrate_flow_error(
     samples = list(samples)
     if not samples:
         raise ValueError("need at least one sample")
-    for t, _ in samples:
-        if t > horizon:
-            raise ValueError(f"sample time {t} beyond horizon {horizon}")
+    for idx, (t, _) in enumerate(samples):
+        if finite(f"time of sample {idx}", t) > horizon:
+            raise ValueError(f"sample {idx} taken at t={t}, after the horizon {horizon}")
     times, states = zip(*samples)
     coarse = integrate_flow(field, times, horizon, states, step)
     fine = integrate_flow(field, times, horizon, states, step / 10.0)

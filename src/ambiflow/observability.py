@@ -56,6 +56,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import expm
 
+from ambiflow import _checks
 from ambiflow._checks import count, finite, finite_array
 from ambiflow.dynamics import _read_params, _steps
 
@@ -143,8 +144,8 @@ class LinearTimeVaryingSystem:
         a0, c0 = _as_matrix(a_fn(0.0)), _as_matrix(c_fn(0.0))
         if a0.ndim != 2 or a0.shape[0] != a0.shape[1]:
             raise ValueError(f"A(t) must be square, got {a0.shape}")
-        if c0.shape[1] != a0.shape[0]:
-            raise ValueError(f"C(t) has {c0.shape[1]} columns, expected {a0.shape[0]}")
+        if c0.ndim != 2 or c0.shape[1] != a0.shape[0]:
+            raise ValueError(f"C(t) must be a matrix with {a0.shape[0]} columns, got {c0.shape}")
         return cls(
             a_fn=a_fn,
             c_fn=c_fn,
@@ -330,30 +331,21 @@ def sample_observability_matrix(sys: LinearTimeVaryingSystem, times: Sequence[fl
     only at the gap's own stage times, so an A(t) that varies faster than
     the gaps, and aliases at them, is not detected.
     """
-    ts = _sample_times(times)
+    ts = _checks.times("sample times", times)
     anchor = ts[-1]
     if sys.is_lti:
-        phis = expm(sys.a_const * (np.array(ts) - anchor)[:, None, None])
+        phis = expm(sys.a_const * (ts - anchor)[:, None, None])
         blocks = [sys.c_const @ phi for phi in phis]
     else:
-        cells = _gap_cells(sys.dim, functools.cache(sys.a_at), np.array(ts[::-1]))
+        cells = _gap_cells(sys.dim, functools.cache(sys.a_at), ts[::-1])
         phis = _chain(cells[:, None])[:, 0]
-        blocks = [sys.c_at(t) @ phi for t, phi in zip(ts, phis[::-1])]
+        blocks = [sys.c_at(t) @ phi for t, phi in zip(ts.tolist(), phis[::-1])]
     obs = np.vstack(blocks)
     if not np.isfinite(obs).all():
         raise OverflowError(
             f"sample observability matrix is not finite over [{ts[0]:.6g}, {anchor:.6g}]"
         )
     return obs
-
-
-def _sample_times(times: Sequence[float]) -> list[float]:
-    """The sample times as floats; ValueError names the first one that is not
-    a finite number, or says they are empty or do not strictly increase."""
-    ts = [float(finite("sample times", t)) for t in times]
-    if not ts or any(b - a <= 0.0 for a, b in zip(ts, ts[1:])):
-        raise ValueError("sample times must be non-empty and strictly increasing")
-    return ts
 
 
 def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
@@ -364,9 +356,7 @@ def weight_matrix(times: Sequence[float], n_outputs: int = 1) -> np.ndarray:
     they sum to the window span.  Each weight is repeated for the m output
     channels of its sample, so the result is (l*m) x (l*m).
     """
-    ts = _sample_times(times)
-    if len(ts) < 2:
-        raise ValueError("weights need at least two sample times")
+    ts = _checks.times("sample times", times, at_least=2)
     count("n_outputs", n_outputs)
     gaps = np.diff(ts)
     sq = np.empty(len(ts))
@@ -755,7 +745,7 @@ def check_schedule_observability(
     rows = []
     for i, row in enumerate(schedules):
         try:
-            rows.append(tuple(_sample_times(row)))
+            rows.append(tuple(_checks.times("sample times", row).tolist()))
         except ValueError as exc:
             raise ValueError(f"member {i + 1}: {exc}") from None
     if not rows:
@@ -887,8 +877,5 @@ def system_from_json(payload: dict) -> LinearTimeVaryingSystem:
             raise ValueError(f"params must be a mapping, got {params!r}")
         return _builtin_system(payload["name"], **params)
     if "A" in payload and "C" in payload:
-        a, c = np.asarray(payload["A"]), np.asarray(payload["C"])
-        if a.dtype.kind not in "iuf" or c.dtype.kind not in "iuf":  # e.g. strings or nulls
-            raise ValueError(f"A and C must be matrices of numbers, got {payload}")
-        return LinearTimeVaryingSystem.lti(a, c)
+        return LinearTimeVaryingSystem.lti(payload["A"], payload["C"])
     raise ValueError("system config needs either 'name' or both 'A' and 'C'")

@@ -46,6 +46,7 @@ from typing import Callable, Generator, Sequence
 
 import numpy as np
 
+from ambiflow import _checks
 from ambiflow._checks import count, finite, finite_array
 from ambiflow.concentration import calibrated_radius
 from ambiflow.distribution import DiscreteDistribution
@@ -216,14 +217,10 @@ def reconstruct_red_state(
     a lifted basis without full rank (every phase fits), are reported as
     errors rather than silently picked.
     """
-    ts = finite_array("sample times", times)
+    ts = _checks.times("sample times", times, at_least=3)
     pos = np.atleast_2d(finite_array("positions", positions))
-    if ts.ndim != 1 or len(ts) < 3:
-        raise ValueError(f"need at least three sample times, got {len(ts)}")
     if pos.shape != (len(ts), 2):
         raise ValueError(f"positions shape {pos.shape} does not match {len(ts)} times")
-    if np.any(np.diff(ts) <= 0.0):
-        raise ValueError("sample times must be strictly increasing")
     t_last = float(ts[-1])
     basis, _ = _tracker_basis(ts - t_last, cfg.tracking_gain, cfg.orbit_radius)
     design = basis[:, :2].real

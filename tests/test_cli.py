@@ -219,7 +219,7 @@ BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
             "observe",
             "system",
             '{"A": [["0", 1.0], [0.0, 1.0]], "C": [[1.0, 0.0]]}',
-            "system config: A and C must be matrices of numbers",
+            "system config: A must be finite, got '0'",
         ),
         (
             "observe",
@@ -597,16 +597,21 @@ def test_observe_schedule_check_is_per_member(tmp_path, schedules):
 
 
 @pytest.mark.parametrize(
-    "row",
-    [[1.5], [], [0.0, 1.0, 1.0], [0.0, 2.0, 1.0]],
+    "row, rule",
+    [
+        ([1.5], "be a row of 2 or more times, got [1.5]"),
+        ([], "be a row of 2 or more times, got []"),
+        ([0.0, 1.0, 1.0], "be strictly increasing, got 1.0 then 1.0"),
+        ([0.0, 2.0, 1.0], "be strictly increasing, got 2.0 then 1.0"),
+    ],
     ids=["single", "empty", "repeat", "unsorted"],
 )
-def test_observe_schedule_row_needs_two_increasing_times(tmp_path, capsys, row):
+def test_observe_schedule_row_needs_two_increasing_times(tmp_path, capsys, row, rule):
     payload = observe_payload(schedules=[[0.0, 0.5, 1.0], row])
     code, out = run(tmp_path, "observe", payload)
     assert code == 2
     err = capsys.readouterr().err
-    assert "'schedules[1]' must hold at least two strictly increasing times" in err
+    assert f"'schedules[1]' must {rule}" in err
     assert not out.exists()
 
 
@@ -621,7 +626,7 @@ def test_observe_rejects_negative_sample_times(tmp_path, capsys, schedules):
     code, out = run(tmp_path, "observe", observe_payload(schedules=schedules))
     assert code == 2
     err = capsys.readouterr().err
-    assert "'schedules[1]' must hold at least two strictly increasing times >= 0" in err
+    assert "'schedules[1][0]' must be nonnegative, got " in err
     assert not out.exists()
 
 

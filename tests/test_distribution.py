@@ -80,6 +80,12 @@ def test_empirical_and_dirac():
     assert delta.n_points == 1 and delta.weights[0] == 1.0
 
 
+def test_empirical_with_no_rows_fails_by_the_constructor_rule():
+    # Its equal weights 1 / n divided by zero first.
+    with pytest.raises(ValueError, match="a distribution needs at least one support point"):
+        DiscreteDistribution.empirical(np.zeros((0, 2)))
+
+
 def test_duplicate_points_not_merged():
     pts = np.array([[1.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     d = DiscreteDistribution.empirical(pts)

@@ -11,19 +11,27 @@ no row fails tier-1.
 
 ``ARRAY_ROWS`` holds one row per public array parameter read by
 ``_checks.finite_array``: a call that puts a value in one entry of an
-otherwise valid array.  NaN, inf, -inf and a numeric string, which
-``np.asarray(..., dtype=float)`` would read as a number, must each raise a
+otherwise valid array.  NaN, inf, -inf, a numeric string and a bool, which
+``np.asarray(..., dtype=float)`` would read as numbers, must each raise a
 ValueError that names the parameter.
+
+``TIME_ROWS`` holds one row per reader of a row of sample times, each read by
+``_checks.times``: NaN, a bool, a string, a repeated time, a decreasing pair
+and too few times must each raise a ValueError that names the row.
+``test_tables_cover_every_array_name`` keeps both tables whole: every name
+that ``src/`` gives ``finite_array`` or ``times`` must be one a row shows.
 """
 
+import ast
 import inspect
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ambiflow import ambiguity, concentration, distribution, dynamics, observability
+from ambiflow import ambiguity, cli, concentration, distribution, dynamics, observability
 from ambiflow import uav_scenario
 from ambiflow.ambiguity import (
     SamplingSchedule,
@@ -268,7 +276,7 @@ ARRAY_ROWS = [
 
 def _array_cases():
     for owner, param, call, *shown in ARRAY_ROWS:
-        for bad in (math.nan, math.inf, -math.inf, "0.5"):
+        for bad in (math.nan, math.inf, -math.inf, "0.5", True):
             yield pytest.param(call, shown[0] if shown else param, bad, id=f"{owner}.{param}-{bad}")
 
 
@@ -279,6 +287,101 @@ def test_an_array_entry_that_is_not_finite_fails_by_name(call, shown, bad):
     message = str(exc.value)
     assert re.search(rf"\b{re.escape(shown)}\b", message), message
     assert isinstance(bad, str) or str(bad) in message, message
+
+
+# (reader, call with a row of times, name the message shows, fewest times).
+TIME_ROWS = [
+    ("sample_observability_matrix", lambda ts: sample_observability_matrix(LTI, ts),
+     "sample times", 1),
+    ("weight_matrix", weight_matrix, "sample times", 2),
+    ("check_schedule_observability",
+     lambda ts: check_schedule_observability(LTI, [[0.0, 0.5], ts], "count"),
+     "member 2: sample times", 1),
+    ("SamplingSchedule", lambda ts: SamplingSchedule(((0.0,), tuple(ts))),
+     "times of trajectory 1", 1),
+    ("reconstruct_red_state",
+     lambda ts: reconstruct_red_state(ts, np.zeros((len(ts), 2)), SCENARIO), "sample times", 3),
+    # A config's row; an entry that is not a number is named by its index.
+    ("cli._schedule_rows", lambda ts: cli._schedule_rows([[0.0, 0.5], ts]), "'schedules[1]", 2),
+]
+
+
+def _time_cases():
+    bad_rows = {
+        "nan": ([0.0, math.nan, 2.0, 3.0], "got nan"),
+        "bool": ([0.0, True, 2.0, 3.0], "got True"),
+        "string": ([0.0, "0.5", 2.0, 3.0], "got '0.5'"),
+        "repeat": ([0.0, 1.0, 1.0, 3.0], "got 1.0 then 1.0"),
+        "decreasing": ([0.0, 2.0, 1.0, 3.0], "got 2.0 then 1.0"),
+    }
+    for owner, call, shown, at_least in TIME_ROWS:
+        few = ([0.0, 1.0, 2.0][: at_least - 1], f"must be a row of {at_least} or more times")
+        for case, (row, rule) in {**bad_rows, "too-few": few}.items():
+            yield pytest.param(call, row, shown, rule, id=f"{owner}-{case}")
+
+
+@pytest.mark.parametrize("call, row, shown, rule", _time_cases())
+def test_a_row_of_times_that_fails_the_rule_is_named(call, row, shown, rule):
+    with pytest.raises(ValueError) as exc:
+        call(row)
+    message = str(exc.value)
+    assert shown in message and rule in message, message
+
+
+@pytest.mark.parametrize(
+    "push",
+    [
+        pytest.param(lambda t: cumulative_empirical([(0.0, STATE), (t, STATE)], 1.0, FIELD),
+                     id="cumulative_empirical"),
+        pytest.param(
+            lambda t: calibrate_flow_error(FIELD, [(0.0, STATE), (t, STATE)], 1.0, 0.1, 1.0),
+            id="calibrate_flow_error",
+        ),
+    ],
+)
+def test_a_push_takes_no_sample_after_its_horizon(push):
+    # cumulative_empirical pushed a sample up to 1e-12 past the horizon
+    # backward, and both raised TypeError for a time that is not a number.
+    late = 1.0 + 1e-13
+    message = f"sample 1 taken at t={late}, after the horizon 1.0"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        push(late)
+    for bad, shown in (("0.5", "'0.5'"), (None, "None"), (math.nan, "nan")):
+        with pytest.raises(ValueError, match=f"time of sample 1 must be finite, got {shown}"):
+            push(bad)
+    push(1.0)
+
+
+def _shown_name(call, bad) -> str:
+    with pytest.raises(ValueError) as exc:
+        call(bad)
+    return str(exc.value).split(" must ")[0]
+
+
+def _read_names():
+    """(file, line, pattern) for each name literal or f-string that ``src/``
+    passes ``finite_array`` or ``times``; an f-string's fields match anything."""
+    for path in sorted((Path(__file__).resolve().parent.parent / "src" / "ambiflow").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            callee = getattr(func, "id", getattr(func, "attr", None))
+            if callee not in ("finite_array", "times") or not node.args:
+                continue
+            name = node.args[0]
+            if isinstance(name, ast.Constant):
+                yield path.name, node.lineno, re.escape(name.value)
+            elif isinstance(name, ast.JoinedStr):
+                yield path.name, node.lineno, "".join(
+                    re.escape(v.value) if isinstance(v, ast.Constant) else ".+" for v in name.values
+                )
+
+
+def test_tables_cover_every_array_name():
+    shown = {_shown_name(call, math.nan) for _, _, call, *_ in ARRAY_ROWS}
+    shown |= {_shown_name(call, [0.0, 1.0, 1.0]) for _, call, *_ in TIME_ROWS}
+    reads = list(_read_names())
+    uncovered = [read for read in reads if not any(re.fullmatch(read[2], name) for name in shown)]
+    assert len(reads) > 20 and not uncovered, uncovered
 
 
 def _float_parameters():

@@ -1279,9 +1279,13 @@ def test_schedule_criteria_judge_each_member_on_its_own():
     for rows in ([[0.0, 0.5, 1.0], [1.5, 2.0, 2.5, 3.0]], [[1.5, 2.0, 2.5], [0.0, 0.5, 1.0]]):
         diag = check_schedule_observability(sys, rows, "equidistant")
         assert diag.passed and diag.messages == ()
-    for bad in ([0.0, 0.5], [1.0, 1.0]), ([0.0, 0.5], []), ([0.0, 0.5], [2.0, 1.0]):
-        with pytest.raises(ValueError, match="member 2: sample times must be non-empty"):
-            check_schedule_observability(sys, bad, "equidistant")
+    for row, rule in (
+        ([1.0, 1.0], "be strictly increasing, got 1.0 then 1.0"),
+        ([], "be a row of 1 or more times, got []"),
+        ([2.0, 1.0], "be strictly increasing, got 2.0 then 1.0"),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"member 2: sample times must {rule}")):
+            check_schedule_observability(sys, [[0.0, 0.5], row], "equidistant")
     with pytest.raises(ValueError, match="at least one member"):
         check_schedule_observability(sys, [], "equidistant")
 
@@ -1427,8 +1431,8 @@ def test_system_from_json_matrices_and_builtins():
 @pytest.mark.parametrize(
     "payload, message",
     [
-        ({"A": [["0", 1.0], [0.0, 1.0]], "C": [[1.0, 0.0]]}, "matrices of numbers"),
-        ({"A": [[0.0, 1.0], [0.0, 0.0]], "C": [[None, 0.0]]}, "matrices of numbers"),
+        ({"A": [["0", 1.0], [0.0, 1.0]], "C": [[1.0, 0.0]]}, "A must be finite, got '0'"),
+        ({"A": [[0.0, 1.0], [0.0, 0.0]], "C": [[None, 0.0]]}, "C must be finite, got None"),
         ({"name": "rotating_sensor", "params": {"omega": "2"}}, "params.omega"),
         ({"name": "rotating_sensor", "params": {"omega": True}}, "params.omega"),
         ({"name": "double_integrator", "params": {"omega": 2}}, r"no params \['omega'\]"),
@@ -1458,6 +1462,15 @@ def test_constant_a_must_be_a_square_matrix():
     # A 3-D A built a one-state system.
     with pytest.raises(ValueError, match=re.escape("A(t) must be square, got (1, 1, 1)")):
         LinearTimeVaryingSystem.lti([[[0.0]]], [[1.0]])
+
+
+def test_c_must_be_a_matrix():
+    # A 3-D C built a one-output system whose sample matrix was 3-D.
+    message = re.escape("C(t) must be a matrix with 2 columns, got (1, 2, 2)")
+    with pytest.raises(ValueError, match=message):
+        LinearTimeVaryingSystem.lti([[0, 1], [-1, 0]], np.ones((1, 2, 2)))
+    with pytest.raises(ValueError, match=message):
+        LinearTimeVaryingSystem.time_varying(lambda t: np.eye(2), lambda t: np.ones((1, 2, 2)))
 
 
 def test_lti_copies_leave_the_caller_arrays_writable():

@@ -17,7 +17,7 @@ PACKAGE = ROOT / "src" / "ambiflow"
 
 # Public names with no caller yet, each with the reason it stays.
 UNREFERENCED = {
-    # ROADMAP item 3 (an ``ambiflow ball`` command) gives these a caller.
+    # ROADMAP item 4 (an ``ambiflow ball`` command) gives these a caller.
     "SamplingSchedule",
     "calibrate_flow_error",
     "flow_error_bound",
