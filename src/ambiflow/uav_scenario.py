@@ -23,8 +23,12 @@ where the expectation ranges over a Wasserstein ball around the empirical
 state distribution.  The inner infimum restricted to a finite candidate
 support is an exact linear program solved in closed form by a budgeted
 exchange argument (``constrained_min_expectation``), for a whole batch of
-profiles at once: the convex hull is built in Python only where a source
-atom's dominance staircase has more than one point.  The outer supremum is
+profiles at once: the convex hull is built in Python only for the (profile,
+atom) pairs whose dominance staircase steps below the base, and only from
+the candidates and staircase points that can be hull vertices.  The
+clearance field skips, bit for bit, every (time, candidate) tile whose
+bound (its squared x gap plus its y^2 floor) reaches the known-watcher
+clearance.  The outer supremum is
 pairwise coordinate ascent over the profile polytope (a probe grid, then a
 bounded Brent line search), started from the best local maxima of a fixed
 lattice of profiles, so the answer depends only on the problem.  The
@@ -332,8 +336,11 @@ def _clearance_kernel(
     known watcher and candidate j, one square over.  Everything that does
     not depend on the profile is computed once, here.
 
-    Exact pruning: rounding is monotone, so a cell fl(fl(cx - bx)^2 + cy^2) is at least cy^2 and
-    fl(fl(cx - bx)^2); where either reaches the known-watcher clearance it is skipped.
+    Exact pruning: rounded subtraction, squaring and addition are monotone and subtraction is
+    sign-symmetric, so every cell fl(fl(fl(cx - bx)^2) + cy^2) of a tile is at least
+    fl(fl(gap^2) + y2_lo): gap is the rounded distance from the tile's x range to the
+    intruder's, y2_lo the tile's least cy^2.  A tile whose bound reaches the known-watcher
+    clearance cannot undercut it, and is skipped.
     """
     tau = np.linspace(0.0, TWO_PI, n_t)
     coverage = _segment_coverage(tau, cfg.n_segments)
@@ -358,13 +365,13 @@ def _clearance_kernel(
         bx = _intruder_x(xs, coverage)  # (B, n_t), along y = 0
         best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
         bxp = bx[:, t_index].reshape(len(bx), n_tt, _TILE_T)
-        # A lower bound on every cell of a tile: its y^2 floor, or the square of the
-        # cells' own rounded x difference at the tile's closest x range.
+        # A lower bound on every cell of a tile: the square of the cells' own rounded x
+        # difference at the tile's closest x range, plus its y^2 floor.
         lb = x_lo - bxp.max(axis=2)[:, None, :]
         np.maximum(lb, bxp.min(axis=2)[:, None, :] - x_hi, out=lb)
         np.maximum(lb, 0.0, out=lb)
         np.square(lb, out=lb)
-        np.maximum(lb, y2_lo, out=lb)
+        np.add(lb, y2_lo, out=lb)
         cells = np.flatnonzero(lb < best_known[:, None, None])  # (b, j) rows in runs
         dc = np.full((len(bx) * n_tj, _TILE_J), np.inf)
         for s in range(0, len(cells), _TILE_CHUNK):
@@ -471,12 +478,20 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., lis
     """``constrained_min_expectation`` for fixed weights and costs, over a batch of values.
 
     Returns ``solve(values, budget)``, mapping (B, J) values to B optima.  Each live source
-    atom's candidates are sorted by cost once, here.  ``solve`` takes one atom at a time
-    for all B rows.  A row's hull starts at its base point: the best of the atom's
-    cheapest candidates.  Only the candidates that undercut every cheaper one (the
-    dominance staircase, from a running minimum in cost order) can join it, so the
-    staircase is gathered only for the rows with some value below the base, and the hull
-    and the greedy run in Python only for those rows.
+    atom's candidates are sorted by cost once, here.  A (row, atom) pair's hull starts at
+    its base point: the best of the atom's cheapest candidates.  Only the candidates that
+    undercut every cheaper one (the dominance staircase, from a running minimum in cost
+    order) can join it, so ``solve`` gathers the staircases of all pairs with some value
+    below their base in one pass, and runs the hull and the greedy in Python only for
+    those pairs.  Two exact skips shrink that work:
+
+    - a candidate at or above the largest base of every row cannot undercut a running
+      minimum, so its column is left out of the gather (base candidates stay);
+    - a staircase point above the chord from its pair's base to its last point is no
+      hull vertex, so it never reaches the Python hull.  The chord test is the hull's
+      own, less eight units of rounding: more than the seven roundings of its two sides
+      can lose, so it drops only points above the chord in exact arithmetic, and every
+      near-tie reaches the hull as it would without the skip.
     """
     live = np.flatnonzero(weights != 0.0)
     order = np.argsort(costs[live], axis=1, kind="stable")
@@ -489,44 +504,67 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., lis
             )
     # Only exactly equal costs merge: the first n_base candidates share the lowest cost.
     n_base = (sorted_costs == sorted_costs[:, :1]).sum(axis=1)
-    atoms = list(zip(weights[live].tolist(), order, sorted_costs, n_base.tolist()))
+    base_cols = order[np.arange(costs.shape[1]) < n_base[:, None]]  # atom by atom
+    base_starts = np.cumsum(n_base) - n_base
+    # twins[a, k]: position k + 1 of atom a's cost order is past its base candidates.
+    twins = np.arange(1, n_base.max(initial=1)) >= n_base[:, None]
+    w, c0 = weights[live], sorted_costs[:, 0]
+    w_list, c0_list = w.tolist(), c0.tolist()
 
     def solve(values: np.ndarray, budget: float) -> list[float]:
-        total = np.zeros(len(values))
-        lowest = values.min(axis=1)
+        if not len(live):
+            return [0.0] * len(values)
+        base = np.minimum.reduceat(values[:, base_cols], base_starts, axis=1)  # (B, atoms)
+        # Atom by atom from 0.0, as a per-row sum would round (+ 0.0 turns -0.0 into 0.0).
+        total = np.add.accumulate(w * base, axis=1)[:, -1] + 0.0
+        # A pair's staircase steps below its base iff some value is below the base.
+        lowest = np.minimum.reduce(values, axis=1)
+        rows, atoms = np.nonzero(lowest[:, None] < base)
+        if not len(rows):
+            return total.tolist()
+        # Leave out the columns at or above every row's largest base; keep base columns.
+        keep = np.logical_or.reduce(values < np.maximum.reduce(base, axis=1)[:, None], axis=0)
+        keep[base_cols] = True
+        kept = keep[order]  # the same count in every atom's row
+        k_order = order[kept].reshape(len(order), -1)
+        tail_c = sorted_costs[kept].reshape(len(order), -1)[:, 1:]
+        fs = values[rows[:, None], k_order[atoms]]
+        tail_f = fs[:, 1:]
+        step = tail_f < np.minimum.accumulate(fs[:, :-1], axis=1)
+        step[:, : twins.shape[1]] &= twins[atoms]
+        pair, col = np.nonzero(step)  # pair by pair, in cost order
+        step_c, step_f = tail_c[atoms[pair], col], tail_f[pair, col]
+        # A pair's last point L is the first place of its row minimum.  The hull would pop
+        # k from [base, k] for L when (f_k - f0)(c_L - c0) >= (f_L - f0)(c_k - c0); both
+        # sides are negative, and the right one gives up 2^-50 of itself.
+        last = tail_f.argmin(axis=1)
+        c0p, f0 = c0[atoms], base[rows, atoms]
+        d_cl, d_fl = tail_c[atoms, last] - c0p, lowest[rows] - f0
+        chord = d_fl[pair] * (step_c - c0p[pair]) * (1.0 - 2.0**-50)
+        hold = (step_f - f0[pair]) * d_cl[pair] < chord
+        hold |= col == last[pair]
+        pair, step_c, step_f = pair[hold], step_c[hold].tolist(), step_f[hold].tolist()
+        cuts = np.searchsorted(pair, np.arange(len(rows) + 1)).tolist()
         segments: dict[int, list[tuple[float, float]]] = {}  # row -> (slope, budget length)
-        for wi, oi, cs, m in atoms:
-            base = values[:, oi[:m]].min(axis=1)
-            total += wi * base  # in atom order, as a per-row sum would round
-            # A row's staircase steps below its base iff some value is below the base.
-            stepped = np.flatnonzero(lowest < base)
-            if not len(stepped):
-                continue
-            fs = values[stepped[:, None], oi]
-            run = np.minimum.accumulate(fs, axis=1)
-            # The later steps, row by row: the only points a hull can hold.
-            rows, cols = np.nonzero(fs[:, m:] < run[:, m - 1 : -1])
-            cols += m
-            cuts = np.searchsorted(rows, np.arange(len(stepped))).tolist() + [len(rows)]
-            step_c, step_f = cs[cols].tolist(), fs[rows, cols].tolist()
-            c0 = float(cs[0])
-            for b, f0, lo, hi in zip(stepped.tolist(), base[stepped].tolist(), cuts, cuts[1:]):
-                # Decreasing lower convex hull over (cost, value), from the base point.
-                hull = [(c0, f0)]
-                for c, f in zip(step_c[lo:hi], step_f[lo:hi]):
-                    while len(hull) >= 2:
-                        (c1, f1), (c2, f2) = hull[-2], hull[-1]
-                        # Drop the middle point when the new segment undercuts it (an
-                        # equal-cost twin always does, so hull costs are distinct).
-                        if (f2 - f1) * (c - c1) >= (f - f1) * (c2 - c1):
-                            hull.pop()
-                        else:
-                            break
-                    hull.append((c, f))
-                segments.setdefault(b, []).extend(
-                    ((f2 - f1) / (c2 - c1), wi * (c2 - c1))
-                    for (c1, f1), (c2, f2) in zip(hull, hull[1:])
-                )
+        pairs = zip(rows.tolist(), atoms.tolist(), f0.tolist(), cuts, cuts[1:])
+        for b, a, f0b, lo, hi in pairs:
+            # Decreasing lower convex hull over (cost, value), from the base point.
+            hull = [(c0_list[a], f0b)]
+            for c, f in zip(step_c[lo:hi], step_f[lo:hi]):
+                while len(hull) >= 2:
+                    (c1, f1), (c2, f2) = hull[-2], hull[-1]
+                    # Drop the middle point when the new segment undercuts it (an
+                    # equal-cost twin always does, so hull costs are distinct).
+                    if (f2 - f1) * (c - c1) >= (f - f1) * (c2 - c1):
+                        hull.pop()
+                    else:
+                        break
+                hull.append((c, f))
+            wi = w_list[a]
+            segments.setdefault(b, []).extend(
+                ((f2 - f1) / (c2 - c1), wi * (c2 - c1))
+                for (c1, f1), (c2, f2) in zip(hull, hull[1:])
+            )
         out = total.tolist()
         for b, segs in segments.items():
             remaining = budget

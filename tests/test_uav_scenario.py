@@ -727,17 +727,114 @@ def test_batched_lp_equals_the_per_profile_loop(data):
     assert got == [per_profile_lp(w, costs, f, budget) for f in values]
 
 
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batched_lp_on_collinear_staircases_equals_the_per_profile_loop(data):
+    # Values exactly affine in one atom's costs (integer squared distances, dyadic
+    # slopes), so every product in the hull test is exact and many staircase points lie
+    # exactly on a chord: the hull pops those (its test is >=), and the prefilter must
+    # leave that to it.  Lifted values step off the line by whole units.
+    grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
+    n_src = data.draw(st.integers(1, 3))
+    pts = data.draw(st.lists(grid, min_size=n_src, max_size=n_src + 12))
+    pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    cand = np.array(pts, dtype=float)
+    costs = ((cand[:n_src, None, :] - cand[None, :, :]) ** 2).sum(axis=2)  # order 2
+    weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
+    w = np.array(data.draw(st.lists(weight, min_size=n_src, max_size=n_src)))
+    line = st.tuples(
+        st.integers(0, n_src - 1), st.integers(20, 80), st.sampled_from([0.25, 0.5, 1.0, 2.0])
+    )
+    up = st.sampled_from([0.0, 0.0, 0.0, 1.0, 3.0])
+    lift = st.lists(up, min_size=len(pts), max_size=len(pts))
+    rows = data.draw(st.lists(st.tuples(line, lift), min_size=1, max_size=6))
+    values = np.array([a - s * costs[i] + np.array(lifted) for (i, a, s), lifted in rows])
+    budget = data.draw(st.one_of(st.just(0.0), st.just(math.inf), st.integers(0, 80)))
+    got = _sorted_sources(w, costs)(values, float(budget))
+    assert got == [per_profile_lp(w, costs, f, float(budget)) for f in values]
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_batched_lp_settles_near_ties_like_the_per_profile_loop(data):
+    # Values within one unit in the last place of a line in cost, so the chord and hull
+    # tests of most staircase points are decided by rounding: every near-tie must reach
+    # the Python hull, which then settles it exactly as the per-profile loop does.
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    n_src, n_cand = data.draw(st.integers(1, 3)), data.draw(st.integers(4, 40))
+    costs = rng.uniform(0.0, 1.0, (n_src, n_cand)) ** data.draw(st.sampled_from([1.0, 2.0]))
+    costs[np.arange(n_src), np.arange(n_src)] = 0.0
+    w = rng.uniform(0.05, 1.0, n_src)
+    n_rows = data.draw(st.integers(1, 6))
+    line = rng.uniform(1.0, 3.0, (n_rows, 1)) - rng.uniform(0.1, 2.0, (n_rows, 1)) * costs[
+        rng.integers(0, n_src, n_rows)
+    ]
+    values = np.nextafter(line, line + rng.choice([-1.0, 0.0, 1.0], line.shape))
+    budget = data.draw(st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 2.0)))
+    got = _sorted_sources(w, costs)(values, budget)
+    assert got == [per_profile_lp(w, costs, f, budget) for f in values]
+
+
+def staircase_lengths(weights, costs, values):
+    """(B,) longest dominance staircase below the base over the live atoms of each row."""
+    longest = np.zeros(len(values), dtype=int)
+    for wi, row in zip(weights, costs):
+        if wi == 0.0:
+            continue
+        order = np.argsort(row, kind="stable")
+        m = int((row[order] == row[order[0]]).sum())
+        fs = values[:, order]
+        run = np.minimum.accumulate(fs, axis=1)
+        longest = np.maximum(longest, (fs[:, m:] < run[:, m - 1 : -1]).sum(axis=1))
+    return longest
+
+
 def test_batched_lp_on_the_wide_ball_equals_the_per_profile_loop():
-    # The 808-candidate, 8-atom ball, on clearance rows of lattice profiles.
+    # The 808-candidate, 8-atom ball, on clearance rows of lattice profiles and of the
+    # first probe line of an ascent from the best of them, whose staircases are long.
     known, ball, cfg = wide_problem()
     cand = candidate_support(ball)
     points, weights = _merged_center(ball.center)
     costs = np.linalg.norm(points[:, None, :] - cand[None, :, :], axis=2)
     lattice, _ = _profile_lattice(cfg)
-    rows = _clearance_kernel(known, cand, cfg, 200)(lattice[::80])
+    values = _inner_evaluator(ball, cand, known, cfg, 200)(lattice)
+    best = int(np.argmax(values))
+    probes = next(uav._ascent(lattice[best].copy(), values[best], cfg))
+    clearance = _clearance_kernel(known, cand, cfg, 200)
+    assert (staircase_lengths(weights, costs, clearance(probes)) >= 20).sum() >= 3
+    rows = clearance(np.vstack([lattice[::80], probes]))
     for budget in (0.0, ball.radius, 10.0 * ball.radius):
         got = _sorted_sources(weights, costs)(rows, budget)
         assert got == [per_profile_lp(weights, costs, f, budget) for f in rows]
+
+
+def test_lp_calls_of_a_wide_solve_equal_the_per_profile_loop(monkeypatch):
+    # Every LP call of one solve on the wide ball is recorded; a spread sample of them,
+    # and the five with the longest staircases, give the per-profile loop's bits.
+    known, ball, cfg = wide_problem()
+    calls = []
+    make_solver = uav._sorted_sources
+
+    def recording_sources(weights, costs):
+        solve = make_solver(weights, costs)
+
+        def recorded(values, budget):
+            out = solve(values, budget)
+            calls.append((weights, costs, values.copy(), budget, out))
+            return out
+
+        return recorded
+
+    monkeypatch.setattr(uav, "_sorted_sources", recording_sources)
+    solve_dro(known, ball, cfg, n_starts=3)
+    longest = [staircase_lengths(w, c, v).max() for w, c, v, *_ in calls]
+    assert len(calls) >= 100 and max(longest) >= 20
+    picked = set(np.argsort(longest, kind="stable")[-5:].tolist())
+    picked |= set(range(0, len(calls), -(-len(calls) // 25)))
+    assert len(picked) >= 25
+    for i in sorted(picked):
+        weights, costs, values, budget, out = calls[i]
+        assert out == [per_profile_lp(weights, costs, f, budget) for f in values]
 
 
 # --- group 6: candidate supports and inner infimum -----------------------------------
@@ -847,7 +944,11 @@ def test_clearance_kernel_equals_dense_reference(data):
     # Pruned cells can never undercut the known-watcher clearance, so the kernel
     # equals the full grid bit for bit.  Edge cases: a known watcher on the
     # intruder's start point (best_known = 0: every cell pruned) and candidates
-    # circling 100 units out (every column pruned).
+    # circling 100 units out (every column pruned).  Each term of a tile's bound
+    # decides alone on ellipses X cos(g t + a) + i Y sin(g t + a) about the next
+    # square's centre (plus the reference circle): "straddle" sweeps x across the
+    # intruder's path at |y| up to 4 (no x gap: the y^2 floor decides), "along x"
+    # sweeps far along x near y = 0 (the x gap decides).
     cfg = ScenarioConfig(n_segments=data.draw(st.sampled_from([2, 3, 4])))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     n_atoms = data.draw(st.integers(1, 8))
@@ -857,12 +958,20 @@ def test_clearance_kernel_equals_dense_reference(data):
     cand = candidate_support(AmbiguityBall(DiscreteDistribution.empirical(atoms), radius))
     known = initial_red_state(rng.uniform(0.0, TWO_PI))
     known[:4] += rng.uniform(-0.2, 0.2, 4)
-    case = data.draw(st.sampled_from(["random", "touching", "far"]))
+    case = data.draw(st.sampled_from(["random", "touching", "far", "straddle", "along x"]))
     if case == "touching":
         known[:2] = 0.0
     if case == "far":
         z0 = 100.0 * np.exp(1j * rng.uniform(0.0, TWO_PI, len(cand)))
         v0 = 1j * cfg.tracking_gain * z0  # z0 cos(g t) + v0 sin(g t) / g = z0 e^{i g t}
+        cand = np.column_stack([z0.real, z0.imag, v0.real, v0.imag, cand[:, 4]])
+    if case in ("straddle", "along x"):
+        straddle = case == "straddle"
+        x_range, y_range = [(0.0, 3.0), (2.0, 4.0)] if straddle else [(5.0, 30.0), (0.0, 0.1)]
+        a = cand[:, 4] + rng.uniform(0.0, TWO_PI)  # neighbours in a tile move together
+        x_ax, y_ax = rng.uniform(*x_range), rng.uniform(*y_range)
+        z0 = x_ax * np.cos(a) + 1j * y_ax * np.sin(a)
+        v0 = cfg.tracking_gain * (1j * y_ax * np.cos(a) - x_ax * np.sin(a))
         cand = np.column_stack([z0.real, z0.imag, v0.real, v0.imag, cand[:, 4]])
     n_t = data.draw(st.integers(2, 200))
     chunk = data.draw(st.sampled_from([uav._TILE_CHUNK, 5]))  # runs split across chunks
