@@ -1,7 +1,9 @@
-"""One rule for the numbers the library reads.
+"""One rule for the numbers the library and the command line read.
 
 ``finite`` passes a finite real number in an optional range and ``count`` an
-integer in one; each returns its value unchanged.  Otherwise the
+integer in one; each returns its value unchanged.  No other module tests a
+number by hand: they read the scalars of the public API, built-in params,
+checkpoints and every config number of the command line.  Otherwise the
 ValueError reads "<name> must be finite, got <value>" for a value that is not a
 finite real number (a bool is not one, nor is an int too large for a float),
 or "<name> must be <range>, got <value>" with a range such as "positive",
@@ -10,7 +12,8 @@ shows its first entry that fails: NaN, inf, a bool (in a list of numbers
 too), a string, a ragged row.  ``times`` reads a row of sample times by that
 rule; the row must also hold ``at_least`` times or more, each strictly after
 the one before, with no tolerance, and the ValueError shows the first pair
-out of order.
+out of order.  ``samples`` reads a set of (t, state) samples pushed to a
+horizon: one or more, each time finite and none after the horizon.
 """
 
 from __future__ import annotations
@@ -87,6 +90,19 @@ def times(name: str, values, at_least: int = 1) -> np.ndarray:
         a, b = row[late[0]], row[late[0] + 1]
         raise ValueError(f"{name} must be strictly increasing, got {a} then {b}")
     return row
+
+
+def samples(samples, horizon: float) -> tuple[tuple, tuple]:
+    """The times and the states of ``samples``, (t, state) pairs pushed to
+    ``horizon``: one or more, each t finite and none after the horizon."""
+    finite("horizon", horizon)
+    samples = list(samples)
+    if not samples:
+        raise ValueError("need at least one sample")
+    for idx, (t, _) in enumerate(samples):
+        if finite(f"time of sample {idx}", t) > horizon:
+            raise ValueError(f"sample {idx} taken at t={t}, after the horizon {horizon}")
+    return tuple(zip(*samples))
 
 
 def _is(value, kind: type) -> bool:

@@ -132,15 +132,7 @@ def cumulative_empirical(
     one RK4 sweep on their own step grids; sample times beyond the horizon
     are rejected.  Colliding images stay separate atoms.
     """
-    if len(samples) == 0:
-        raise ValueError("need at least one sample")
-    finite("horizon", horizon)
-    for idx, (t, _) in enumerate(samples):
-        if finite(f"time of sample {idx}", t) > horizon:
-            raise ValueError(
-                f"sample {idx} taken at t={t}, after the horizon {horizon}"
-            )
-    times, states = zip(*samples)
+    times, states = _checks.samples(samples, horizon)
     return DiscreteDistribution.empirical(integrate_flow(field, times, horizon, states, step))
 
 

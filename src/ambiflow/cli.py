@@ -12,9 +12,11 @@ Each handler reads its config, computes every result, and only then makes
 the output directory and writes the manifest (command name, fully resolved
 config, seed, tool version, output names) followed by the artifacts, all in
 one ``_write_run`` call.  So every config and library check runs first, and a
-run that exits 2 or 3 writes nothing.  A config key the command does not read
-is an error.  Reruns with the same manifest are byte-identical: floats are
-written with 17 significant digits and JSON keys are sorted.
+run that exits 2 or 3 writes nothing.  Every config number goes through the
+library's rule (``_checks.finite``, ``_checks.count``) named by its dotted
+field, and a config key the command does not read is an error.  Reruns with
+the same manifest are byte-identical: floats are written with 17 significant
+digits and JSON keys are sorted.
 
 Exit codes: 0 success, 2 bad config (any ValueError; the message to stderr
 names the offending field), 3 numerical failure (any ArithmeticError).
@@ -35,17 +37,19 @@ import numpy as np
 
 import ambiflow
 from ambiflow import _checks
-from ambiflow._checks import finite
+from ambiflow._checks import count, finite
 from ambiflow.ambiguity import effective_horizon, total_radius
 from ambiflow.concentration import RadiusConfig, ambiguity_radius
 from ambiflow.dynamics import FlowErrorModel
 from ambiflow.observability import (
+    _MIN_SINGULAR,
     _SCHEDULE_CRITERIA,
-    _sampling_bound_and_floor,
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
+    gramian_floor,
     reconstruct_state,
+    robust_sampling_bound,
     sample_observability_matrix,
     system_from_json,
     weight_matrix,
@@ -87,11 +91,9 @@ def _reject_non_finite(value: Any, where: str) -> None:
     ``json`` accepts NaN, Infinity, overflowing literals such as 1e999 and integers
     too large for a float; none is a meaningful setting, and no field takes a boolean.
     """
-    if isinstance(value, bool):
-        raise ValueError(f"field '{where}' must be a number, got {value!r}")
-    if isinstance(value, (int, float)) and not abs(value) <= sys.float_info.max:
-        raise ValueError(f"field '{where}' must be a finite number, got {value}")
-    if isinstance(value, dict):
+    if isinstance(value, (int, float)):  # a bool is an int
+        finite(f"field '{where}'", value)
+    elif isinstance(value, dict):
         for key, item in value.items():
             _reject_non_finite(item, f"{where}.{key}" if where else str(key))
     elif isinstance(value, list):
@@ -100,24 +102,20 @@ def _reject_non_finite(value: Any, where: str) -> None:
 
 
 # Readers take a raw value and its dotted path.  Every config number goes
-# through ``_number`` or ``_integer``; booleans never reach them.
+# through ``_number`` or ``_integer``, the library's rule with the field named.
 
 
 def _number(value: Any, where: str) -> float:
-    if type(value) not in (int, float):
-        raise ValueError(f"field '{where}' must be a number, got {value!r}")
-    return float(value)
+    return float(finite(f"field '{where}'", value))
 
 
 def _integer(value: Any, where: str) -> int:
     """Every integer a command reads is a count, so it must be >= 1."""
-    if not isinstance(value, int) or value < 1:
-        raise ValueError(f"field '{where}' must be an integer >= 1, got {value!r}")
-    return value
+    return count(f"field '{where}'", value)
 
 
 def _nonnegative(value: Any, where: str) -> float:
-    return finite(f"field '{where}'", _number(value, where), ge=0)
+    return float(finite(f"field '{where}'", value, ge=0))
 
 
 def _each(values: Any, where: str, read) -> list:
@@ -375,7 +373,7 @@ def _observe_trajectory(
     obs = sample_observability_matrix(sys_model, times)
     weight = weight_matrix(times, sys_model.n_outputs)
     margin = eigenvalue_margin(obs, weight)
-    rank = int(np.linalg.matrix_rank(weight @ obs))
+    rank = int(np.linalg.matrix_rank(weight @ obs, rtol=_MIN_SINGULAR))  # reconstruct_state's rule
     entry: dict[str, Any] = {
         "times": list(times),
         "rank": rank,
@@ -431,10 +429,10 @@ def cmd_observe(args: argparse.Namespace) -> int:
 
     err_bound = None
     try:
-        # The certificate keeps a fraction of the floor over the shortest window.
-        bound, floor = _sampling_bound_and_floor(
-            sys_model, min(spans), max(spans), horizon, retention
-        )
+        # The certificate keeps a fraction of the floor over the shortest
+        # window; the system keeps that floor, so asking for it is a lookup.
+        bound = robust_sampling_bound(sys_model, min(spans), max(spans), horizon, retention)
+        floor = gramian_floor(sys_model, min(spans), horizon)
         err_bound = estimation_error_bound(max(spans), floor, retention, noise)
         payload["gap_bound"] = None if math.isinf(bound) else bound
         payload["max_gap"] = float(max(gaps))
@@ -487,10 +485,8 @@ def cmd_uav(args: argparse.Namespace) -> int:
     scenario = _build("scenario", ScenarioConfig.from_json, scenario_raw)
     n_realizations = _field(raw, "realizations", "", _integer)
     checkpoints = _each(_field(raw, "checkpoints", ""), "checkpoints", _integer)
-    n_t = _field(raw, "time_grid", "", _integer, default=200)
+    n_t = count("field 'time_grid'", _field(raw, "time_grid", "", default=200), low=2)
     n_starts = _field(raw, "solver_starts", "", _integer, default=20)
-    if n_t < 2:
-        raise ValueError(f"field 'time_grid' must be >= 2 time nodes, got {n_t}")
 
     report = run_experiment(
         scenario, n_realizations, checkpoints, n_t=n_t, n_starts=n_starts, jobs=args.jobs

@@ -29,13 +29,13 @@ budget:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from ambiflow._checks import finite, finite_array
+from ambiflow import _checks
+from ambiflow._checks import count, finite, finite_array
 
 __all__ = [
     "VectorField",
@@ -230,16 +230,9 @@ def calibrate_flow_error(
     ``safety`` >= 1.  At least one sample is needed: none would certify an
     exact integrator from no evidence.
     """
-    finite("horizon", horizon)
+    times, states = _checks.samples(samples, horizon)
     finite("rate", rate, gt=0)
     finite("safety", safety, ge=1)
-    samples = list(samples)
-    if not samples:
-        raise ValueError("need at least one sample")
-    for idx, (t, _) in enumerate(samples):
-        if finite(f"time of sample {idx}", t) > horizon:
-            raise ValueError(f"sample {idx} taken at t={t}, after the horizon {horizon}")
-    times, states = zip(*samples)
     coarse = integrate_flow(field, times, horizon, states, step)
     fine = integrate_flow(field, times, horizon, states, step / 10.0)
     # A span shorter than ``step`` takes one short working step, which
@@ -248,10 +241,10 @@ def calibrate_flow_error(
     for i, t in enumerate(times):
         if 0.0 < horizon - t < step:
             fine[i] = integrate_flow(field, t, horizon, states[i], (horizon - t) / 10.0)
-    worst = 0.0
+    worst, unit = 0.0, FlowErrorModel(magnitude=1.0, rate=rate)
     for t, a, b in zip(times, coarse, fine):
         gap = float(np.linalg.norm(a - b))
-        growth = math.expm1(rate * (horizon - t))
+        growth = flow_error_bound(unit, t, horizon)
         if growth > 0.0:
             worst = max(worst, gap / growth)
     return FlowErrorModel(magnitude=safety * worst, rate=rate)
@@ -359,22 +352,17 @@ def _make_orbit_tracker(orbit_radius: float, gain: float):
 def _read_params(name: str, params: dict, defaults: dict) -> dict:
     """The params of built-in ``name``: ``defaults`` with ``params`` in place.
 
-    A param with an int default is a count and must be an int >= 1; every
-    other param must be a finite real number.  ValueError names a param the
-    built-in does not take, a bool, a string or a non-finite value.
+    A param with an int default is a count (``_checks.count``); every other
+    is a finite real number (``_checks.finite``), read as a float.
+    ValueError names a param the built-in does not take, or ``params.<key>``.
     """
     extra = sorted(set(params) - set(defaults))
     if extra:
         raise ValueError(f"{name} takes no params {extra}")
     out = dict(defaults)
     for key, value in params.items():
-        count = isinstance(defaults[key], int)
-        kind = numbers.Integral if count else numbers.Real
-        ok = isinstance(value, kind) and not isinstance(value, bool)
-        if not (ok and (value >= 1 if count else math.isfinite(value))):
-            what = "an integer >= 1" if count else "a finite real number"
-            raise ValueError(f"params.{key} must be {what}, got {value!r}")
-        out[key] = int(value) if count else float(value)
+        read = count if isinstance(defaults[key], int) else finite
+        out[key] = type(defaults[key])(read(f"params.{key}", value))
     return out
 
 

@@ -529,20 +529,9 @@ def robust_sampling_bound(
     the general form replaces the numerator factor 2 by 4 and the
     denominator by the worst s-derivative of the kernel over admissible
     (s, t) pairs.  Extrema are approximated on grids of spacing
-    ``grid_step`` (default window_low / 100).
+    ``grid_step`` (default window_low / 100).  The floor is ``gramian_floor``
+    over window_low, which the system keeps: asking for it after is a lookup.
     """
-    return _sampling_bound_and_floor(sys, window_low, window_up, horizon, retention, grid_step)[0]
-
-
-def _sampling_bound_and_floor(
-    sys: LinearTimeVaryingSystem,
-    window_low: float,
-    window_up: float,
-    horizon: float,
-    retention: float,
-    grid_step: float | None = None,
-) -> tuple[float, float]:
-    """``robust_sampling_bound`` and the Gramian floor over window_low it keeps a fraction of."""
     finite("window_low", window_low, gt=0)
     finite("window_up", window_up, ge=window_low)
     finite("horizon", horizon, ge=window_up)
@@ -573,8 +562,8 @@ def _sampling_bound_and_floor(
         lows = np.maximum(0.0, anchors - window_up)
         worst = max_kernel_derivative(sys, anchors, lows, grid_step)
     if worst == 0.0:
-        return math.inf, floor
-    return factor * (1.0 - retention) * floor / (window_up * worst), floor
+        return math.inf
+    return factor * (1.0 - retention) * floor / (window_up * worst)
 
 
 # --- reconstruction ---------------------------------------------------------------

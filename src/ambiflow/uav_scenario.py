@@ -43,7 +43,6 @@ problem once.
 from __future__ import annotations
 
 import math
-import numbers
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 from typing import Callable, Generator, Sequence
@@ -924,13 +923,10 @@ def _realization_problems(cfg: ScenarioConfig, realization: int, cps: list[int])
 
 def _checkpoints(checkpoints: Sequence[int]) -> list[int]:
     """The checkpoints in increasing order; ValueError names an entry that is not
-    an int >= 1 (a bool or a float is not)."""
-    for c in checkpoints:
-        if isinstance(c, bool) or not isinstance(c, numbers.Integral) or c < 1:
-            raise ValueError(f"checkpoints must be positive integers, got {c!r} in {checkpoints}")
+    a count (a bool or a float is not)."""
     if not checkpoints:
         raise ValueError("checkpoints must be positive integers, got none")
-    return sorted(int(c) for c in checkpoints)
+    return sorted(int(count(f"checkpoints[{i}]", c)) for i, c in enumerate(checkpoints))
 
 
 def _experiment_rows(

@@ -18,7 +18,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ambiflow
-import ambiflow.cli as cli
 import ambiflow.observability as obs
 from ambiflow.ambiguity import total_radius
 from ambiflow.cli import main
@@ -639,7 +638,7 @@ def test_observe_rejects_non_numeric_sample_times(tmp_path, capsys, row, shown):
     code, out = run(tmp_path, "observe", observe_payload(schedules=[[0.0, 0.5, 1.0], row]))
     assert code == 2
     err = capsys.readouterr().err
-    assert f"'schedules[1][1]' must be a number, got {shown}" in err
+    assert f"'schedules[1][1]' must be finite, got {shown}" in err
     assert not out.exists()
 
 
@@ -655,6 +654,18 @@ def test_observe_ltv_skips_schedule_check(tmp_path):
     assert data["system"]["lti"] is False
     assert "schedule_check" not in data
     assert data["trajectories"][0]["full_rank"] is True
+
+
+def test_observe_counts_rank_by_the_reconstruction_floor(tmp_path):
+    # Samples 1e-11 s apart leave W O a singular-value ratio below the 1e-10
+    # floor that reconstruct_state rejects; numpy's default tolerance counted
+    # full rank beside that failure.
+    payload = observe_payload(schedules=[[0.0, 1e-11, 2e-11]], noise=0.0)
+    code, out = run(tmp_path, "observe", payload)
+    assert code == 0
+    entry = json.loads((out / "observe.json").read_text())["trajectories"][0]
+    assert "numerically rank deficient" in entry["failure"]
+    assert entry["rank"] == 1 and entry["full_rank"] is False
 
 
 def test_observe_seed_changes_noise_draws(tmp_path):
@@ -708,22 +719,23 @@ def test_observe_error_bound_uses_the_shortest_window(tmp_path):
 
 def test_observe_computes_the_gramian_floor_once(tmp_path, monkeypatch):
     # The certificate's floor over the shortest window serves the gap bound and
-    # the error bound alike.
+    # the error bound alike: the error bound's ``gramian_floor`` is a lookup
+    # of the floor the gap bound kept, so the Gramians are computed once.
     calls = []
-    floor = obs.gramian_floor
+    gramian = obs.observability_gramian
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return floor(*args, **kwargs)
+        return gramian(*args, **kwargs)
 
-    monkeypatch.setattr(obs, "gramian_floor", counted)
-    monkeypatch.setattr(cli, "gramian_floor", counted, raising=False)
+    monkeypatch.setattr(obs, "observability_gramian", counted)
     code, out = run(tmp_path, "observe", observe_payload())
     assert code == 0
     assert len(calls) == 1
     data = json.loads((out / "observe.json").read_text())
     sys = LinearTimeVaryingSystem.lti([[0.0, 1.0], [0.0, 0.0]], [[1.0, 0.0]])
-    assert data["error_bound"] == estimation_error_bound(1.0, floor(sys, 1.0, 2.5), 0.5, 0.01)
+    floor = gramian_floor(sys, 1.0, 2.5)
+    assert data["error_bound"] == estimation_error_bound(1.0, floor, 0.5, 0.01)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -331,11 +331,11 @@ def test_unknown_field_name():
         ("forced_norm_growth", {"dim": 2.7}, "params.dim must be an integer >= 1, got 2.7"),
         ("forced_norm_growth", {"dim": 0}, "params.dim must be an integer >= 1, got 0"),
         ("forced_norm_growth", {"dim": True}, "params.dim must be an integer >= 1, got True"),
-        ("forced_norm_growth", {"gain": "2"}, "params.gain must be a finite real number, got '2'"),
-        ("forced_norm_growth", {"exponent": math.nan}, "params.exponent must be a finite real"),
+        ("forced_norm_growth", {"gain": "2"}, "params.gain must be finite, got '2'"),
+        ("forced_norm_growth", {"exponent": math.nan}, "params.exponent must be finite, got nan"),
         ("double_integrator", {"gain": 5}, r"double_integrator takes no params \['gain'\]"),
-        ("orbit_tracker", {"gain": True}, "params.gain must be a finite real number, got True"),
-        ("orbit_tracker", {"orbit_radius": math.inf}, "params.orbit_radius must be a finite"),
+        ("orbit_tracker", {"gain": True}, "params.gain must be finite, got True"),
+        ("orbit_tracker", {"orbit_radius": math.inf}, "params.orbit_radius must be finite, got inf"),
         ("orbit_tracker", {"gain": 4.0, "phase": 1.0}, r"takes no params \['phase'\]"),
     ],
 )

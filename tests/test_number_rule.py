@@ -20,6 +20,10 @@ ValueError that names the parameter.
 and too few times must each raise a ValueError that names the row.
 ``test_tables_cover_every_array_name`` keeps both tables whole: every name
 that ``src/`` gives ``finite_array`` or ``times`` must be one a row shows.
+
+The params of the built-in fields and systems and the experiment's
+checkpoints are read by the same rule, named ``params.<key>`` and
+``checkpoints[i]``.
 """
 
 import ast
@@ -460,3 +464,38 @@ def test_a_time_too_large_for_a_float_fails_by_name(call, name):
     # numerical failure instead of naming the time.
     with pytest.raises(ValueError, match=f"{name} must be finite, got {BIG_INT}"):
         call()
+
+
+def _gain(v):
+    return builtin_field("forced_norm_growth", gain=v)
+
+
+def _omega(v):
+    return system_from_json({"name": "rotating_sensor", "params": {"omega": v}})
+
+
+def _checkpoint(v):
+    return uav_scenario.run_experiment(ScenarioConfig(), 1, [v])
+
+
+@pytest.mark.parametrize(
+    "call, bad, message",
+    [
+        *[
+            pytest.param(call, bad, f"{name} must be finite, got {shown}", id=f"{name}-{label}")
+            for call, name in ((_gain, "params.gain"), (_omega, "params.omega"))
+            for bad, shown, label in (
+                (BIG_INT, BIG_INT, "10**400"), (True, True, "bool"), ("2", "'2'", "string"),
+                (math.nan, "nan", "nan"),
+            )
+        ],
+        pytest.param(_checkpoint, True, "checkpoints[0] must be an integer >= 1, got True",
+                     id="checkpoints[0]-bool"),
+    ],
+)
+def test_a_builtin_param_or_checkpoint_is_read_by_the_rule(call, bad, message):
+    # The built-in params were read through math.isfinite, which raised
+    # OverflowError on an int too large for a float instead of naming it.
+    # A checkpoint is a count: a bool is not the int 1.
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(bad)

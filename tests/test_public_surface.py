@@ -20,7 +20,6 @@ UNREFERENCED = {
     # ROADMAP item 4 (an ``ambiflow ball`` command) gives these a caller.
     "SamplingSchedule",
     "calibrate_flow_error",
-    "flow_error_bound",
     "growth_bound",
     # Oracles: ``ambiguity_radius`` inverts ``deviation_bound`` and the
     # radius tests check it against that bound; ``critical_rate`` is the

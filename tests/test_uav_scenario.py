@@ -1441,11 +1441,13 @@ def test_experiment_validates_arguments():
     [([1.7], "1.7"), ([True], "True"), ([2, 1.0], "1.0"), (["3"], "'3'"), ([0], "0")],
 )
 def test_experiment_rejects_checkpoints_that_are_not_counts(checkpoints, shown):
-    # A float or a bool is not read as the int it rounds to.
+    # A float or a bool is not read as the int it rounds to.  The bad entry
+    # is the last one, named by its index.
     cfg = default_config(1)
-    with pytest.raises(ValueError, match=f"got {re.escape(shown)} in"):
+    message = f"checkpoints[{len(checkpoints) - 1}] must be an integer >= 1, got {shown}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_experiment(cfg, 1, checkpoints)
-    with pytest.raises(ValueError, match=f"got {re.escape(shown)} in"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_single_realization(cfg, 1, checkpoints)
 
 
