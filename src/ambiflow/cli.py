@@ -8,15 +8,15 @@ artifacts out.
   observe   observability diagnostics for sampled linear systems
   uav       the pursuit-evasion benchmark experiment
 
-Each handler reads its config, computes every result, and only then makes
-the output directory and writes the manifest (command name, fully resolved
-config, seed, tool version, output names) followed by the artifacts, all in
-one ``_write_run`` call.  So every config and library check runs first, and a
-run that exits 2 or 3 writes nothing.  Every config number goes through the
-library's rule (``_checks.finite``, ``_checks.count``) named by its dotted
-field, and a config key the command does not read is an error.  Reruns with
-the same manifest are byte-identical: floats are written with 17 significant
-digits and JSON keys are sorted.
+The config format lives here alone: each handler reads its config through
+``_Section``, which names each field by its dotted path, puts every number
+through the library's rule (``_checks.finite``, ``_checks.count``) and rejects
+a key that no read asked for.  It computes every result, then one
+``_write_run`` call makes the output directory and writes the manifest
+(command, the config as read with its defaults, seed, tool version, output
+names) and the artifacts, so a run that exits 2 or 3 writes nothing.  The
+manifest re-runs to the same bytes: floats carry 17 significant digits and
+JSON keys are sorted.
 
 Exit codes: 0 success, 2 bad config (any ValueError; the message to stderr
 names the offending field), 3 numerical failure (any ArithmeticError).
@@ -44,6 +44,8 @@ from ambiflow.dynamics import FlowErrorModel
 from ambiflow.observability import (
     _MIN_SINGULAR,
     _SCHEDULE_CRITERIA,
+    LinearTimeVaryingSystem,
+    builtin_system,
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
@@ -51,7 +53,6 @@ from ambiflow.observability import (
     reconstruct_state,
     robust_sampling_bound,
     sample_observability_matrix,
-    system_from_json,
     weight_matrix,
 )
 from ambiflow.uav_scenario import ExperimentRow, ScenarioConfig, run_experiment
@@ -60,8 +61,8 @@ from ambiflow.uav_scenario import ExperimentRow, ScenarioConfig, run_experiment
 # --- config plumbing -----------------------------------------------------------
 
 
-def _load_config(path: str, keys: str) -> dict:
-    """The config object at ``path``; ``keys`` are the top-level fields the command reads."""
+def _load_config(path: str) -> _Section:
+    """The config object at ``path``, ready for its command's reads."""
     try:
         with open(path, encoding="utf-8") as fh:
             payload = json.load(fh, parse_int=_parse_int)
@@ -72,8 +73,7 @@ def _load_config(path: str, keys: str) -> dict:
     if not isinstance(payload, dict):
         raise ValueError(f"config {path} must be a JSON object")
     _reject_non_finite(payload, "")
-    _known(payload, keys)
-    return payload
+    return _Section(payload)
 
 
 def _parse_int(literal: str) -> int | float:
@@ -101,17 +101,51 @@ def _reject_non_finite(value: Any, where: str) -> None:
             _reject_non_finite(item, f"{where}[{i}]")
 
 
-# Readers take a raw value and its dotted path.  Every config number goes
-# through ``_number`` or ``_integer``, the library's rule with the field named.
+class _Section:
+    """One JSON object of a config; a key is named ``prefix + key``.  ``read``
+    returns ``read(value, where, *args)``, or the value as given for a library
+    constructor to check, and records it; an absent key, or a null one whose
+    default is None, takes the default, and with no default is missing.
+    ``close`` rejects every key no read asked for, in each section opened
+    too, and returns the config as read.  Every config number goes through
+    ``_number`` or ``_integer``, the library's rule with the field named.
+    """
+
+    _REQUIRED = object()
+
+    def __init__(self, data: dict, prefix: str = "") -> None:
+        self._data, self._prefix, self._record = data, prefix, {}
+
+    def __contains__(self, key: str) -> bool:
+        return key in self._data
+
+    def read(self, key: str, read=None, *args, default=_REQUIRED):
+        value = self._data.get(key, default)
+        if key in self._data and not (value is None and default is None):
+            value = value if read is None else read(value, self._prefix + key, *args)
+        elif value is self._REQUIRED:
+            raise ValueError(f"missing field '{self._prefix}{key}'")
+        self._record[key] = value
+        return value
+
+    def section(self, key: str) -> _Section:
+        self._record[key] = opened = _Section(self.read(key, _object), f"{self._prefix}{key}.")
+        return opened
+
+    def close(self) -> dict:
+        for key in self._data:
+            if key not in self._record:
+                raise ValueError(f"unknown field '{self._prefix}{key}'")
+        return {k: v.close() if isinstance(v, _Section) else v for k, v in self._record.items()}
 
 
 def _number(value: Any, where: str) -> float:
     return float(finite(f"field '{where}'", value))
 
 
-def _integer(value: Any, where: str) -> int:
-    """Every integer a command reads is a count, so it must be >= 1."""
-    return count(f"field '{where}'", value)
+def _integer(value: Any, where: str, low: int = 1) -> int:
+    """Every integer a command reads is a count, so it must be >= 1 (or ``low``)."""
+    return count(f"field '{where}'", value, low=low)
 
 
 def _nonnegative(value: Any, where: str) -> float:
@@ -124,29 +158,10 @@ def _each(values: Any, where: str, read) -> list:
     return [read(v, f"{where}[{i}]") for i, v in enumerate(values)]
 
 
-_REQUIRED = object()
-
-
-def _field(section: dict, key: str, where: str, read=None, default=_REQUIRED):
-    if key not in section:
-        if default is not _REQUIRED:
-            return default
-        raise ValueError(f"missing field '{where}{key}'")
-    return section[key] if read is None else read(section[key], where + key)
-
-
-def _subsection(cfg: dict, key: str) -> dict:
-    section = _field(cfg, key, "")
-    if not isinstance(section, dict):
-        raise ValueError(f"field '{key}' must be a JSON object")
-    return section
-
-
-def _known(section: dict, keys: str, where: str = "") -> None:
-    """Reject a key the command does not read, as a misspelled optional field."""
-    for key in section:
-        if key not in keys.split():
-            raise ValueError(f"unknown field '{where}{key}'")
+def _object(value: Any, where: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"field '{where}' must be a JSON object")
+    return value
 
 
 def _build(section: str, make, *args, **kwargs):
@@ -157,33 +172,28 @@ def _build(section: str, make, *args, **kwargs):
         raise ValueError(f"{section} config: {exc}") from exc
 
 
-def _radius_and_flow(raw: dict) -> tuple[RadiusConfig, FlowErrorModel]:
-    radius, flow = _subsection(raw, "radius"), _subsection(raw, "flow_error")
-    _known(radius, "p dimension beta big_c small_c", "radius.")
-    _known(flow, "magnitude rate", "flow_error.")
-    cfg = _build(
+def _radius_and_flow(cfg: _Section) -> tuple[RadiusConfig, FlowErrorModel]:
+    radius, flow = cfg.section("radius"), cfg.section("flow_error")
+    radius_cfg = _build(
         "radius",
         RadiusConfig,
-        p=_field(radius, "p", "radius.", _number),
-        d=_field(radius, "dimension", "radius.", _integer),
-        beta=_field(radius, "beta", "radius.", _number),
-        big_c=_field(radius, "big_c", "radius.", _number, default=1.0),
-        small_c=_field(radius, "small_c", "radius.", _number, default=1.0),
+        p=radius.read("p", _number),
+        d=radius.read("dimension", _integer),
+        beta=radius.read("beta", _number),
+        big_c=radius.read("big_c", _number, default=1.0),
+        small_c=radius.read("small_c", _number, default=1.0),
     )
     model = _build(
-        "flow_error",
-        FlowErrorModel,
-        magnitude=_field(flow, "magnitude", "flow_error.", _number),
-        rate=_field(flow, "rate", "flow_error.", _number),
+        "flow_error", FlowErrorModel, flow.read("magnitude", _number), flow.read("rate", _number)
     )
-    return cfg, model
+    return radius_cfg, model
 
 
-def _n_range(cfg: dict) -> tuple[int, int]:
-    bounds = _each(_field(cfg, "n_range", ""), "n_range", _integer)
+def _n_range(value: Any, where: str) -> list[int]:
+    bounds = _each(value, where, _integer)
     if len(bounds) != 2 or bounds[0] > bounds[1]:
-        raise ValueError(f"field 'n_range' must be a pair [lo, hi] with lo <= hi, got {bounds}")
-    return bounds[0], bounds[1]
+        raise ValueError(f"field '{where}' must be a pair [lo, hi] with lo <= hi, got {bounds}")
+    return bounds
 
 
 # --- manifest and writers --------------------------------------------------------
@@ -255,24 +265,16 @@ def _radius_table(
 
 
 def cmd_radius(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config, "radius flow_error rho_horizon delta n_range recon_error")
-    cfg, model = _radius_and_flow(raw)
-    rho_horizon = _field(raw, "rho_horizon", "", _nonnegative)
-    delta = _field(raw, "delta", "", _number)
-    lo, hi = _n_range(raw)
-    recon = _field(raw, "recon_error", "", default=None)
-    recon_error = None if recon is None else _number(recon, "recon_error")
+    cfg = _load_config(args.config)
+    radius, model = _radius_and_flow(cfg)
+    rho_horizon = cfg.read("rho_horizon", _nonnegative)
+    delta = cfg.read("delta", _number)
+    lo, hi = cfg.read("n_range", _n_range)
+    recon_error = cfg.read("recon_error", _number, default=None)
+    config = cfg.close()
 
-    table = _radius_table(cfg, model, rho_horizon, delta, lo, hi, recon_error)
-    resolved = {
-        "radius": asdict(cfg),
-        "flow_error": asdict(model),
-        "rho_horizon": rho_horizon,
-        "delta": delta,
-        "n_range": [lo, hi],
-        "recon_error": recon_error,
-    }
-    return _write_run(args, "radius", resolved, args.seed, {"radius.csv": table})
+    table = _radius_table(radius, model, rho_horizon, delta, lo, hi, recon_error)
+    return _write_run(args, "radius", config, args.seed, {"radius.csv": table})
 
 
 # --- horizon --------------------------------------------------------------------
@@ -308,56 +310,50 @@ def _horizon_entry(
     return entry
 
 
-def cmd_horizon(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config, "radius flow_error rho_horizon delta cap n_range")
-    cfg, model = _radius_and_flow(raw)
-    delta = _field(raw, "delta", "", _number)
-    cap = _field(raw, "cap", "", _integer, default=10**6)
-    rho_raw = _field(raw, "rho_horizon", "")
-    if isinstance(rho_raw, list):
-        rho_values = _each(rho_raw, "rho_horizon", _nonnegative)
-    else:
-        rho_values = [_nonnegative(rho_raw, "rho_horizon")]
-    if not rho_values:
-        raise ValueError("field 'rho_horizon' must not be an empty list")
-    lo, hi = _n_range(raw) if "n_range" in raw else (1, 20)
+def _one_or_each(value: Any, where: str) -> float | list[float]:
+    """A nonnegative number, or a non-empty list of them to sweep."""
+    if not isinstance(value, list):
+        return _nonnegative(value, where)
+    if not value:
+        raise ValueError(f"field '{where}' must not be an empty list")
+    return _each(value, where, _nonnegative)
 
-    entries = [_horizon_entry(cfg, model, rho, delta, cap) for rho in rho_values]
-    payload: dict[str, Any] = {"Delta": delta}
-    if isinstance(rho_raw, list):
-        payload["sweep"] = entries
-    else:
-        payload.update(entries[0])
+
+def cmd_horizon(args: argparse.Namespace) -> int:
+    cfg = _load_config(args.config)
+    radius, model = _radius_and_flow(cfg)
+    delta = cfg.read("delta", _number)
+    cap = cfg.read("cap", _integer, default=10**6)
+    rho = cfg.read("rho_horizon", _one_or_each)
+    lo, hi = cfg.read("n_range", _n_range, default=[1, 20])
+    config = cfg.close()
+
+    rho_values = rho if isinstance(rho, list) else [rho]
+    entries = [_horizon_entry(radius, model, r, delta, cap) for r in rho_values]
+    sweep = {"sweep": entries} if isinstance(rho, list) else entries[0]
+    payload: dict[str, Any] = {"Delta": delta, **sweep}
     # Companion table of the radius decomposition at the first rho value,
     # with the horizon as a trailing summary row.
-    header, rows = _radius_table(cfg, model, rho_values[0], delta, lo, hi, None)
+    header, rows = _radius_table(radius, model, rho_values[0], delta, lo, hi, None)
     n_star = entries[0]["N_star"]
     rows.append(("N_star", "" if n_star is None else str(n_star), "", ""))
 
-    resolved = {
-        "radius": asdict(cfg),
-        "flow_error": asdict(model),
-        "rho_horizon": rho_values if isinstance(rho_raw, list) else rho_values[0],
-        "delta": delta,
-        "cap": cap,
-        "n_range": [lo, hi],
-    }
     artifacts = {"horizon.json": payload, "horizon.csv": (header, rows)}
-    return _write_run(args, "horizon", resolved, args.seed, artifacts)
+    return _write_run(args, "horizon", config, args.seed, artifacts)
 
 
 # --- observe --------------------------------------------------------------------
 
 
-def _schedule_rows(raw: Any) -> list[list[float]]:
-    if not isinstance(raw, list) or not raw:
-        raise ValueError("field 'schedules' must be a non-empty list of time lists")
+def _schedule_rows(value: Any, where: str) -> list[list[float]]:
+    if not isinstance(value, list) or not value:
+        raise ValueError(f"field '{where}' must be a non-empty list of time lists")
     rows = []
-    for i, row in enumerate(raw):
-        where = f"schedules[{i}]"
-        times = _checks.times(f"field '{where}'", _each(row, where, _number), at_least=2)
+    for i, row in enumerate(value):
+        at = f"{where}[{i}]"
+        times = _checks.times(f"field '{at}'", _each(row, at, _number), at_least=2)
         # The certificate's windows lie in [0, horizon].
-        finite(f"field '{where}[0]'", times[0], ge=0)
+        finite(f"field '{at}[0]'", times[0], ge=0)
         rows.append(times.tolist())
     return rows
 
@@ -397,27 +393,32 @@ def _observe_trajectory(
 
 
 def cmd_observe(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config, "system schedules noise retention criterion true_state")
-    sys_section = _subsection(raw, "system")
-    _known(sys_section, "name params" if "name" in sys_section else "A C", "system.")
-    sys_model = _build("system", system_from_json, sys_section)
-    schedules = _schedule_rows(_field(raw, "schedules", ""))
-    noise = _field(raw, "noise", "", _nonnegative, default=0.0)
-    retention = _field(raw, "retention", "", _number, default=0.5)
-    criterion = _field(raw, "criterion", "", default="equidistant")
+    cfg = _load_config(args.config)
+    system = cfg.section("system")  # a built-in name with optional params, or matrices
+    if "name" in system:
+        params = system.read("params", _object) if "params" in system else {}
+        sys_model = _build("system", builtin_system, system.read("name"), **params)
+    elif "A" in system or "C" in system:
+        a, c = system.read("A"), system.read("C")
+        sys_model = _build("system", LinearTimeVaryingSystem.lti, a, c)
+    else:
+        raise ValueError("field 'system' needs 'name', or both 'A' and 'C'")
+    schedules = cfg.read("schedules", _schedule_rows)
+    noise = cfg.read("noise", _nonnegative, default=0.0)
+    retention = cfg.read("retention", _number, default=0.5)
+    criterion = cfg.read("criterion", default="equidistant")
     if not isinstance(criterion, str) or criterion not in _SCHEDULE_CRITERIA:
         raise ValueError(
             f"field 'criterion' must be one of {sorted(_SCHEDULE_CRITERIA)}, got {criterion!r}"
         )
-    state_raw = _field(raw, "true_state", "", default=None)
-    if state_raw is not None:
-        state = _each(state_raw, "true_state", _number)
-        if len(state) != sys_model.dim:
-            raise ValueError(f"field 'true_state' must have length {sys_model.dim}, got {state}")
+    state = cfg.read("true_state", _each, _number, default=None)
+    if state is not None and len(state) != sys_model.dim:
+        raise ValueError(f"field 'true_state' must have length {sys_model.dim}, got {state}")
+    config = cfg.close()
     seed = args.seed if args.seed is not None else 0
 
     rng = np.random.default_rng(seed)
-    true_state = rng.standard_normal(sys_model.dim) if state_raw is None else np.array(state)
+    true_state = rng.standard_normal(sys_model.dim) if state is None else np.array(state)
 
     spans = [row[-1] - row[0] for row in schedules]
     horizon = max(row[-1] for row in schedules)
@@ -463,46 +464,34 @@ def cmd_observe(args: argparse.Namespace) -> int:
             passed, messages = False, [str(exc)]
         payload["schedule_check"] = {"criterion": criterion, "passed": passed, "messages": messages}
 
-    resolved = {
-        "system": sys_section,
-        "schedules": schedules,
-        "noise": noise,
-        "retention": retention,
-        "criterion": criterion,
-        "true_state": state_raw,
-    }
-    return _write_run(args, "observe", resolved, seed, {"observe.json": payload})
+    return _write_run(args, "observe", config, seed, {"observe.json": payload})
 
 
 # --- uav ------------------------------------------------------------------------
 
 
 def cmd_uav(args: argparse.Namespace) -> int:
-    raw = _load_config(args.config, "scenario realizations checkpoints time_grid solver_starts")
-    scenario_raw = _subsection(raw, "scenario")
+    cfg = _load_config(args.config)
+    section = cfg.section("scenario")
+    given = {f.name: section.read(f.name) for f in fields(ScenarioConfig) if f.name in section}
     if args.seed is not None:
-        scenario_raw = dict(scenario_raw, seed=args.seed)
-    scenario = _build("scenario", ScenarioConfig.from_json, scenario_raw)
-    n_realizations = _field(raw, "realizations", "", _integer)
-    checkpoints = _each(_field(raw, "checkpoints", ""), "checkpoints", _integer)
-    n_t = count("field 'time_grid'", _field(raw, "time_grid", "", default=200), low=2)
-    n_starts = _field(raw, "solver_starts", "", _integer, default=20)
+        given["seed"] = args.seed
+    scenario = _build("scenario", ScenarioConfig, **given)
+    n_realizations = cfg.read("realizations", _integer)
+    checkpoints = cfg.read("checkpoints", _each, _integer)
+    n_t = cfg.read("time_grid", _integer, 2, default=200)
+    n_starts = cfg.read("solver_starts", _integer, default=20)
+    # The manifest holds the whole scenario the run used, --seed included.
+    config = dict(cfg.close(), scenario=asdict(scenario))
 
     report = run_experiment(
         scenario, n_realizations, checkpoints, n_t=n_t, n_starts=n_starts, jobs=args.jobs
     )
-    resolved = {
-        "scenario": scenario.to_json(),
-        "realizations": n_realizations,
-        "checkpoints": checkpoints,
-        "time_grid": n_t,
-        "solver_starts": n_starts,
-    }
     artifacts = {
         "uav.csv": ([f.name for f in fields(ExperimentRow)], [astuple(r) for r in report.rows]),
         "uav_summary.json": {"summary": report.summary(), "realizations": n_realizations},
     }
-    return _write_run(args, "uav", resolved, scenario.seed, artifacts)
+    return _write_run(args, "uav", config, scenario.seed, artifacts)
 
 
 # --- entry point ------------------------------------------------------------------

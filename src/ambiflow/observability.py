@@ -74,7 +74,7 @@ __all__ = [
     "reconstruct_state",
     "estimation_error_bound",
     "eigenvalue_margin",
-    "system_from_json",
+    "builtin_system",
 ]
 
 _FD_STEP = 1e-5          # central-difference step for C'(t) when not supplied
@@ -719,9 +719,11 @@ def check_schedule_observability(
     criterion = 'count':  sample count exceeds (total Jordan index - 1)
         + span * (imaginary spread) / (2 pi); gaps may be arbitrary.
 
-    A passing verdict certifies full column rank of the sample observability
-    matrix of every member.  Only stationary systems are supported, and the
-    matrix pair itself must be observable.
+    A passing verdict is the paper's sufficient condition, in exact arithmetic,
+    for full column rank of every member's sample observability matrix; the
+    numerical check is the rank at ``reconstruct_state``'s 1e-10 floor, which
+    samples 1e-11 apart fail beside a passing verdict.  Only stationary
+    systems are supported, and the matrix pair itself must be observable.
     """
     if not sys.is_lti:
         raise ValueError("schedule criteria apply to stationary systems only")
@@ -828,10 +830,12 @@ _SCHEDULE_CRITERIA = {
 }
 
 
-# --- serialization -----------------------------------------------------------------
+# --- built-in systems ---------------------------------------------------------------
 
 
-def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
+def builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
+    """The stationary double_integrator or harmonic_oscillator, or the
+    time-varying rotating_sensor (params: omega), by name."""
     takes = {"double_integrator": {}, "harmonic_oscillator": {}, "rotating_sensor": {"omega": 1.0}}
     if not isinstance(name, str) or name not in takes:
         raise KeyError(f"unknown built-in system name {name!r}; pick one of {sorted(takes)}")
@@ -852,19 +856,3 @@ def _builtin_system(name: str, **params) -> LinearTimeVaryingSystem:
         c_dot_fn=lambda t: omega * np.array([[-math.sin(omega * t), math.cos(omega * t)]]),
         name=name,
     )
-
-
-def system_from_json(payload: dict) -> LinearTimeVaryingSystem:
-    """Build a system from a config mapping.
-
-    Either constant matrices: {"A": [[...]], "C": [[...]]}, or a named
-    built-in: {"name": "rotating_sensor", "params": {"omega": 2.0}}.
-    """
-    if "name" in payload:
-        params = payload.get("params", {})
-        if not isinstance(params, dict):
-            raise ValueError(f"params must be a mapping, got {params!r}")
-        return _builtin_system(payload["name"], **params)
-    if "A" in payload and "C" in payload:
-        return LinearTimeVaryingSystem.lti(payload["A"], payload["C"])
-    raise ValueError("system config needs either 'name' or both 'A' and 'C'")

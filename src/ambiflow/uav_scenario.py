@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Generator, Sequence
 
 import numpy as np
@@ -127,17 +127,6 @@ class ScenarioConfig:
     def profile_sum(self) -> float:
         """The speed profile must integrate to one square side per period."""
         return self.square_side * self.n_segments / TWO_PI
-
-    def to_json(self) -> dict:
-        return asdict(self)
-
-    @classmethod
-    def from_json(cls, payload: dict) -> "ScenarioConfig":
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(payload) - known
-        if unknown:
-            raise ValueError(f"unknown scenario config fields: {sorted(unknown)}")
-        return cls(**payload)
 
 
 def default_config(seed: int = 0) -> ScenarioConfig:
@@ -885,6 +874,9 @@ class ExperimentReport:
 
 
 SAMPLE_OFFSETS = (-0.2, -0.1, 0.0)  # position fixes collected just before each checkpoint
+# A checkpoint sizes each realization's draw of watcher phases, so it is
+# bounded before anything is allocated: 6,250x criterion 9's largest, 160.
+_MAX_CHECKPOINT = 10**6
 
 
 def _observe_and_reconstruct(theta: float, cfg: ScenarioConfig) -> np.ndarray:
@@ -923,10 +915,11 @@ def _realization_problems(cfg: ScenarioConfig, realization: int, cps: list[int])
 
 def _checkpoints(checkpoints: Sequence[int]) -> list[int]:
     """The checkpoints in increasing order; ValueError names an entry that is not
-    a count (a bool or a float is not)."""
+    a count (a bool or a float is not) or is past ``_MAX_CHECKPOINT``."""
     if not checkpoints:
         raise ValueError("checkpoints must be positive integers, got none")
-    return sorted(int(count(f"checkpoints[{i}]", c)) for i, c in enumerate(checkpoints))
+    high = _MAX_CHECKPOINT
+    return sorted(int(count(f"checkpoints[{i}]", c, high=high)) for i, c in enumerate(checkpoints))
 
 
 def _experiment_rows(

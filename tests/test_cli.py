@@ -242,6 +242,8 @@ BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
         ("uav", "realizations", "0", None),
         ("uav", "checkpoints", "[1.7]", "'checkpoints[0]'"),
         ("uav", "checkpoints", "[0]", "'checkpoints[0]'"),
+        # Past the library's bound, refused before a phase is drawn.
+        ("uav", "checkpoints", "[1000001]", "checkpoints[0] must be an integer in [1, 1000000]"),
         ("uav", "time_grid", '"40"', None),
         ("uav", "solver_starts", "true", None),
         ("uav", "scenario.eps_ref", BIG_INT, None),
@@ -249,6 +251,11 @@ BIG_INT = "1" + "0" * 400  # a JSON integer too large for a float
         ("uav", "scenario.seed", "1.5", "scenario config: seed"),
         ("uav", "scenario.theta_support", '[2.0, "3.0", 4.0]', "scenario config: theta_support"),
         ("uav", "scenario.theta_support", "[]", "scenario config: theta_support"),
+        ("uav", "scenario.n_ref", "true", None),
+        ("uav", "scenario.eps_ref", '"0.17"', "scenario config: eps_ref"),
+        ("uav", "scenario.orbit_radius", "true", None),
+        ("uav", "scenario.theta_probabilities", "[0.5, 0.25, null]",
+         "scenario config: theta_probabilities"),
     ],
     ids=lambda v: v[:40] if isinstance(v, str) else None,
 )
@@ -305,6 +312,8 @@ def test_failed_run_writes_nothing(tmp_path, capsys, command, overrides, message
         ("observe", "system.A"),  # a named system reads only name and params
         ("observe-ltv", "system.omega"),  # belongs in system.params
         ("uav", "realisations"),
+        # Read "unknown scenario config fields: ['bogus']", a second rule.
+        ("uav", "scenario.bogus"),
     ],
 )
 def test_unknown_config_key_exit_2(tmp_path, capsys, command, field):
@@ -332,6 +341,32 @@ def test_config_error_names_the_field(tmp_path, capsys, command, overrides, name
     code, out = run(tmp_path, command, payload)
     assert code == 2
     assert re.search(rf"\b{named}\b", capsys.readouterr().err)
+    assert not out.exists()
+
+
+NEITHER_SHAPE = "field 'system' needs 'name', or both 'A' and 'C'"
+
+
+@pytest.mark.parametrize(
+    "system, message",
+    [
+        # A system of neither shape names both; one whose name was deleted
+        # read as a missing 'system.A'.
+        ({"params": {"omega": 2.0}}, NEITHER_SHAPE),
+        ({}, NEITHER_SHAPE),
+        ({"A": [[0.0]]}, "missing field 'system.C'"),
+        # The params go whole to builtin_system, which names one it does not take.
+        (
+            {"name": "rotating_sensor", "params": {"omga": 2.0}},
+            "system config: rotating_sensor takes no params ['omga']",
+        ),
+    ],
+    ids=["params-only", "empty", "A-without-C", "unknown-param"],
+)
+def test_system_reads_one_of_two_shapes(tmp_path, capsys, system, message):
+    code, out = run(tmp_path, "observe", observe_payload(system=system))
+    assert code == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -393,8 +428,42 @@ def test_manifest_contents(tmp_path):
     assert manifest["command"] == "radius"
     assert manifest["version"] == ambiflow.__version__
     assert manifest["outputs"] == ["radius.csv"]
-    assert manifest["config"]["radius"]["d"] == 1
+    # The config as read, under its config keys, with the defaults filled in.
+    assert manifest["config"]["radius"] == {
+        "p": 1.0, "dimension": 1, "beta": 0.05, "big_c": 1.0, "small_c": 1.0
+    }
     assert manifest["config"]["n_range"] == [1, 10]
+    assert manifest["config"]["recon_error"] is None
+
+
+@pytest.mark.parametrize(
+    "command, extra",
+    [
+        ("radius", []),
+        ("horizon", []),
+        ("observe", []),
+        ("observe", ["--seed", "7"]),
+        ("uav", []),
+        ("uav", ["--seed", "5"]),
+    ],
+    ids=["radius", "horizon", "observe", "observe-seed", "uav", "uav-seed"],
+)
+def test_manifest_reruns(tmp_path, command, extra):
+    # The manifest's config is the config as read, under the keys a config
+    # uses, with the defaults filled in: fed back through the same command
+    # with the manifest's seed, it writes the same artifacts.  The radius and
+    # horizon manifests wrote RadiusConfig's 'd', an unknown field (exit 2).
+    payload = uav_payload() if command == "uav" else EXAMPLES[command]
+    code, first = run(tmp_path, command, payload, *extra)
+    assert code == 0
+    manifest = json.loads((first / "manifest.json").read_text())
+    path = write_config(tmp_path, manifest["config"], name="manifest-config.json")
+    second = tmp_path / "again"
+    seed = [] if manifest["seed"] is None else ["--seed", str(manifest["seed"])]
+    assert main([command, "--config", path, "--out", str(second), *seed]) == 0
+    assert (second / "manifest.json").read_bytes() == (first / "manifest.json").read_bytes()
+    for name in manifest["outputs"]:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
 
 def test_rerun_byte_identical(tmp_path):

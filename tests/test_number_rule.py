@@ -71,6 +71,7 @@ from ambiflow.dynamics import (
 )
 from ambiflow.observability import (
     LinearTimeVaryingSystem,
+    builtin_system,
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
@@ -80,7 +81,6 @@ from ambiflow.observability import (
     reconstruct_state,
     robust_sampling_bound,
     sample_observability_matrix,
-    system_from_json,
     weight_matrix,
 )
 from ambiflow.uav_scenario import (
@@ -104,8 +104,8 @@ FIELD = builtin_field("double_integrator")
 STATE = np.array([1.0, 0.0])
 MODEL = FlowErrorModel(1.0, 0.1)
 CFG = RadiusConfig(p=1.0, d=1, beta=0.05)
-LTI = system_from_json({"name": "harmonic_oscillator"})
-LTV = system_from_json({"name": "rotating_sensor"})
+LTI = builtin_system("harmonic_oscillator")
+LTV = builtin_system("rotating_sensor")
 P = DiscreteDistribution.empirical(np.zeros((2, 1)))
 Q = DiscreteDistribution.empirical(np.ones((2, 1)))
 SCENARIO = ScenarioConfig()
@@ -246,8 +246,6 @@ ARRAY_ROWS = [
      lambda v: LinearTimeVaryingSystem.lti([[0.0, 1.0], [v, 0.0]], [[1.0, 0.0]]), "A"),
     ("LinearTimeVaryingSystem.lti", "c",
      lambda v: LinearTimeVaryingSystem.lti([[0.0, 1.0], [-1.0, 0.0]], [[1.0, v]]), "C"),
-    ("system_from_json", "A",
-     lambda v: system_from_json({"A": [[0.0, 1.0], [v, 0.0]], "C": [[1.0, 0.0]]})),
     ("observability_gramian", "t", lambda v: observability_gramian(LTI, [0.0, v], 1.0)),
     ("max_kernel_derivative", "t", lambda v: max_kernel_derivative(LTV, [1.0, v], 0.25, 0.05)),
     ("max_kernel_derivative", "s_low",
@@ -306,7 +304,7 @@ TIME_ROWS = [
     ("reconstruct_red_state",
      lambda ts: reconstruct_red_state(ts, np.zeros((len(ts), 2)), SCENARIO), "sample times", 3),
     # A config's row; an entry that is not a number is named by its index.
-    ("cli._schedule_rows", lambda ts: cli._schedule_rows([[0.0, 0.5], ts]), "'schedules[1]", 2),
+    ("cli._schedule_rows", lambda ts: cli._schedule_rows([[0.0, 0.5], ts], "schedules"), "'schedules[1]", 2),
 ]
 
 
@@ -471,7 +469,7 @@ def _gain(v):
 
 
 def _omega(v):
-    return system_from_json({"name": "rotating_sensor", "params": {"omega": v}})
+    return builtin_system("rotating_sensor", omega=v)
 
 
 def _checkpoint(v):
@@ -489,13 +487,21 @@ def _checkpoint(v):
                 (math.nan, "nan", "nan"),
             )
         ],
-        pytest.param(_checkpoint, True, "checkpoints[0] must be an integer >= 1, got True",
-                     id="checkpoints[0]-bool"),
+        # 10**400 raised numpy's OverflowError, and the bound + 1 drew 10**6 + 2
+        # phases per realization, before anything named the checkpoint.
+        *[
+            pytest.param(
+                _checkpoint, bad, f"checkpoints[0] must be an integer in [1, 1000000], got {bad}",
+                id=f"checkpoints[0]-{label}",
+            )
+            for bad, label in ((True, "bool"), (BIG_INT, "10**400"), (10**6 + 1, "bound+1"))
+        ],
     ],
 )
 def test_a_builtin_param_or_checkpoint_is_read_by_the_rule(call, bad, message):
     # The built-in params were read through math.isfinite, which raised
     # OverflowError on an int too large for a float instead of naming it.
-    # A checkpoint is a count: a bool is not the int 1.
+    # A checkpoint is a count of at most 10**6, checked before anything is
+    # allocated: a bool is not the int 1.
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(bad)

@@ -26,6 +26,7 @@ from ambiflow.dynamics import _rk4, _steps
 from ambiflow.observability import (
     EigenStructure,
     LinearTimeVaryingSystem,
+    builtin_system,
     check_schedule_observability,
     eigenvalue_margin,
     estimation_error_bound,
@@ -35,7 +36,6 @@ from ambiflow.observability import (
     reconstruct_state,
     robust_sampling_bound,
     sample_observability_matrix,
-    system_from_json,
     weight_matrix,
 )
 from ambiflow.observability import _PHI_FLOOR_STEP, _PHI_RTOL, _backward_sweep, _max_norm
@@ -386,7 +386,7 @@ def test_gramian_double_integrator_closed_form():
 
 
 def test_gramian_ltv_path_matches_dense_quadrature():
-    sys = system_from_json({"name": "rotating_sensor", "params": {"omega": 2.0}})
+    sys = builtin_system("rotating_sensor", omega=2.0)
     g = observability_gramian(sys, 0.3, 1.1, quad_step=2e-3)
     a = np.array([[0.0, 1.0], [-1.0, 0.0]])
     anchor = 0.3 + 1.1
@@ -771,7 +771,7 @@ def oracle_systems(kind):
             for _ in range(3)
         ]
     if kind == "ltv":
-        rotating = system_from_json({"name": "rotating_sensor", "params": {"omega": 2.0}})
+        rotating = builtin_system("rotating_sensor", omega=2.0)
         return [wobbly_system(), rotating]
     # Two outputs, C' by central differences, and a third state.
     return [
@@ -1416,33 +1416,36 @@ def test_estimation_error_bound_needs_finite_numbers(name, message, bad):
         estimation_error_bound(**args)
 
 
-def test_system_from_json_matrices_and_builtins():
-    sys = system_from_json({"A": [[0.0, 1.0], [0.0, 0.0]], "C": [[1.0, 0.0]]})
-    assert sys.is_lti and sys.dim == 2 and sys.n_outputs == 1
-    rot = system_from_json({"name": "rotating_sensor", "params": {"omega": 3.0}})
+def test_builtin_systems():
+    assert builtin_system("double_integrator").is_lti
+    assert builtin_system("harmonic_oscillator").dim == 2
+    rot = builtin_system("rotating_sensor", omega=3.0)
     assert not rot.is_lti
     assert np.allclose(rot.c_at(0.0), [[1.0, 0.0]])
-    with pytest.raises(KeyError):
-        system_from_json({"name": "no_such_system"})
-    with pytest.raises(ValueError):
-        system_from_json({"A": [[1.0]]})
+    for name in ("no_such_system", 0, []):
+        with pytest.raises(KeyError, match="unknown built-in system name"):
+            builtin_system(name)
 
 
 @pytest.mark.parametrize(
-    "payload, message",
+    "make, message",
     [
-        ({"A": [["0", 1.0], [0.0, 1.0]], "C": [[1.0, 0.0]]}, "A must be finite, got '0'"),
-        ({"A": [[0.0, 1.0], [0.0, 0.0]], "C": [[None, 0.0]]}, "C must be finite, got None"),
-        ({"name": "rotating_sensor", "params": {"omega": "2"}}, "params.omega"),
-        ({"name": "rotating_sensor", "params": {"omega": True}}, "params.omega"),
-        ({"name": "double_integrator", "params": {"omega": 2}}, r"no params \['omega'\]"),
-        ({"name": "rotating_sensor", "params": {"omega": 2, "phase": 1}}, "phase"),
-        ({"name": "rotating_sensor", "params": {"omega": math.nan}}, "params.omega"),
+        (lambda: LinearTimeVaryingSystem.lti([["0", 1.0], [0.0, 1.0]], [[1.0, 0.0]]),
+         "A must be finite, got '0'"),
+        (lambda: LinearTimeVaryingSystem.lti([[0.0, 1.0], [0.0, 0.0]], [[None, 0.0]]),
+         "C must be finite, got None"),
+        (lambda: builtin_system("rotating_sensor", omega="2"), "params.omega"),
+        (lambda: builtin_system("rotating_sensor", omega=True), "params.omega"),
+        (lambda: builtin_system("double_integrator", omega=2), r"no params \['omega'\]"),
+        (lambda: builtin_system("rotating_sensor", omega=2, phase=1), "phase"),
+        (lambda: builtin_system("rotating_sensor", omega=math.nan), "params.omega"),
     ],
+    ids=["A-string", "C-null", "omega-string", "omega-bool", "unused-param", "unknown-param",
+         "omega-nan"],
 )
-def test_system_from_json_rejects_strings_and_unused_params(payload, message):
+def test_systems_reject_strings_and_unused_params(make, message):
     with pytest.raises(ValueError, match=message):
-        system_from_json(payload)
+        make()
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -1453,7 +1456,7 @@ def test_constant_matrices_must_be_finite(bad):
     with pytest.raises(ValueError, match=f"A must be finite, got {bad}"):
         LinearTimeVaryingSystem.lti(a, c)
     with pytest.raises(ValueError, match=f"A must be finite, got {bad}"):
-        system_from_json({"A": a.tolist(), "C": c.tolist()})
+        LinearTimeVaryingSystem.lti(a.tolist(), c.tolist())
     with pytest.raises(ValueError, match=f"C must be finite, got {bad}"):
         LinearTimeVaryingSystem.lti(np.eye(2), np.array([[bad, 0.0]]))
 
@@ -1500,9 +1503,9 @@ def test_is_lti_means_constant_matrices():
         LinearTimeVaryingSystem(lambda t: a, lambda t: c, 2, 1, is_lti=True)
 
 
-def test_system_from_json_takes_integer_entries():
-    sys = system_from_json({"A": [[0, 1], [0, 0]], "C": [[1, 0]]})
+def test_systems_take_integer_entries():
+    sys = LinearTimeVaryingSystem.lti([[0, 1], [0, 0]], [[1, 0]])
     assert sys.a_const.dtype == float
     assert np.array_equal(sys.a_const, [[0.0, 1.0], [0.0, 0.0]])
-    rot = system_from_json({"name": "rotating_sensor", "params": {"omega": 2}})
+    rot = builtin_system("rotating_sensor", omega=2)
     assert np.array_equal(rot.c_at(0.3), [[math.cos(0.6), math.sin(0.6)]])

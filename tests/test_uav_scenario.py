@@ -95,14 +95,6 @@ def test_default_config_feasible():
     assert cfg.profile_sum == pytest.approx(cfg.square_side * cfg.n_segments / TWO_PI)
 
 
-def test_config_json_round_trip():
-    cfg = default_config(seed=9)
-    again = ScenarioConfig.from_json(cfg.to_json())
-    assert again == cfg
-    with pytest.raises(ValueError):
-        ScenarioConfig.from_json({"bogus_field": 1})
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         ScenarioConfig(v_min=0.5, v_max=0.4)
@@ -150,8 +142,6 @@ def test_config_rejects_wrong_types(name, value):
     # in the lattice or the seed sequence, or being parsed as a number.
     with pytest.raises(ValueError, match=name):
         ScenarioConfig(**{name: value})
-    with pytest.raises(ValueError, match=name):
-        run_experiment(ScenarioConfig.from_json({name: value}), 1, [1])
 
 
 def test_config_rejects_an_empty_phase_support():
@@ -1444,7 +1434,8 @@ def test_experiment_rejects_checkpoints_that_are_not_counts(checkpoints, shown):
     # A float or a bool is not read as the int it rounds to.  The bad entry
     # is the last one, named by its index.
     cfg = default_config(1)
-    message = f"checkpoints[{len(checkpoints) - 1}] must be an integer >= 1, got {shown}"
+    name = f"checkpoints[{len(checkpoints) - 1}]"
+    message = f"{name} must be an integer in [1, 1000000], got {shown}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_experiment(cfg, 1, checkpoints)
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
