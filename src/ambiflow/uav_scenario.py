@@ -333,7 +333,7 @@ def _clearance_kernel(
     tau = np.linspace(0.0, TWO_PI, n_t)
     coverage = _segment_coverage(tau, cfg.n_segments)
     known_xy = red_position_path(np.asarray(known_state, dtype=float), tau, cfg)[0]
-    known_y2 = known_xy[:, 1] ** 2
+    known_x, known_y2 = known_xy[None, :, 0].copy(), known_xy[None, :, 1] ** 2
     cand_xy = red_position_path(candidates, tau, cfg)
     cand_xy[:, :, 0] += cfg.square_side
     # (n_tj, n_tt, _TILE_T, _TILE_J) tiles with the columns in phase order, so that a
@@ -351,7 +351,7 @@ def _clearance_kernel(
 
     def clearance(xs: np.ndarray) -> np.ndarray:
         bx = _intruder_x(xs, coverage)  # (B, n_t), along y = 0
-        best_known = ((known_xy[:, 0][None, :] - bx) ** 2 + known_y2[None, :]).min(axis=1)
+        best_known = ((known_x - bx) ** 2 + known_y2).min(axis=1)
         bxp = bx[:, t_index].reshape(len(bx), n_tt, _TILE_T)
         # A lower bound on every cell of a tile: the square of the cells' own rounded x
         # difference at the tile's closest x range, plus its y^2 floor.
@@ -362,6 +362,7 @@ def _clearance_kernel(
         np.add(lb, y2_lo, out=lb)
         cells = np.flatnonzero(lb < best_known[:, None, None])  # (b, j) rows in runs
         dc = np.full((len(bx) * n_tj, _TILE_J), np.inf)
+        starts = np.ones(_TILE_CHUNK, dtype=bool)  # starts[i]: a run starts at cell i
         for s in range(0, len(cells), _TILE_CHUNK):
             row, t = np.divmod(cells[s : s + _TILE_CHUNK], n_tt)  # row = b * n_tj + j
             b, j = np.divmod(row, n_tj)
@@ -369,10 +370,12 @@ def _clearance_kernel(
             np.subtract(d, bxp[b, t][:, :, None], out=d)
             np.square(d, out=d)
             np.add(d, cand_y2[j, t], out=d)
-            runs = np.flatnonzero(np.diff(row, prepend=-1))
+            np.not_equal(row[1:], row[:-1], out=starts[1 : len(row)])
+            runs = np.flatnonzero(starts[: len(row)])
             row = row[runs]
             run_min = np.minimum.reduceat(d.reshape(-1, _TILE_J), runs * _TILE_T)
-            np.minimum(run_min[0], dc[row[0]], out=run_min[0])  # a run from the last chunk
+            if s:  # a run from the last chunk; the first chunk meets only inf rows
+                np.minimum(run_min[0], dc[row[0]], out=run_min[0])
             dc[row] = run_min
         dc = dc.reshape(len(bx), -1)[:, restore]
         return np.minimum(best_known[:, None], dc, out=dc)
@@ -502,7 +505,9 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., lis
     def solve(values: np.ndarray, budget: float) -> list[float]:
         if not len(live):
             return [0.0] * len(values)
-        base = np.minimum.reduceat(values[:, base_cols], base_starts, axis=1)  # (B, atoms)
+        base = values[:, base_cols]  # (B, atoms), unless an atom has zero-cost twins
+        if twins.size:
+            base = np.minimum.reduceat(base, base_starts, axis=1)
         # Atom by atom from 0.0, as a per-row sum would round (+ 0.0 turns -0.0 into 0.0).
         total = np.add.accumulate(w * base, axis=1)[:, -1] + 0.0
         # A pair's staircase steps below its base iff some value is below the base.
@@ -519,7 +524,8 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., lis
         fs = values[rows[:, None], k_order[atoms]]
         tail_f = fs[:, 1:]
         step = tail_f < np.minimum.accumulate(fs[:, :-1], axis=1)
-        step[:, : twins.shape[1]] &= twins[atoms]
+        if twins.size:
+            step[:, : twins.shape[1]] &= twins[atoms]
         pair, col = np.nonzero(step)  # pair by pair, in cost order
         step_c, step_f = tail_c[atoms[pair], col], tail_f[pair, col]
         # A pair's last point L is the first place of its row minimum.  The hull would pop
@@ -714,16 +720,18 @@ def _bounded_brent(lo: float, hi: float) -> Generator[float, float, tuple[float,
 
 
 def _ascent(
-    x: np.ndarray, val: float, cfg: ScenarioConfig
-) -> Generator[np.ndarray, list[float], tuple[np.ndarray, float]]:
+    x: Sequence[float], val: float, cfg: ScenarioConfig
+) -> Generator[list[list[float]], list[float], tuple[np.ndarray, float]]:
     """Pairwise coordinate ascent from one start, as a generator.
 
     Mass transfers between coordinate pairs preserve the sum.  Each pair is
     probed on a grid of 9 transfers, then line-searched by bounded Brent
-    around the best probe.  Yields each (m, n_segments) batch of profiles it
-    needs valued, is sent their m values, and returns the final profile and
+    around the best probe.  Yields each batch of m profiles it needs valued, a
+    list of m lists of floats (the same IEEE steps as on arrays, without numpy's
+    per-call cost), is sent their m values, and returns the final profile and
     its value.
     """
+    x = np.asarray(x, dtype=float).tolist()
     n = cfg.n_segments
     pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
     for _sweep in range(30):
@@ -734,20 +742,20 @@ def _ascent(
             if hi - lo <= 1e-12:
                 continue
 
-            def shifted(t: float) -> np.ndarray:
+            def shifted(t: float) -> list[float]:
                 y = x.copy()
                 y[k] += t
                 y[l] -= t
                 return y
 
-            probes = np.linspace(lo, hi, 9)
-            probe_vals = yield np.stack([shifted(t) for t in probes])
-            j = int(np.argmax(probe_vals))
+            probes = np.linspace(lo, hi, 9).tolist()
+            probe_vals = yield [shifted(t) for t in probes]
+            j = probe_vals.index(max(probe_vals))  # the first maximum, as np.argmax
             span = probes[1] - probes[0]
             search = _bounded_brent(max(lo, probes[j] - span), min(hi, probes[j] + span))
             t = next(search)
             while True:  # Brent minimizes: it is sent the negated values
-                (value,) = yield shifted(t)[None, :]
+                (value,) = yield [shifted(t)]
                 try:
                     t = search.send(-value)
                 except StopIteration as stop:
@@ -755,28 +763,29 @@ def _ascent(
                     break
             cand_t, cand_val = float(cand_t), -float(neg_val)
             if probe_vals[j] > cand_val:
-                cand_t, cand_val = float(probes[j]), float(probe_vals[j])
+                cand_t, cand_val = probes[j], float(probe_vals[j])
             if cand_val > val + 1e-15:
                 improved += cand_val - val
                 x = shifted(cand_t)
                 val = cand_val
         if improved < _SWEEP_TOL:
             break
-    return x, val
+    return np.array(x), val
 
 
 def _lockstep(
-    ascents: Sequence[Generator[np.ndarray, list[float], tuple]],
+    ascents: Sequence[Generator[list[list[float]], list[float], tuple]],
     evaluate_many: Callable[[np.ndarray], list[float]],
 ) -> list[tuple]:
     """Drive generators that yield profile batches in lockstep; return their results in order.
 
-    Each round values every pending batch in one ``evaluate_many`` call and
-    sends each generator its own rows.  The evaluator computes every row on
-    its own, so each generator sees exactly the values it would see alone.
+    Each round stacks every pending batch (a list of profiles) into one array
+    for one ``evaluate_many`` call and sends each generator its own values, by
+    running offset.  The evaluator computes every row on its own, so each
+    generator sees exactly the values it would see alone.
     """
     results: list[tuple] = [()] * len(ascents)
-    pending: dict[int, np.ndarray] = {}
+    pending: dict[int, list[list[float]]] = {}
 
     def advance(i: int, sent: list[float] | None) -> None:
         try:
@@ -789,9 +798,10 @@ def _lockstep(
     while pending:
         batch = list(pending.items())
         pending.clear()
-        values = evaluate_many(np.concatenate([rows for _, rows in batch]))
-        offsets = np.cumsum([0] + [len(rows) for _, rows in batch]).tolist()
-        for (i, _), lo, hi in zip(batch, offsets, offsets[1:]):
+        values = evaluate_many(np.array([row for _, rows in batch for row in rows]))
+        hi = 0
+        for i, rows in batch:
+            lo, hi = hi, hi + len(rows)
             advance(i, values[lo:hi])
     return results
 
@@ -831,7 +841,7 @@ def solve_dro(
     local_max = np.all(np.append(values, -np.inf)[neighbors] <= values[:, None], axis=1)
     maxima = np.flatnonzero(local_max)
     starts = maxima[np.argsort(-values[maxima], kind="stable")][:n_starts]
-    ascents = [_ascent(lattice[s].copy(), float(values[s]), cfg) for s in starts]
+    ascents = [_ascent(lattice[s], float(values[s]), cfg) for s in starts]
     best_x, best_val = lattice[starts[0]], -math.inf
     for x, val in _lockstep(ascents, evaluate_many):
         if val > best_val:

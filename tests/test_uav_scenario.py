@@ -17,7 +17,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize_scalar
 
@@ -693,26 +693,52 @@ def per_profile_lp(weights, costs, values, budget):
     return total
 
 
-@settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_batched_lp_equals_the_per_profile_loop(data):
-    # The batched solve (staircase and base per atom for all rows, hulls only where the
-    # staircase steps) gives every row the per-profile loop's bits.  Values drawn from a
-    # small set tie often; duplicated points tie costs; zero weights drop atoms.
+@st.composite
+def lp_problems(draw):
+    """Weights, costs, (B, J) values and a budget for the batched LP.  Values drawn from a
+    small set tie often; duplicated points tie costs; zero weights drop atoms."""
     grid = st.tuples(st.integers(-3, 3), st.integers(-3, 3))
-    n_src = data.draw(st.integers(1, 4))
-    pts = data.draw(st.lists(grid, min_size=n_src, max_size=n_src + 6))
-    pts += data.draw(st.lists(st.sampled_from(pts), max_size=3))
+    n_src = draw(st.integers(1, 4))
+    pts = draw(st.lists(grid, min_size=n_src, max_size=n_src + 6))
+    pts += draw(st.lists(st.sampled_from(pts), max_size=3))
     cand = np.array(pts, dtype=float)
-    order = data.draw(st.sampled_from([1.0, 2.0]))
+    order = draw(st.sampled_from([1.0, 2.0]))
     costs = np.linalg.norm(cand[:n_src, None, :] - cand[None, :, :], axis=2) ** order
     weight = st.one_of(st.just(0.0), st.floats(0.05, 1.0))
-    w = np.array(data.draw(st.lists(weight, min_size=n_src, max_size=n_src)))
+    w = np.array(draw(st.lists(weight, min_size=n_src, max_size=n_src)))
     value = st.one_of(st.sampled_from([0.0, 1.0, 2.5]), st.floats(0.0, 5.0))
-    n_rows = data.draw(st.integers(1, 6))
+    n_rows = draw(st.integers(1, 6))
     rows = st.lists(value, min_size=len(pts), max_size=len(pts))
-    values = np.array(data.draw(st.lists(rows, min_size=n_rows, max_size=n_rows)))
-    budget = data.draw(st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 20.0)))
+    values = np.array(draw(st.lists(rows, min_size=n_rows, max_size=n_rows)))
+    budget = draw(st.one_of(st.just(0.0), st.just(math.inf), st.floats(0.0, 20.0)))
+    return w, costs, values, budget
+
+
+@settings(max_examples=300, deadline=None)
+@given(problem=lp_problems())
+# Atom 0's candidate 2 is a zero-cost twin, cheaper than the atom itself, and the
+# staircases of both rows step below their bases: the merged-base build.
+@example(
+    problem=(
+        np.array([0.5, 0.25]),
+        np.array([[0.0, 1.0, 0.0, 1.0], [1.0, 0.0, 1.0, 2.0]]),
+        np.array([[3.0, 2.0, 1.0, 0.0], [1.0, 2.0, 3.0, 0.5]]),
+        0.5,
+    )
+)
+# No atom has a zero-cost twin, and both rows step below their bases: the plain build.
+@example(
+    problem=(
+        np.array([0.5, 0.25]),
+        np.array([[0.0, 1.0, 2.0, 0.5], [1.0, 0.0, 0.5, 2.0]]),
+        np.array([[3.0, 2.0, 1.0, 0.0], [0.0, 2.0, 1.0, 3.0]]),
+        0.75,
+    )
+)
+def test_batched_lp_equals_the_per_profile_loop(problem):
+    # The batched solve (staircase and base per atom for all rows, hulls only where the
+    # staircase steps) gives every row the per-profile loop's bits.
+    w, costs, values, budget = problem
     got = _sorted_sources(w, costs)(values, budget)
     assert got == [per_profile_lp(w, costs, f, budget) for f in values]
 
@@ -789,7 +815,7 @@ def test_batched_lp_on_the_wide_ball_equals_the_per_profile_loop():
     lattice, _ = _profile_lattice(cfg)
     values = _inner_evaluator(ball, cand, known, cfg, 200)(lattice)
     best = int(np.argmax(values))
-    probes = next(uav._ascent(lattice[best].copy(), values[best], cfg))
+    probes = np.asarray(next(uav._ascent(lattice[best].copy(), values[best], cfg)))
     clearance = _clearance_kernel(known, cand, cfg, 200)
     assert (staircase_lengths(weights, costs, clearance(probes)) >= 20).sum() >= 3
     rows = clearance(np.vstack([lattice[::80], probes]))
@@ -979,6 +1005,34 @@ def test_clearance_kernel_equals_dense_reference(data):
             assert not got.any()
         if case == "far":
             assert np.all(got == got[:, :1])
+
+
+def test_clearance_kernel_on_the_wide_ball_across_chunks():
+    # The 808-candidate ball with one live tile per chunk: a (profile, j-tile) run of two
+    # or more live tiles then spans chunks, and each chunk after the first must fold its
+    # first run into what the earlier chunks left.  A cell below the known-watcher
+    # clearance keeps its tile live, so the dense grid shows such a run exists.
+    known, ball, cfg = wide_problem()
+    cand = candidate_support(ball)
+    assert len(cand) == 808
+    n_t = 200
+    lattice, _ = _profile_lattice(cfg)
+    xs = lattice[::80]
+    dense = dense_clearance_kernel(known, cand, cfg, n_t)
+    tau = np.linspace(0.0, TWO_PI, n_t)
+    bx = _intruder_x(xs, _segment_coverage(tau, cfg.n_segments))
+    known_xy = red_position_path(known, tau, cfg)[0]
+    best_known = ((known_xy[:, 0] - bx) ** 2 + known_xy[:, 1] ** 2).min(axis=1)
+    cand_xy = red_position_path(cand, tau, cfg) + np.array([cfg.square_side, 0.0])
+    cells = (cand_xy[None, :, :, 0] - bx[:, None, :]) ** 2 + cand_xy[None, :, :, 1] ** 2
+    below = cells < best_known[:, None, None]  # (profile, candidate, time)
+    tiles = below.reshape(len(xs), len(cand), n_t // uav._TILE_T, uav._TILE_T).any(axis=3)
+    assert tiles.sum(axis=2).max() >= 2
+    pruned = _clearance_kernel(known, cand, cfg, n_t)
+    for chunk in (1, 7, uav._TILE_CHUNK):
+        with patch.object(uav, "_TILE_CHUNK", chunk):
+            assert np.array_equal(pruned(xs), dense(xs))
+            assert np.array_equal(pruned(xs[:1]), dense(xs[:1]))
 
 
 def test_pruned_kernel_leaves_solutions_unchanged(monkeypatch):
@@ -1235,17 +1289,20 @@ def lattice_starts(evaluate_many, cfg, n_starts):
     return lattice, values, maxima[np.argsort(-values[maxima], kind="stable")][:n_starts]
 
 
-def sequential_ascent(x, val, cfg, evaluate_many):
+def sequential_ascent(x, val, cfg, evaluate_many, sent=None):
     """One start's pairwise ascent as a plain loop with scipy's bounded line search.
 
-    Every probe grid and every Brent value is its own evaluator call.  Returns
-    the final profile, its value, and the evaluator calls and profiles taken.
+    Every probe grid and every Brent value is its own evaluator call, whose
+    rows are appended to the list ``sent`` when one is given.  Returns the
+    final profile, its value, and the evaluator calls and profiles taken.
     """
     load = [0, 0]
 
     def evaluate(xs):
         load[0] += 1
         load[1] += len(xs)
+        if sent is not None:
+            sent.append(xs)
         return evaluate_many(xs)
 
     n = cfg.n_segments
@@ -1327,22 +1384,49 @@ def test_lockstep_solve_equals_the_sequential_reference(wide_sequential, n_start
 
 def test_lockstep_ascents_each_equal_their_sequential_run():
     # On a smooth objective every ascent moves off the lattice, and the ascents stop
-    # after different numbers of rounds; in lockstep each still ends where it ends alone.
+    # after different numbers of rounds; in lockstep each still ends where it ends alone,
+    # and has every evaluator call take, in order, the rows its plain loop sends.
     cfg = default_config()
     lattice, values, starts = lattice_starts(bumpy, cfg, 20)
-    runs = [sequential_ascent(lattice[s].copy(), values[s], cfg, bumpy) for s in starts]
+    sent = [[] for _ in starts]
+    runs = [
+        sequential_ascent(lattice[s].copy(), values[s], cfg, bumpy, rows)
+        for s, rows in zip(starts, sent)
+    ]
     assert len(starts) == 20
     assert all(np.any(x != lattice[s]) for s, (x, *_) in zip(starts, runs))
     assert len({calls for *_, calls, _ in runs}) > 1
-    calls = []
+    calls, yielded, taken = [], [], [[] for _ in starts]
 
     def counted(xs):
+        # A round stacks its batches in the order they were yielded.
         calls.append(len(xs))
+        hi = 0
+        for i, m in yielded:
+            lo, hi = hi, hi + m
+            taken[i].append(xs[lo:hi])
+        assert hi == len(xs)
+        yielded.clear()
         return bumpy(xs)
 
-    ascents = [uav._ascent(lattice[s].copy(), float(values[s]), cfg) for s in starts]
+    def logged(i, ascent):
+        reply = None
+        while True:
+            try:
+                batch = ascent.send(reply)
+            except StopIteration as stop:
+                return stop.value
+            yielded.append((i, len(batch)))
+            reply = yield batch
+
+    ascents = [
+        logged(i, uav._ascent(lattice[s].copy(), float(values[s]), cfg))
+        for i, s in enumerate(starts)
+    ]
     for (x, val), (ref_x, ref_val, *_) in zip(uav._lockstep(ascents, counted), runs):
         assert x.tobytes() == ref_x.tobytes() and val == ref_val
+    for got, want in zip(taken, sent):
+        assert [(xs.shape, xs.tobytes()) for xs in got] == [(xs.shape, xs.tobytes()) for xs in want]
     assert len(calls) == max(r[2] for r in runs)
     assert sum(calls) == sum(r[3] for r in runs)
 
