@@ -309,8 +309,8 @@ def _watcher_state(name: str, state: Sequence[float]) -> np.ndarray:
     return out
 
 
-# The clearance kernel cuts its (n_t, J) grid into tiles of _TILE_T times by _TILE_J
-# candidates and computes at most _TILE_CHUNK live tiles at a time.
+# The clearance kernel cuts its (n_t, J) grid into tiles of _TILE_T (at least 2) times by
+# _TILE_J candidates and computes at most _TILE_CHUNK live tiles at a time.
 _TILE_T, _TILE_J, _TILE_CHUNK = 4, 32, 512
 
 
@@ -328,10 +328,14 @@ def _clearance_kernel(
     sign-symmetric, so every cell fl(fl(fl(cx - bx)^2) + cy^2) of a tile is at least
     fl(fl(gap^2) + y2_lo): gap is the rounded distance from the tile's x range to the
     intruder's, y2_lo the tile's least cy^2.  A tile whose bound reaches the known-watcher
-    clearance cannot undercut it, and is skipped.
+    clearance cannot undercut it, and is skipped.  The intruder's x range over a tile is
+    the elementwise max and min of its _TILE_T strided time slices (when _TILE_T does not
+    divide n_t, the last tile repeats the last time), and live tiles and their intruder
+    rows are gathered by one flat index each.  Max, min and gathers are exact.
     """
     tau = np.linspace(0.0, TWO_PI, n_t)
-    coverage = _segment_coverage(tau, cfg.n_segments)
+    # Column-major, so that _intruder_x reads each segment's coverage contiguously.
+    coverage = np.asfortranarray(_segment_coverage(tau, cfg.n_segments))
     known_xy = red_position_path(np.asarray(known_state, dtype=float), tau, cfg)[0]
     known_x, known_y2 = known_xy[None, :, 0].copy(), known_xy[None, :, 1] ** 2
     cand_xy = red_position_path(candidates, tau, cfg)
@@ -340,6 +344,7 @@ def _clearance_kernel(
     # tile holds neighbouring orbits.  Padding repeats real cells: no min changes.
     order = np.argsort(np.atleast_2d(candidates)[:, 4], kind="stable")
     n_tj, n_tt = -(-len(order) // _TILE_J), -(-n_t // _TILE_T)
+    n_tiles = n_tj * n_tt
     cols = order[np.minimum(np.arange(n_tj * _TILE_J), len(order) - 1)].reshape(n_tj, 1, 1, -1)
     t_index = np.minimum(np.arange(n_tt * _TILE_T), n_t - 1)
     times = t_index.reshape(n_tt, _TILE_T, 1)
@@ -347,29 +352,46 @@ def _clearance_kernel(
     np.square(cand_y2, out=cand_y2)
     y2_lo = cand_y2.min(axis=(2, 3))
     x_lo, x_hi = cand_x.min(axis=(2, 3)), cand_x.max(axis=(2, 3))
+    # Tiles by one flat index j * n_tt + t.
+    tile_shape = (n_tiles, _TILE_T, _TILE_J)
+    cand_x, cand_y2 = cand_x.reshape(tile_shape), cand_y2.reshape(tile_shape)
+    pad = n_t % _TILE_T != 0
     restore = np.argsort(order)
 
     def clearance(xs: np.ndarray) -> np.ndarray:
         bx = _intruder_x(xs, coverage)  # (B, n_t), along y = 0
-        best_known = ((known_x - bx) ** 2 + known_y2).min(axis=1)
-        bxp = bx[:, t_index].reshape(len(bx), n_tt, _TILE_T)
+        known = known_x - bx
+        np.square(known, out=known)
+        np.add(known, known_y2, out=known)
+        best_known = known.min(axis=1)
+        if pad:  # the last tile repeats the last time
+            bx = bx[:, t_index]
+        # Each tile's intruder x extremes, elementwise over its _TILE_T strided times.
+        bx_hi = np.maximum(bx[:, 0::_TILE_T], bx[:, 1::_TILE_T])
+        bx_lo = np.minimum(bx[:, 0::_TILE_T], bx[:, 1::_TILE_T])
+        for k in range(2, _TILE_T):
+            np.maximum(bx_hi, bx[:, k::_TILE_T], out=bx_hi)
+            np.minimum(bx_lo, bx[:, k::_TILE_T], out=bx_lo)
         # A lower bound on every cell of a tile: the square of the cells' own rounded x
         # difference at the tile's closest x range, plus its y^2 floor.
-        lb = x_lo - bxp.max(axis=2)[:, None, :]
-        np.maximum(lb, bxp.min(axis=2)[:, None, :] - x_hi, out=lb)
+        lb = x_lo - bx_hi[:, None, :]
+        np.maximum(lb, bx_lo[:, None, :] - x_hi, out=lb)
         np.maximum(lb, 0.0, out=lb)
         np.square(lb, out=lb)
         np.add(lb, y2_lo, out=lb)
-        cells = np.flatnonzero(lb < best_known[:, None, None])  # (b, j) rows in runs
-        dc = np.full((len(bx) * n_tj, _TILE_J), np.inf)
+        cells = np.flatnonzero(lb < best_known[:, None, None])  # b * n_tiles + j * n_tt + t
+        bx = bx.reshape(-1, _TILE_T)  # intruder rows by b * n_tt + t
+        dc = np.full((len(xs) * n_tj, _TILE_J), np.inf)
         starts = np.ones(_TILE_CHUNK, dtype=bool)  # starts[i]: a run starts at cell i
         for s in range(0, len(cells), _TILE_CHUNK):
-            row, t = np.divmod(cells[s : s + _TILE_CHUNK], n_tt)  # row = b * n_tj + j
-            b, j = np.divmod(row, n_tj)
-            d = cand_x[j, t]
-            np.subtract(d, bxp[b, t][:, :, None], out=d)
+            cell = cells[s : s + _TILE_CHUNK]
+            row, t = np.divmod(cell, n_tt)  # row = b * n_tj + j: (b, j) rows in runs
+            b = row // n_tj
+            tile = cell - b * n_tiles
+            d = cand_x[tile]
+            np.subtract(d, bx[b * n_tt + t][:, :, None], out=d)
             np.square(d, out=d)
-            np.add(d, cand_y2[j, t], out=d)
+            np.add(d, cand_y2[tile], out=d)
             np.not_equal(row[1:], row[:-1], out=starts[1 : len(row)])
             runs = np.flatnonzero(starts[: len(row)])
             row = row[runs]
@@ -377,7 +399,7 @@ def _clearance_kernel(
             if s:  # a run from the last chunk; the first chunk meets only inf rows
                 np.minimum(run_min[0], dc[row[0]], out=run_min[0])
             dc[row] = run_min
-        dc = dc.reshape(len(bx), -1)[:, restore]
+        dc = np.take(dc.reshape(len(xs), -1), restore, axis=1)
         return np.minimum(best_known[:, None], dc, out=dc)
 
     return clearance
@@ -497,8 +519,7 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., lis
     n_base = (sorted_costs == sorted_costs[:, :1]).sum(axis=1)
     base_cols = order[np.arange(costs.shape[1]) < n_base[:, None]]  # atom by atom
     base_starts = np.cumsum(n_base) - n_base
-    # twins[a, k]: position k + 1 of atom a's cost order is past its base candidates.
-    twins = np.arange(1, n_base.max(initial=1)) >= n_base[:, None]
+    twins = n_base.max(initial=1) > 1  # some atom has zero-cost twins
     w, c0 = weights[live], sorted_costs[:, 0]
     w_list, c0_list = w.tolist(), c0.tolist()
 
@@ -506,7 +527,7 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., lis
         if not len(live):
             return [0.0] * len(values)
         base = values[:, base_cols]  # (B, atoms), unless an atom has zero-cost twins
-        if twins.size:
+        if twins:
             base = np.minimum.reduceat(base, base_starts, axis=1)
         # Atom by atom from 0.0, as a per-row sum would round (+ 0.0 turns -0.0 into 0.0).
         total = np.add.accumulate(w * base, axis=1)[:, -1] + 0.0
@@ -524,8 +545,6 @@ def _sorted_sources(weights: np.ndarray, costs: np.ndarray) -> Callable[..., lis
         fs = values[rows[:, None], k_order[atoms]]
         tail_f = fs[:, 1:]
         step = tail_f < np.minimum.accumulate(fs[:, :-1], axis=1)
-        if twins.size:
-            step[:, : twins.shape[1]] &= twins[atoms]
         pair, col = np.nonzero(step)  # pair by pair, in cost order
         step_c, step_f = tail_c[atoms[pair], col], tail_f[pair, col]
         # A pair's last point L is the first place of its row minimum.  The hull would pop
@@ -944,8 +963,9 @@ def _experiment_rows(
 
     With the config, n_t and n_starts fixed, ``solve_dro`` depends only on the
     known state, the merged center, the radius and the order, so a repeated
-    problem reuses the first solution bit for bit.  With ``jobs`` > 1 the
-    distinct problems are solved in separate processes.
+    problem reuses the first solution bit for bit.  The distinct problems are
+    solved in min(``jobs``, number of distinct problems) processes, or in this
+    one when that is 1.
     """
     count("n_t", n_t, low=2)
     count("n_starts", n_starts)
@@ -958,8 +978,9 @@ def _experiment_rows(
         keys.append((known.tobytes(), merged, ball.radius, ball.order))
         distinct.setdefault(keys[-1], (known, ball, cfg, n_t, n_starts))
     columns = list(zip(*distinct.values()))  # one sequence per solve_dro argument
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(distinct))  # an executor may start all its workers at once
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             solved = dict(zip(distinct, pool.map(solve_dro, *columns)))
     else:
         solved = dict(zip(distinct, map(solve_dro, *columns)))

@@ -991,13 +991,17 @@ def test_clearance_kernel_equals_dense_reference(data):
         cand = np.column_stack([z0.real, z0.imag, v0.real, v0.imag, cand[:, 4]])
     n_t = data.draw(st.integers(2, 200))
     chunk = data.draw(st.sampled_from([uav._TILE_CHUNK, 5]))  # runs split across chunks
-    pruned = _clearance_kernel(known, cand, cfg, n_t)
+    # Tile heights that do and do not divide n_t: the strided tile extremes with and
+    # without a padded last tile.
+    tile_t = data.draw(st.sampled_from([3, 4, 5]))
+    with patch.object(uav, "_TILE_T", tile_t):
+        pruned = _clearance_kernel(known, cand, cfg, n_t)
     dense = dense_clearance_kernel(known, cand, cfg, n_t)
     lattice, _ = _profile_lattice(cfg)
     for batch in (1, 9, 64):
         corners = lattice[rng.integers(0, len(lattice), (batch, 3))]
         xs = np.einsum("bk,bkn->bn", rng.dirichlet(np.ones(3), batch), corners)
-        with patch.object(uav, "_TILE_CHUNK", chunk):
+        with patch.object(uav, "_TILE_CHUNK", chunk), patch.object(uav, "_TILE_T", tile_t):
             got = pruned(xs)
         assert got.shape == (batch, len(cand))
         assert np.array_equal(got, dense(xs))
@@ -1531,6 +1535,46 @@ def test_experiment_report_lists_the_checkpoints_in_order():
     assert report.checkpoints == (1, 3)
     assert all(type(c) is int for c in report.checkpoints)
     assert [r.checkpoint for r in report.rows] == [1, 1, 3, 3]
+
+
+def test_experiment_pool_holds_at_most_one_worker_per_distinct_problem(monkeypatch):
+    # A pool of `jobs` workers may start them all at its first task, so it is sized at
+    # the distinct problem count, and one distinct problem is solved in process.  The
+    # stand-in pool records its size and maps in this process.
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *columns):
+            return map(fn, *columns)
+
+    monkeypatch.setattr(uav, "ProcessPoolExecutor", SerialPool)
+    solves = []
+    solve = uav.solve_dro
+
+    def counted(*args):
+        solves.append(args)
+        return solve(*args)
+
+    monkeypatch.setattr(uav, "solve_dro", counted)
+    cfg = default_config(seed=12)
+    serial = run_experiment(cfg, 2, [1, 3], n_t=100, n_starts=2)
+    assert sizes == [] and len(solves) > 2
+    for jobs, size in ((64, len(solves)), (2, 2)):
+        assert run_experiment(cfg, 2, [1, 3], n_t=100, n_starts=2, jobs=jobs).rows == serial.rows
+        assert sizes.pop() == size
+    # At checkpoint 1 both modes hold the one recovered state: one distinct problem.
+    alone = run_experiment(cfg, 1, [1], n_t=100, n_starts=2)
+    assert run_experiment(cfg, 1, [1], n_t=100, n_starts=2, jobs=64).rows == alone.rows
+    assert sizes == []
 
 
 def test_experiment_rows_independent_of_jobs_and_path():
